@@ -134,9 +134,9 @@ def test_daemon_pass_cost(benchmark, backend, record_throughput):
 
 
 def test_rate_recompute_cost(benchmark):
-    """The contention-matrix + slowdown path for 64 colocated tasks."""
-    from repro.memory.contention import allocate_bandwidth
-    from repro.runtime.rates import phase_slowdown, tier_demand
+    """The node rate kernel (access profiles, contention matrix, slowdowns)
+    for 64 colocated tasks — the path ``NodeAgent.recompute_rates`` runs."""
+    from repro.runtime.rates import node_slowdowns
     from repro.workflows.patterns import UniformPattern
     from repro.workflows.task import TaskPhase
     from repro.util.units import GBps
@@ -156,15 +156,7 @@ def test_rate_recompute_cost(benchmark):
         ps.access_weight = (rng.random(ps.n_chunks) ** 4).astype(np.float32)
         pagesets.append(ps)
     caps = np.array([specs[t].bandwidth for t in sorted(specs, key=int)])
+    phases = [phase] * len(pagesets)
 
-    def recompute():
-        demands = np.stack([tier_demand(ps, phase.demand_bandwidth) for ps in pagesets])
-        achieved = allocate_bandwidth(caps, demands)
-        per_task = achieved.sum(axis=1)
-        return [
-            phase_slowdown(phase, ps, specs, float(bw))
-            for ps, bw in zip(pagesets, per_task)
-        ]
-
-    slowdowns = benchmark(recompute)
+    slowdowns = benchmark(lambda: node_slowdowns(phases, pagesets, specs, caps))
     assert len(slowdowns) == 64

@@ -4,9 +4,11 @@ How fast the simulator pushes a saturated steady-state stream through
 the scheduler: 10,000 offered arrivals against a queue-cap admission
 policy (the validated acceptance recipe — most arrivals are shed at one
 policy check each, so the measured cost is the service loop itself plus
-the admitted tasks' simulation).  ``arrivals_per_sec`` lands in
-``extra_info`` and is tracked against BENCH_simulator.json by the same
->10% CI regression gate as the arena cells/sec numbers.
+the admitted tasks' simulation).  ``extra_info`` records three rates over
+the median of three rounds: ``arrivals_per_sec`` (offered arrivals,
+tracked against BENCH_simulator.json by the same >10% CI regression gate
+as the arena cells/sec numbers), and the work actually done —
+``admitted_per_sec`` and ``events_per_sec`` (engine events fired).
 """
 
 from repro.envs.environments import EnvKind, make_environment
@@ -27,6 +29,7 @@ def test_service_stream_throughput(benchmark, backend):
         queue_cap=32,
         classes=(("DM", 3), ("DC", 1)),
     )
+    events_fired = []
 
     def run():
         env = make_environment(
@@ -35,18 +38,24 @@ def test_service_stream_throughput(benchmark, backend):
         try:
             return serve(env, spec, scale=SCALE, seed=5)
         finally:
+            events_fired.append(env.engine.events_fired)
             env.stop()
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = benchmark.pedantic(run, rounds=3, iterations=1)
     assert report.offered == 10_000
     assert report.admitted > 0 and report.completed == report.admitted
     assert report.converged
+    assert len(set(events_fired)) == 1  # every round simulates the same run
     median = benchmark.stats.stats.median
     if median > 0:
         benchmark.extra_info["offered"] = report.offered
+        benchmark.extra_info["admitted"] = report.admitted
+        benchmark.extra_info["events_fired"] = events_fired[0]
         benchmark.extra_info["arrivals_per_sec"] = round(report.offered / median)
+        benchmark.extra_info["admitted_per_sec"] = round(report.admitted / median)
+        benchmark.extra_info["events_per_sec"] = round(events_fired[0] / median)
     print(
         f"\n{report.offered} arrivals ({backend} core): admitted "
-        f"{report.admitted}, util {report.steady_utilization:.2f}, "
-        f"{len(report.windows)} windows"
+        f"{report.admitted}, {events_fired[0]} events, "
+        f"util {report.steady_utilization:.2f}, {len(report.windows)} windows"
     )

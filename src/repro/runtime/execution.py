@@ -26,7 +26,6 @@ from ..sim.process import RateTracker
 from ..util.errors import AllocationError
 from ..util.validation import require
 from ..workflows.task import TaskSpec
-from .rates import tier_demand
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node_agent import NodeAgent
@@ -281,10 +280,15 @@ class TaskExecution:
     # rate control (called by the node agent)
     # ------------------------------------------------------------------ #
     def update_rate(self, rate: float) -> None:
-        """Install a new progress rate and reschedule phase completion."""
+        """Install a new progress rate and reschedule phase completion.
+
+        An unchanged rate keeps a still-pending completion event: its time is right."""
         if self.state is not TaskState.RUNNING or self.tracker is None:
             return
         rate *= self.rate_scale
+        ev = self._completion
+        if rate == self.current_rate and ev is not None and not (ev.fired or ev.cancelled):
+            return
         engine = self.agent.engine
         self.tracker.set_rate(engine.now, rate)
         self.current_rate = rate
@@ -305,12 +309,6 @@ class TaskExecution:
     @property
     def phase(self):
         return self.spec.phases[self.phase_index]
-
-    def demand_vector(self) -> np.ndarray:
-        """Current per-tier bandwidth demand (bytes/s)."""
-        if self.state is not TaskState.RUNNING:
-            return np.zeros(4)
-        return tier_demand(self.pageset, self.phase.demand_bandwidth)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

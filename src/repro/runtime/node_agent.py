@@ -19,14 +19,13 @@ from ..core.heatmap import HeatmapConfig, PageHeatmap
 from ..memory.system import NodeMemorySystem
 from ..memory.tiers import DRAM, NUM_TIERS, TierKind
 from ..metrics.collector import MetricsRegistry
-from ..memory.contention import allocate_bandwidth
 from ..policies.base import MemoryPolicy, PolicyContext
 from ..sim.engine import SimulationEngine
 from ..sim.process import PeriodicProcess, TickGroup
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
 from .execution import TaskExecution, TaskState
-from .rates import RateModelConfig, phase_slowdown
+from .rates import RateModelConfig, node_slowdowns
 
 __all__ = ["NodeAgent"]
 
@@ -251,28 +250,16 @@ class NodeAgent:
         if not tasks:
             self.memory.migration_bytes_window = 0
             return
-        demands = np.stack([te.demand_vector() for te in tasks])
-        # offline tiers deliver no bandwidth; degraded links a fraction
-        capacities = self._bw_capacities * self.memory.tier_health()
-        achieved = allocate_bandwidth(capacities, demands)
-        per_task_bw = achieved.sum(axis=1)
-        penalty = self._migration_penalty()
-        utilization = None
-        if self.rate_config.loaded_latency:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                utilization = np.where(
-                    capacities > 0, achieved.sum(axis=0) / capacities, 0.0
-                )
-        for te, bw in zip(tasks, per_task_bw):
-            slowdown = phase_slowdown(
-                te.phase,
-                te.pageset,
-                self.memory.specs,
-                float(bw),
-                migration_penalty=penalty,
-                config=self.rate_config,
-                tier_bw_utilization=utilization,
-            )
+        slowdowns = node_slowdowns(
+            [te.phase for te in tasks],
+            [te.pageset for te in tasks],
+            self.memory.specs,
+            # offline tiers deliver no bandwidth; degraded links a fraction
+            self._bw_capacities * self.memory.tier_health(),
+            migration_penalty=self._migration_penalty(),
+            config=self.rate_config,
+        )
+        for te, slowdown in zip(tasks, slowdowns.tolist()):
             te.update_rate(1.0 / slowdown)
 
     def _migration_penalty(self) -> float:

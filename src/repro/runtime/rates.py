@@ -12,25 +12,32 @@ three placement-dependent terms using the phase's sensitivity mix:
 * a **migration overhead** term charges for daemon data movement
   (the ≈4 % runtime overhead reported in §IV-D4).
 
-All functions are pure and vectorised; the node agent calls them on every
-contention or placement change.
+:func:`node_slowdowns` is the node agent's kernel: one weighted
+``np.bincount`` splits every running task's accesses by service point
+(:func:`access_profiles`), then demand, fair-share bandwidth and slowdown
+are array math over all tasks at once.  :func:`tier_access_profile`,
+:func:`tier_demand` and :func:`phase_slowdown` are one-row calls of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..memory.pageset import PageSet
-from ..memory.tiers import DRAM, NUM_TIERS, SWAP, TierKind, TierSpec
+from ..memory.contention import allocate_bandwidth
+from ..memory.pageset import UNMAPPED, PageSet
+from ..memory.tiers import DRAM, MEMORY_TIERS, NUM_TIERS, SWAP, TierKind, TierSpec
 from ..util.units import ns, us
 from ..util.validation import check_non_negative, check_positive
 from ..workflows.task import TaskPhase
 
 __all__ = [
     "RateModelConfig",
+    "SHADOW",
+    "access_profiles",
+    "node_slowdowns",
     "tier_access_profile",
     "tier_demand",
     "phase_slowdown",
@@ -73,44 +80,94 @@ class RateModelConfig:
             raise ValueError("loaded_latency_max_factor must be >= 1")
 
 
-def loaded_latency_factor(utilization: float, max_factor: float) -> float:
+def loaded_latency_factor(utilization, max_factor: float):
     """Quadratic loaded-latency ramp: 1x when idle, ``max_factor`` at
-    saturation — the shape of measured DRAM/CXL loaded-latency curves."""
-    rho = min(max(float(utilization), 0.0), 1.0)
+    saturation — the shape of measured DRAM/CXL loaded-latency curves.
+    ``utilization`` may be a scalar or an array."""
+    rho = np.clip(utilization, 0.0, 1.0)
     return 1.0 + (max_factor - 1.0) * rho * rho
 
 
-def tier_access_profile(ps: PageSet) -> tuple[np.ndarray, float]:
-    """Split the phase's access distribution by *service point*.
+#: access-profile column for accesses served from DRAM page-cache shadows
+SHADOW = NUM_TIERS
 
-    Returns ``(weights[NUM_TIERS], shadow_weight)`` where ``weights[t]``
-    is the fraction of accesses served by tier ``t`` directly and
-    ``shadow_weight`` the fraction served from DRAM page-cache shadows.
-    Weights are normalised over mapped chunks; all-zero when idle.
-    """
-    mask = ps.mapped_mask
-    w = ps.access_weight
-    total = float(w[mask].sum())
-    out = np.zeros(NUM_TIERS, dtype=np.float64)
-    if total <= 0:
-        return out, 0.0
-    shadow = mask & ps.in_page_cache
-    direct = mask & ~ps.in_page_cache
-    if direct.any():
-        np.add.at(out, ps.tier[direct].astype(np.int64), w[direct].astype(np.float64))
-    shadow_weight = float(w[shadow].sum()) / total
-    out /= total
-    return out, shadow_weight
+
+def access_profiles(pagesets: Sequence[PageSet]) -> np.ndarray:
+    """``float64[n, NUM_TIERS + 1]`` share of each pageset's accesses served
+    by each tier directly (columns ``< NUM_TIERS``) or from DRAM page-cache
+    shadows (column :data:`SHADOW`); normalised over mapped chunks, all-zero
+    when idle.  Bins sum in chunk order over the concatenated arrays, so the
+    result never depends on how the pagesets are stored."""
+    n, width = len(pagesets), NUM_TIERS + 2  # bin 0 of each row: unmapped chunks
+    tier = np.concatenate([ps.tier for ps in pagesets])
+    shadow = np.concatenate([ps.in_page_cache for ps in pagesets]) & (tier != UNMAPPED)
+    row = np.repeat(np.arange(n) * width + 1, [ps.n_chunks for ps in pagesets])
+    weight = np.concatenate([ps.access_weight for ps in pagesets])
+    prof = np.bincount(row + np.where(shadow, SHADOW, tier), weights=weight, minlength=n * width)
+    prof = prof.reshape(n, width)[:, 1:]
+    total = prof.sum(axis=1, keepdims=True)
+    return np.divide(prof, total, out=np.zeros(prof.shape), where=total > 0)
+
+
+def _demands(profiles: np.ndarray, demand_bandwidth: np.ndarray) -> np.ndarray:
+    """Per-tier demand (bytes/s) of each row; shadowed accesses demand DRAM."""
+    demand = profiles[:, :NUM_TIERS] * demand_bandwidth[:, None]
+    demand[:, int(DRAM)] += profiles[:, SHADOW] * demand_bandwidth
+    return demand
+
+
+def _slowdowns(phases, profiles, specs, achieved, penalty, config, utilization) -> np.ndarray:
+    """Each row's slowdown from its access profile and achieved bandwidth."""
+    terms = [(p.compute_frac, p.lat_frac, p.bw_frac, p.demand_bandwidth) for p in phases]
+    c, l, b, d = np.array(terms).T
+    latency = [specs[t].latency for t in MEMORY_TIERS]
+    latency = np.array(latency + [config.swap_access_latency, config.shadow_access_latency])
+    if config.loaded_latency and utilization is not None:
+        factor = loaded_latency_factor(utilization[:SWAP], config.loaded_latency_max_factor)
+        latency[:SWAP] *= factor
+    # an idle (not yet weighted) task counts as DRAM-resident
+    lat = (profiles * latency).sum(axis=1) / specs[DRAM].latency
+    lat_mult = np.where(profiles.sum(axis=1) > 0, lat, 1.0)
+    bw_mult = np.where((d > 0) & (b > 0), np.maximum(1.0, d / np.maximum(achieved, 1e-9)), 1.0)
+    penalty = min(config.migration_overhead_cap, max(0.0, penalty))
+    slowdown = c + l * lat_mult + b * bw_mult + penalty
+    return np.minimum(np.maximum(slowdown, c), config.max_slowdown)
+
+
+def node_slowdowns(
+    phases: Sequence[TaskPhase],
+    pagesets: Sequence[PageSet],
+    specs: Mapping[TierKind, TierSpec],
+    capacities: np.ndarray,
+    *,
+    migration_penalty: float = 0.0,
+    config: RateModelConfig = RateModelConfig(),
+) -> np.ndarray:
+    """Slowdown of every task on a node (``phases[i]`` over ``pagesets[i]``).
+
+    ``capacities`` is each tier's attainable bandwidth now (0 when offline),
+    shared by per-tier max-min fairness; utilisation drives loaded latency."""
+    profiles = access_profiles(pagesets)
+    demand = np.array([p.demand_bandwidth for p in phases], dtype=np.float64)
+    achieved = allocate_bandwidth(capacities, _demands(profiles, demand))
+    utilization = np.divide(
+        achieved.sum(axis=0), capacities, out=np.zeros_like(capacities), where=capacities > 0
+    )
+    return _slowdowns(
+        phases, profiles, specs, achieved.sum(axis=1), migration_penalty, config, utilization
+    )
+
+
+def tier_access_profile(ps: PageSet) -> tuple[np.ndarray, float]:
+    """One pageset's access profile as ``(weights[NUM_TIERS], shadow_weight)``."""
+    prof = access_profiles([ps])[0]
+    return prof[:NUM_TIERS], float(prof[SHADOW])
 
 
 def tier_demand(ps: PageSet, demand_bandwidth: float) -> np.ndarray:
-    """Per-tier throughput demand (bytes/s) for the bandwidth-contention
-    matrix.  Shadowed accesses demand DRAM (the copy they read is there)."""
+    """One pageset's per-tier throughput demand (bytes/s)."""
     check_non_negative(demand_bandwidth, "demand_bandwidth")
-    weights, shadow_weight = tier_access_profile(ps)
-    demand = weights * demand_bandwidth
-    demand[int(DRAM)] += shadow_weight * demand_bandwidth
-    return demand
+    return _demands(access_profiles([ps]), np.array([float(demand_bandwidth)]))[0]
 
 
 def phase_slowdown(
@@ -133,33 +190,8 @@ def phase_slowdown(
     >= ``compute_frac`` (never faster than pure compute), clamped at
     ``config.max_slowdown``.
     """
-    weights, shadow_weight = tier_access_profile(ps)
-    dram_lat = specs[DRAM].latency
-    if weights.sum() + shadow_weight <= 0:
-        lat_mult = 1.0  # idle / not yet weighted: treat as DRAM-resident
-    else:
-        def eff_latency(t: TierKind) -> float:
-            base = specs[t].latency
-            if config.loaded_latency and tier_bw_utilization is not None:
-                base *= loaded_latency_factor(
-                    float(tier_bw_utilization[int(t)]), config.loaded_latency_max_factor
-                )
-            return base
-
-        lat = shadow_weight * config.shadow_access_latency
-        for t in (TierKind.DRAM, TierKind.PMEM, TierKind.CXL):
-            lat += weights[int(t)] * eff_latency(t)
-        lat += weights[int(SWAP)] * config.swap_access_latency
-        lat_mult = lat / dram_lat
-    if phase.demand_bandwidth > 0 and phase.bw_frac > 0:
-        bw_mult = phase.demand_bandwidth / max(achieved_bandwidth, 1e-9)
-        bw_mult = max(1.0, bw_mult)
-    else:
-        bw_mult = 1.0
-    slowdown = (
-        phase.compute_frac
-        + phase.lat_frac * lat_mult
-        + phase.bw_frac * bw_mult
-        + min(config.migration_overhead_cap, max(0.0, migration_penalty))
+    profiles, achieved = access_profiles([ps]), np.array([float(achieved_bandwidth)])
+    slowdown = _slowdowns(
+        [phase], profiles, specs, achieved, migration_penalty, config, tier_bw_utilization
     )
-    return float(min(max(slowdown, phase.compute_frac), config.max_slowdown))
+    return float(slowdown[0])

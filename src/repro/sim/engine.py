@@ -164,6 +164,11 @@ class SimulationEngine:
         """
         return self._live
 
+    @property
+    def events_scheduled(self) -> int:
+        """Events ever scheduled: fired, cancelled or still pending."""
+        return self._seq
+
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
