@@ -7,15 +7,14 @@ spends almost all of its wall-clock in — by warming the node until the
 movement daemon's per-tick work settles, then timing whole passes
 (heatmap advance + IMME tick).
 
-Legs: ``[object]`` / ``[arena]`` / ``[arena-fast]`` at 64 / 128 / 256
-tasks per node (256 GiB of resident metadata in every case, so the
-cells/sec numbers are density comparisons, not size comparisons).  Each
-leg records ``passes_per_sec`` in ``extra_info``; the CI regression
-gate tracks the arena legs against BENCH_simulator.json.  The
-``[arena-fast]/[object]`` ratio at 128 tasks is the tentpole target
-(>=3x steady state); ``test_daemon_steady_state_speedup`` pins a
-conservative floor so the ratio cannot silently rot between baseline
-regenerations.
+Legs: ``[arena]`` / ``[arena-fast]`` at 64 / 128 / 256 tasks per node
+(256 GiB of resident metadata in every case, so the cells/sec numbers
+are density comparisons, not size comparisons).  Each leg records
+``passes_per_sec`` in ``extra_info``; the CI regression gate tracks both
+legs against BENCH_simulator.json.  ``test_daemon_steady_state_speedup``
+pins a floor on the ``[arena-fast]/[arena]`` ratio at 128 tasks — a
+same-machine ratio against the exact core — so it cannot silently rot
+between baseline regenerations.
 """
 
 import time
@@ -65,23 +64,21 @@ def test_daemon_pass_steady_state(benchmark, backend, record_throughput, n_tasks
 
 
 def test_daemon_steady_state_speedup(backend):
-    """The batched kernels must hold >=2x steady state over the object
-    core at 128 tasks/node (measured ~3.5-4x on an idle machine; the
-    floor leaves headroom for noisy shared runners).  Only the
-    [arena-fast] leg asserts — the other legs exist so a pinned
-    ``--backend`` run never fails collection."""
+    """The batched kernels must hold >=2x steady state over the exact
+    arena core at 128 tasks/node (measured 2.4-2.6x on a 2-vCPU VM; the
+    floor leaves headroom for noisy shared runners).  The two nodes'
+    passes alternate, so a shift in host speed lands on both sides of
+    the ratio.  Only the [arena-fast] leg asserts — the other leg exists
+    so a pinned ``--backend`` run never fails collection."""
     if backend != "arena-fast":
         pytest.skip("ratio is defined for the arena-fast leg")
 
-    def best_pass_time(b):
-        _, daemon_pass = make_steady_node(b, 128)
-        best = float("inf")
-        for _ in range(8):
+    passes = {b: make_steady_node(b, 128)[1] for b in ("arena", "arena-fast")}
+    best = dict.fromkeys(passes, float("inf"))
+    for _ in range(8):
+        for b, daemon_pass in passes.items():
             t0 = time.perf_counter()
             daemon_pass()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    slow = best_pass_time("object")
-    fast = best_pass_time("arena-fast")
-    assert slow / fast >= 2.0, f"arena-fast daemon pass only {slow / fast:.2f}x object"
+            best[b] = min(best[b], time.perf_counter() - t0)
+    ratio = best["arena"] / best["arena-fast"]
+    assert ratio >= 2.0, f"arena-fast daemon pass only {ratio:.2f}x arena"

@@ -5,15 +5,13 @@ prints the same series the figure plots, and asserts the qualitative
 shape (who wins, roughly by how much).  Runs are deterministic, so a
 single round measures the harness cost without statistical noise.
 
-Simulation-core benchmarks are parametrized over the backends (the
-``backend`` fixture): the object core and the struct-of-arrays arena
-core produce identical results, so those two legs of each benchmark
-measure the same work and their cells/sec ratio is the arena speedup.
-The ``arena-fast`` leg runs the relaxed batched movement kernels —
+Simulation-core benchmarks are parametrized over the two core modes
+(the ``backend`` fixture).  The ``[arena]`` leg runs the exact core; the
+``[arena-fast]`` leg runs the relaxed batched movement kernels —
 statistically equivalent work, not byte-identical, so its ratio over
-``[object]`` is the headline batched-daemon speedup rather than a
-same-trace comparison.  ``--backend object|arena|arena-fast`` pins one
-leg (the others are skipped).
+``[arena]`` is the headline batched-daemon speedup rather than a
+same-trace comparison.  ``--backend arena|arena-fast`` pins one leg (the
+other is skipped).
 """
 
 import pytest
@@ -27,18 +25,18 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default=None,
-        choices=("object", "arena", "arena-fast"),
-        help="pin the simulation-core backend (default: run every leg)",
+        choices=("arena", "arena-fast"),
+        help="pin the simulation-core mode (default: run every leg)",
     )
 
 
-@pytest.fixture(params=["object", "arena", "arena-fast"])
+@pytest.fixture(params=["arena", "arena-fast"])
 def backend(request, monkeypatch):
-    """Parametrize a benchmark over the simulation-core backends.
+    """Parametrize a benchmark over the simulation-core modes.
 
     Sets ``$REPRO_CORE`` so every :class:`NodeMemorySystem` constructed
-    inside the benchmark resolves the requested backend, and returns the
-    backend name for explicit ``backend=`` plumbing.
+    inside the benchmark resolves the requested mode, and returns the
+    mode name for explicit ``backend=`` plumbing.
     """
     pinned = request.config.getoption("--backend")
     if pinned is not None and request.param != pinned:
@@ -54,7 +52,7 @@ def record_throughput(benchmark):
     A *cell* is one page-chunk's worth of simulation state touched per
     operation; dividing by the measured median converts the timing into
     the throughput number the CI regression gate and BENCH_simulator.json
-    track across backends.  The median (not the mean) keeps the recorded
+    track across core modes.  The median (not the mean) keeps the recorded
     number stable on noisy shared runners, where scheduler steal inflates
     a benchmark's tail rounds by an order of magnitude.
     """

@@ -1,11 +1,8 @@
-"""Node-level struct-of-arrays arena backend (``REPRO_CORE=arena``).
+"""Node-level struct-of-arrays arena: the simulator's per-chunk core.
 
-The object backend keeps one set of per-chunk arrays *per task*
-(:class:`~repro.memory.pageset.PageSet`), so every daemon tick pays one
-Python dispatch per task per primitive — the cost that dominates
-``bench_policy_micro`` and caps the ROADMAP's "millions of simulated
-tasks" goal.  :class:`NodeArena` packs every resident task's chunks into
-one contiguous arena of parallel numpy arrays::
+Every :class:`~repro.memory.system.NodeMemorySystem` owns one
+:class:`NodeArena`, which packs every resident task's chunks into one
+contiguous arena of parallel numpy arrays::
 
     slot:         0 ......... hi ............. capacity
     tier          ├─ task A ─┤├─ task B ─┤ ... │ (free: UNMAPPED)
@@ -15,41 +12,44 @@ one contiguous arena of parallel numpy arrays::
     task_id       per-slot compact task handle  │ -1
     rank          (registration_seq << 32) | local_index
 
-and rewrites the hot path as whole-node kernels: one fused
+and runs the hot path as whole-node kernels: one fused
 decay+classification pass (:meth:`advance`), cross-task victim and
 promotion selection via masked ``argpartition`` (:meth:`select_victims`,
 :meth:`global_coldest`), and vectorised tier/weight reductions
-(:meth:`counts_by_tier`, :meth:`evictable_bytes`).
+(:meth:`counts_by_tier`, :meth:`evictable_bytes`), so a daemon tick pays
+no Python dispatch per task per primitive.
 
 Adopted :class:`PageSet` objects keep their full API: their arrays are
 rebound to *views* of arena slices, so ``policies/``, ``core/manager``,
-``core/movement`` and the fault-evacuation paths work unchanged.  Every
-kernel reproduces the object backend's selection order bit-for-bit —
+``core/movement`` and the fault-evacuation paths work on them directly.
+Every kernel reproduces the per-pageset selection order bit-for-bit —
 identical float32 arithmetic, identical tie-breaks ((protected,
-temperature, registration order, chunk index)), identical RNG draws — so
-scenario digests are byte-identical across backends (tested in
-``tests/test_arena.py``).
+temperature, registration order, chunk index)), identical RNG draws —
+against the per-pageset references kept in ``tests/test_arena.py``.
 
-Backend selection: :func:`resolve_backend` reads the ``REPRO_CORE``
-environment variable (``object`` | ``arena`` | ``arena-fast``).  The
-switch deliberately lives *outside*
+Mode selection: :func:`resolve_backend` reads the ``REPRO_CORE``
+environment variable (``arena`` | ``arena-fast``; default ``arena``).
+The switch deliberately lives *outside*
 :class:`~repro.scenarios.spec.ScenarioSpec`: digests hash every spec
-field, and the whole point is that every backend produces the same
-digest for the same scenario.
+field, and both modes must produce the same digest for the same
+scenario.  ``object``, the name of the retired per-pageset layout, is a
+deprecated alias of ``arena``.
 
-``arena-fast`` relaxes the bit-exact contract: the movement daemon and
-replacement paths run as whole-node batched kernels (:meth:`hot_by_tier`
-/ :meth:`cold_by_tier` masked scans, :meth:`migrate_batch` /
-:meth:`shadow_batch` commits) that select candidates for *all* tasks
-from one pre-pass snapshot per tier instead of re-reading node state
-after every pageset.  Results are statistically equivalent to the exact
-backends (tolerance bands pinned in ``tests/test_arena_fast.py``), not
-byte-identical — see ``docs/performance.md``.
+``arena`` is the exact core.  ``arena-fast`` relaxes its bit-exact
+contract: the movement daemon and replacement paths run as whole-node
+batched kernels (:meth:`hot_by_tier` / :meth:`cold_by_tier` masked
+scans, :meth:`migrate_batch` / :meth:`shadow_batch` commits) that select
+candidates for *all* tasks from one pre-pass snapshot per tier instead
+of re-reading node state after every pageset.  Results are
+statistically equivalent to the exact core (tolerance bands pinned in
+``tests/test_arena_fast.py``), not byte-identical — see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
@@ -62,17 +62,17 @@ from ..util.validation import require
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.pageset import PageSet
 
-__all__ = ["NodeArena", "BACKENDS", "EXACT_BACKENDS", "resolve_backend"]
+__all__ = ["NodeArena", "BACKENDS", "resolve_backend"]
 
-BACKEND_OBJECT = "object"
+#: the exact core (the default)
 BACKEND_ARENA = "arena"
+#: batched movement kernels, statistically equivalent to the exact core
 BACKEND_ARENA_FAST = "arena-fast"
-BACKENDS = (BACKEND_OBJECT, BACKEND_ARENA, BACKEND_ARENA_FAST)
-#: the backends that promise byte-identical traces (arena-fast promises
-#: statistical equivalence only — see tests/test_arena_fast.py)
-EXACT_BACKENDS = (BACKEND_OBJECT, BACKEND_ARENA)
+BACKENDS = (BACKEND_ARENA, BACKEND_ARENA_FAST)
+#: name of the retired per-pageset layout; a deprecated alias of "arena"
+_OBJECT_ALIAS = "object"
 
-#: env var naming the backend every new NodeMemorySystem uses by default
+#: env var naming the mode every new NodeMemorySystem uses by default
 ENV_VAR = "REPRO_CORE"
 
 _MIN_CAPACITY = 1024
@@ -89,10 +89,18 @@ _FREE_TASK = -1
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The core backend to use: ``explicit`` when given, else ``$REPRO_CORE``,
-    else the object backend."""
-    name = explicit if explicit is not None else os.environ.get(ENV_VAR, BACKEND_OBJECT)
-    name = str(name).strip().lower() or BACKEND_OBJECT
+    """The core mode to use: ``explicit`` when given, else ``$REPRO_CORE``,
+    else the exact ``arena`` core.  ``object`` warns and selects ``arena``."""
+    name = explicit if explicit is not None else os.environ.get(ENV_VAR, BACKEND_ARENA)
+    name = str(name).strip().lower() or BACKEND_ARENA
+    if name == _OBJECT_ALIAS:
+        warnings.warn(
+            "core backend 'object' is deprecated: the per-pageset layout was "
+            "retired, and 'object' now selects the bit-identical 'arena' core",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return BACKEND_ARENA
     require(name in BACKENDS, f"unknown core backend {name!r} (expected one of {BACKENDS})")
     return name
 
@@ -120,7 +128,7 @@ def _top_k_by_temp_rank(
 
     Equivalent to ``cand[np.lexsort((rank[cand], temp[cand]))][:k]`` but
     O(n + k log k): partition on temperature, then break boundary ties by
-    rank — exactly the object backend's global ``sort(key=(protected,
+    rank — exactly a per-pageset merge's global ``sort(key=(protected,
     temperature, registration order, index))`` within one protection
     class, because ``rank`` encodes (registration seq, local index).
     """
@@ -254,7 +262,10 @@ class NodeArena:
         """Move ``ps``'s per-chunk state into the arena and rebind its
         arrays to views of the allocated segment."""
         require(ps.owner not in self._tasks, f"pageset {ps.owner!r} already adopted")
-        require(ps.arena is None, f"pageset {ps.owner!r} is adopted by another arena")
+        require(
+            not isinstance(ps.arena, NodeArena),
+            f"pageset {ps.owner!r} is adopted by another arena",
+        )
         n = ps.n_chunks
         start = self._alloc(n)
         end = start + n
@@ -273,7 +284,7 @@ class NodeArena:
         entry = _TaskEntry(ps.owner, ps, start, n, ps.chunk_size, slot, self._seq)
         self.task_id[start:end] = slot
         # rank = (registration seq, local index) packed into one int64 so a
-        # single lexsort key reproduces the object backend's tie-break
+        # single lexsort key reproduces the per-pageset merge's tie-break
         self.rank[start:end] = (np.int64(self._seq) << np.int64(32)) + np.arange(
             n, dtype=np.int64
         )
@@ -516,8 +527,8 @@ class NodeArena:
         workflows first — the arena form of
         :meth:`~repro.core.replacement.PageReplacementPolicy.select_victims`.
 
-        One masked pass over the arena replaces the object backend's
-        per-task ``coldest_in`` calls plus the Python merge loop; the
+        One masked pass over the arena replaces per-task ``coldest_in``
+        calls plus a Python merge loop; the
         two-level (protected, temperature, registration, index) order is
         reproduced by selecting per protection class with
         :func:`_top_k_by_temp_rank`.  Returns ``(pageset, local_indices)``
@@ -603,7 +614,7 @@ class NodeArena:
         ``max_chunks`` victims, the cold share globally coldest and the
         noise share uniform over candidate chunks, with the *identical*
         single ``rng.choice`` draw (same pool total, same pick→chunk map)
-        so RNG streams match the object backend exactly.
+        so RNG streams match the per-pageset merge exactly.
         """
         if max_chunks <= 0 or not self._tasks:
             return []
@@ -631,7 +642,7 @@ class NodeArena:
         picks_pos: list[np.ndarray] = [chosen]
         if n_noise:
             # per-task pools capped at max_chunks, in registration order —
-            # the object backend's pool layout, so the single choice() draw
+            # the per-pageset merge's pool layout, so the single choice() draw
             # and its pick→(task, j-th coldest) decoding line up exactly
             counts = np.bincount(tids, minlength=len(self._slots))
             pool_entries = [e for e in self._tasks.values() if counts[e.slot] > 0]
@@ -656,7 +667,7 @@ class NodeArena:
                 picks_pos.append(noise)
         allpos = np.concatenate(picks_pos)
         # group by owner in first-appearance order; per-owner indices are
-        # deduped ascending (np.unique == the object backend's sorted(set))
+        # deduped ascending (np.unique == the per-pageset merge's sorted(set))
         all_tids = self.task_id[allpos]
         uniq, first = np.unique(all_tids, return_index=True)
         out: list[tuple["PageSet", np.ndarray]] = []
@@ -669,7 +680,7 @@ class NodeArena:
     # ------------------------------------------------------------------ #
     # kernels: cross-task candidate scans + batch commits (arena-fast)
     #
-    # The exact backends must interleave candidate scans with migrations
+    # The exact core must interleave candidate scans with migrations
     # (mid-pass moves feed later scans), which forces a Python loop per
     # task.  These kernels instead select candidates for *all* tasks from
     # one pre-pass snapshot per tier and commit moves in one vectorised

@@ -73,25 +73,13 @@ class PageHeatmap:
         """Advance every registered pageset; ``rates`` optionally maps
         owner → relative access rate (idle tasks decay only).
 
-        The zero-work skip is hoisted here: an idle owner (rate 0) whose
-        pageset is stone cold gets no :meth:`advance` call at all, so the
-        idle majority of a large colocation costs one ``any()`` per tick
-        instead of a call plus decay arithmetic.
-
-        Under the arena backend the whole node advances in one fused
-        kernel call (:meth:`~repro.core.arena.NodeArena.advance`) —
-        identical float32 arithmetic, no per-pageset dispatch.
+        The whole node advances in one fused kernel call
+        (:meth:`~repro.core.arena.NodeArena.advance`): bit-identical to
+        :meth:`advance` applied per pageset, with no per-pageset dispatch.
         """
         if dt <= 0:
             return
-        if memory.arena is not None:
-            memory.arena.advance(dt, math.exp(-dt / self.config.tau), rates)
-            return
-        for ps in memory.pagesets():
-            rate = 1.0 if rates is None else rates.get(ps.owner, 0.0)
-            if rate <= 0.0 and not ps.temperature.any():
-                continue
-            self.advance(ps, dt, rate)
+        memory.arena.advance(dt, math.exp(-dt / self.config.tau), rates)
 
     # ------------------------------------------------------------------ #
     # analyses used by the allocation/movement policies

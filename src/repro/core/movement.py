@@ -100,13 +100,13 @@ class IntelligentPageMovement:
         """One daemon pass; ``promote_budget_bytes`` is the staging-buffer
         capacity the manager grants this tick.
 
-        Under the ``arena-fast`` backend the promote/proactive stages run
-        as whole-node batched kernels (one masked scan per tier) instead
-        of per-pageset loops — statistically equivalent, not
-        byte-identical (see ``tests/test_arena_fast.py``).
+        Under ``arena-fast`` the promote/proactive stages run as
+        whole-node batched kernels (one masked scan per tier) instead of
+        per-pageset loops — statistically equivalent, not byte-identical
+        (see ``tests/test_arena_fast.py``).
         """
         mem = ctx.memory
-        if mem.arena is not None and getattr(mem, "fast_core", False):
+        if mem.fast_core:
             freed = self._tick_fast(ctx, promote_budget_bytes)
         else:
             # cause scopes label the migration ledger: every movement the
@@ -122,29 +122,11 @@ class IntelligentPageMovement:
             mem.compact()
 
     # ------------------------------------------------------------------ #
-    # candidate selection (object backend: top-k then threshold filter;
-    # arena backend: the same list filter-first via the arena kernels,
-    # which is an exact rewrite — see NodeArena.cold_chunks)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _hot_candidates(ps, tier, max_chunks: int, min_temperature: float) -> np.ndarray:
-        if ps.arena is not None:
-            return ps.arena.hot_chunks(ps, tier, max_chunks, min_temperature=min_temperature)
-        hot = ps.hottest_in(tier, max_chunks)
-        return hot[ps.temperature[hot] >= min_temperature]
-
-    @staticmethod
-    def _cold_candidates(ps, tier, max_chunks: int, max_temperature: float) -> np.ndarray:
-        if ps.arena is not None:
-            return ps.arena.cold_chunks(ps, tier, max_chunks, max_temperature=max_temperature)
-        cold = ps.coldest_in(tier, max_chunks)
-        return cold[ps.temperature[cold] <= max_temperature]
-
-    # ------------------------------------------------------------------ #
     # promotion
     # ------------------------------------------------------------------ #
     def _promote(self, ctx: PolicyContext, budget_bytes: int) -> None:
         mem = ctx.memory
+        arena = mem.arena
         cfg = self.config
         # Running room counters replace the mem.free() re-read per pageset:
         # every migration's effect on free space is a closed-form delta
@@ -162,8 +144,8 @@ class IntelligentPageMovement:
             # the candidate scan outright (idle tasks dominate large nodes)
             if cfg.promote_threshold > 0 and not ps.temperature.any():
                 continue
-            hot_swap = self._hot_candidates(
-                ps, SWAP, budget_bytes // ps.chunk_size, cfg.promote_threshold
+            hot_swap = arena.hot_chunks(
+                ps, SWAP, budget_bytes // ps.chunk_size, min_temperature=cfg.promote_threshold
             )
             if hot_swap.size:
                 moved_idx = self._pull_up(ctx, ps, hot_swap, room_bytes=room_bytes)
@@ -183,8 +165,9 @@ class IntelligentPageMovement:
             if cfg.promote_threshold > 0 and not ps.temperature.any():
                 continue
             for tier in (PMEM, CXL):
-                hot = self._hot_candidates(
-                    ps, tier, budget_bytes // ps.chunk_size, cfg.promote_threshold
+                hot = arena.hot_chunks(
+                    ps, tier, budget_bytes // ps.chunk_size,
+                    min_temperature=cfg.promote_threshold,
                 )
                 if hot.size == 0:
                     continue
@@ -291,7 +274,9 @@ class IntelligentPageMovement:
             if is_protected(self.owner_flags(ps.owner)):
                 continue
             need_chunks = -(-(target_free - freed) // ps.chunk_size)
-            cold = self._cold_candidates(ps, DRAM, need_chunks, cfg.cold_threshold)
+            cold = mem.arena.cold_chunks(
+                ps, DRAM, need_chunks, max_temperature=cfg.cold_threshold
+            )
             if cold.size == 0:
                 continue
             room = max(0, cxl_free) // ps.chunk_size

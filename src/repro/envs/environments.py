@@ -90,12 +90,6 @@ class EnvironmentConfig:
     #: override the policy entirely (Fig. 7 allocation-policy comparison)
     policy_factory: Optional[Callable[[dict[TierKind, TierSpec]], MemoryPolicy]] = None
     validate_invariants: bool = False
-    #: simulation-core backend: "object" | "arena" | "arena-fast" | None
-    #: (= $REPRO_CORE).  Deliberately NOT part of ScenarioSpec — scenario
-    #: digests must be backend-invariant ("object" and "arena" produce
-    #: byte-identical results; "arena-fast" is statistically equivalent,
-    #: see docs/performance.md).
-    core_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive(self.n_nodes, "n_nodes")
@@ -131,7 +125,7 @@ class Environment:
         self.config = config
         self.engine = SimulationEngine()
         specs = config.tier_specs()
-        self.topology = MemoryTopology(config.n_nodes, specs, backend=config.core_backend)
+        self.topology = MemoryTopology(config.n_nodes, specs)
         self.metrics = MetricsRegistry()
         self.shared_memory: Optional[SharedMemoryManager] = None
         if config.kind is EnvKind.IMME:

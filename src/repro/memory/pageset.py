@@ -53,17 +53,17 @@ def _stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return sel[np.argsort(keys[sel], kind="stable")]
 
 
-#: per-chunk array fields mirrored into the arena backend, in layout order
+#: per-chunk array fields mirrored into the node arena, in layout order
 ARRAY_FIELDS = ("tier", "temperature", "access_weight", "pinned", "in_page_cache", "region")
 
 
 def _array_field(name: str) -> property:
-    """A per-chunk array attribute that *writes through* when the pageset
-    is adopted by a :class:`~repro.core.arena.NodeArena`.
+    """A per-chunk array attribute whose assignment *writes through*:
+    ``ps.temperature = ...`` copies element-wise into the current array
+    instead of rebinding it.
 
-    Object backend: plain attribute rebinding, exactly as before.  Arena
-    backend: the attribute is a view of an arena slice, and assignment
-    copies element-wise into that view — so code that replaces whole
+    Once a :class:`~repro.core.arena.NodeArena` adopts the pageset, the
+    current array is a view of an arena slice, so code that replaces whole
     arrays (``ps.temperature = ...`` in tests and benchmarks,
     ``set_access_weights`` each phase) can never silently detach the view
     from the node-level kernels.
@@ -74,12 +74,9 @@ def _array_field(name: str) -> property:
         return getattr(self, priv)
 
     def setter(self: "PageSet", value) -> None:
-        if self._arena is not None:
-            cur = getattr(self, priv)
-            if value is not cur:  # in-place numpy ops hand back the same view
-                cur[:] = value
-        else:
-            setattr(self, priv, value)
+        cur = getattr(self, priv)
+        if value is not cur:  # in-place numpy ops hand back the same array
+            cur[:] = value
 
     return property(getter, setter, doc=f"``{name}`` per-chunk array (see class docstring)")
 
@@ -108,9 +105,10 @@ class PageSet:
         ``int16[n]`` — allocation-region id; maps to the
         :class:`~repro.core.flags.MemFlag` the region was requested with.
 
-    Under ``REPRO_CORE=arena`` these arrays are views of one node-level
-    :class:`~repro.core.arena.NodeArena`; every method works identically
-    on views, and whole-array assignment writes through (see
+    A standalone pageset owns these arrays.  Once registered with a
+    :class:`~repro.memory.system.NodeMemorySystem` they are views of its
+    node-level :class:`~repro.core.arena.NodeArena`; every method works
+    identically on views, and whole-array assignment writes through (see
     :func:`_array_field`).
     """
 
@@ -145,17 +143,17 @@ class PageSet:
         self.chunk_size = int(chunk_size)
         self.n_chunks = int(-(-int(total_bytes) // self.chunk_size))  # ceil div
         n = self.n_chunks
-        self.tier = np.full(n, UNMAPPED, dtype=np.int8)
-        self.temperature = np.zeros(n, dtype=np.float32)
-        self.access_weight = np.zeros(n, dtype=np.float32)
-        self.pinned = np.zeros(n, dtype=bool)
-        self.in_page_cache = np.zeros(n, dtype=bool)
-        self.region = np.full(n, NO_REGION, dtype=np.int16)
+        self._tier = np.full(n, UNMAPPED, dtype=np.int8)
+        self._temperature = np.zeros(n, dtype=np.float32)
+        self._access_weight = np.zeros(n, dtype=np.float32)
+        self._pinned = np.zeros(n, dtype=bool)
+        self._in_page_cache = np.zeros(n, dtype=bool)
+        self._region = np.full(n, NO_REGION, dtype=np.int16)
         #: region id -> flag metadata (opaque to this module).
         self.region_flags: dict[int, object] = {}
 
     # ------------------------------------------------------------------ #
-    # arena backend binding (see repro.core.arena)
+    # node arena binding (see repro.core.arena)
     # ------------------------------------------------------------------ #
     @property
     def arena(self):
@@ -171,7 +169,6 @@ class PageSet:
         """Rebind every array to a view of ``arena``'s segment at ``start``
         (adoption, and re-pointing after the arena's backing arrays grow)."""
         end = start + self.n_chunks
-        self._arena = None  # bypass write-through while rebinding
         for name in ARRAY_FIELDS:
             setattr(self, "_" + name, getattr(arena, name)[start:end])
         self._arena = arena

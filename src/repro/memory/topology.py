@@ -100,13 +100,11 @@ class MemoryTopology:
         n_nodes: int,
         specs: Optional[dict[TierKind, TierSpec]] = None,
         shared_cxl_capacity: int = TiB(64),
-        backend: Optional[str] = None,
     ) -> None:
         require(n_nodes >= 1, "a cluster needs at least one node")
         self.specs = specs if specs is not None else default_tier_specs()
         self.nodes: list[NodeMemorySystem] = [
-            NodeMemorySystem(self.specs, node_id=f"node{i}", backend=backend)
-            for i in range(n_nodes)
+            NodeMemorySystem(self.specs, node_id=f"node{i}") for i in range(n_nodes)
         ]
         self.shared_cxl = SharedCXLPool(shared_cxl_capacity)
 

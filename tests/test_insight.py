@@ -2,22 +2,23 @@
 cause scopes, the null path, record round-trips, the live-metrics
 surface, and the cross-backend equivalence contract.
 
-The plane's placement hooks live on the hot movement paths of all three
-backends, so the load-bearing assertions here are the equivalence ones:
-the ledger must be *bit-identical* between the exact backends
-(object vs arena) and must reconcile exactly with
-:class:`~repro.memory.system.MemoryTrafficStats` under arena-fast —
-if either drifts, an emission point was added to one path but not the
-other.
+The plane's placement hooks live on the hot movement paths of both
+core modes, so the load-bearing assertions here are the equivalence
+ones: the exact core's ledger must match the one frozen while the
+retired object layout and the arena still agreed bit for bit, and
+arena-fast's must reconcile exactly with
+:class:`~repro.memory.system.MemoryTrafficStats` — if either drifts, an
+emission point was added to one path but not the other.
 """
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST, BACKEND_OBJECT
+from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST
 from repro.memory.tiers import NUM_TIERS, TIER_NAMES, TierKind
 from repro.obs import insight as _insight
 from repro.obs.insight import (
@@ -34,6 +35,8 @@ from repro.obs.insight import (
     movement_kind,
     tier_label,
 )
+
+from test_arena import frozen_exact_core
 
 
 # --------------------------------------------------------------------------- #
@@ -325,7 +328,7 @@ EQUIV_SCENARIOS = [
 ]
 
 
-def _scenario_ledger(name, backend):
+def scenario_ledger(name, backend):
     """Run one registry scenario under ``backend`` with the plane active."""
     from repro.scenarios.build import run_scenario
     from repro.scenarios.registry import scenario
@@ -344,16 +347,25 @@ def _scenario_ledger(name, backend):
     return ins
 
 
+def ledger_fingerprint(ins):
+    """Entry count, a sha256 of every entry, and the drop-proof totals."""
+    entries = [list(e) for e in ins.ledger.entries]
+    return {
+        "entries": len(entries),
+        "sha256": hashlib.sha256(json.dumps(entries).encode()).hexdigest(),
+        "totals": {"|".join(map(str, k)): list(v) for k, v in ins.ledger.totals.items()},
+    }
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", EQUIV_SCENARIOS)
     def test_ledger_bit_identical_object_vs_arena(self, name):
-        """The exact backends make identical movement decisions, so every
-        ledger entry — time, task, endpoints, cause — must match."""
-        obj = _scenario_ledger(name, BACKEND_OBJECT)
-        arena = _scenario_ledger(name, BACKEND_ARENA)
-        assert obj.ledger.entries, f"{name} produced no ledger entries"
-        assert obj.ledger.entries == arena.ledger.entries
-        assert obj.ledger.totals == arena.ledger.totals
+        """The exact core makes the movement decisions the object layout
+        made, so every ledger entry — time, task, endpoints, cause — and
+        every total matches the frozen fingerprint."""
+        got = ledger_fingerprint(scenario_ledger(name, BACKEND_ARENA))
+        assert got["entries"], f"{name} produced no ledger entries"
+        assert got == frozen_exact_core()["ledgers"][name]
 
     def test_arena_fast_counts_reconcile_with_traffic_stats(self):
         """arena-fast batches decisions (entries aren't per-task), but its
