@@ -23,7 +23,7 @@ simulation of tiered-memory HPC clusters.  Public entry points:
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 _EXPORTS = {
     # environments

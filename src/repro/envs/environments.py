@@ -89,7 +89,6 @@ class EnvironmentConfig:
     cxl_fraction: Optional[float] = None
     #: override the policy entirely (Fig. 7 allocation-policy comparison)
     policy_factory: Optional[Callable[[dict[TierKind, TierSpec]], MemoryPolicy]] = None
-    validate_invariants: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.n_nodes, "n_nodes")
@@ -143,7 +142,6 @@ class Environment:
                 daemon_interval=config.daemon_interval,
                 rate_config=config.rate_config,
                 chunk_size=config.chunk_size,
-                validate_invariants=config.validate_invariants,
                 shared_memory=self.shared_memory,
                 node_index=i,
                 ticker=self.ticker,
@@ -396,7 +394,6 @@ def make_environment(
     cxl_fraction: Optional[float] = None,
     policy_factory: Optional[Callable[[dict[TierKind, TierSpec]], MemoryPolicy]] = None,
     daemon_interval: float = 1.0,
-    validate_invariants: bool = False,
     rate_config: Optional[RateModelConfig] = None,
 ) -> Environment:
     """Convenience factory used throughout the experiments.
@@ -437,7 +434,6 @@ def make_environment(
         policy_factory=policy_factory,
         stage_images=(kind is EnvKind.IMME),
         daemon_interval=daemon_interval,
-        validate_invariants=validate_invariants,
         rate_config=rate_config if rate_config is not None else RateModelConfig(),
     )
     return Environment(config)

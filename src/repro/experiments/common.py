@@ -12,7 +12,7 @@ functions accept overrides so tests can run smaller still.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
@@ -25,6 +25,7 @@ from ..metrics.collector import MetricsRegistry
 from ..metrics.report import format_table
 from ..parallel import map_ordered
 from ..policies.base import MemoryPolicy
+from ..resilience import SweepFailure, supervised_map
 from ..scenarios.build import environment_for_tasks, realize
 from ..scenarios.spec import (
     DEFAULT_CHUNK,
@@ -247,25 +248,24 @@ def sweep(
 
     With a ``cache`` (:class:`~repro.cache.ResultCache`), cells whose
     stored result is still valid are served without dispatching a worker;
-    only the misses execute, and their results are written back atomically
-    from this process after ordered collection.
+    only the misses execute, and each result is written back atomically
+    from this process as its cell completes.
 
-    Passing any of ``retry`` (a :class:`~repro.resilience.RetryPolicy`),
-    ``deadline`` (per-cell seconds), or ``journal`` (a
-    :class:`~repro.resilience.RunJournal`) switches execution to
-    :func:`~repro.resilience.supervised_map`: failing or hung cells are
-    retried with deterministic backoff and quarantined when their budget
-    is spent, and the sweep raises
-    :class:`~repro.resilience.SweepFailure` (carrying the partial
-    results) only after every other cell has finished.  The default path
-    is byte-for-byte the unsupervised one — zero overhead when no
-    resilience knob is used.
+    Both paths run on the one supervised pool, with two failure
+    contracts.  By default (:func:`~repro.parallel.map_ordered`, one
+    attempt per cell) the first failing cell's own exception propagates
+    as-is; a cell whose worker died raises
+    :class:`~repro.resilience.SweepFailure` naming it.  Passing any of
+    ``retry`` (a :class:`~repro.resilience.RetryPolicy`), ``deadline``
+    (per-cell seconds), or ``journal`` (a
+    :class:`~repro.resilience.RunJournal`) instead retries failing or
+    hung cells with deterministic backoff, quarantines them when their
+    budget is spent, and raises ``SweepFailure`` (carrying the partial
+    results) only after every other cell has finished.
     """
     supervised = retry is not None or deadline is not None or journal is not None
     with obs.span("sweep", sweep=spec.name, cells=len(spec.cells)):
         if supervised:
-            from ..resilience import SweepFailure, supervised_map
-
             sub = supervised_map(
                 _run_sweep_cell,
                 spec.cells,
@@ -286,13 +286,20 @@ def sweep(
                 raise SweepFailure(sub.failures, results=done)
             results = sub.results
         else:
-            results = map_ordered(
-                _run_sweep_cell,
-                spec.cells,
-                jobs=jobs,
-                cache=cache,
-                cache_key=None if cache is None else partial(cell_cache_key, spec),
-            )
+            try:
+                results = map_ordered(
+                    _run_sweep_cell,
+                    spec.cells,
+                    jobs=jobs,
+                    cache=cache,
+                    cache_key=None if cache is None else partial(cell_cache_key, spec),
+                )
+            except SweepFailure as exc:
+                # map_ordered names cells by position: cell0, cell1, ...
+                names = {f"cell{i}": cell.key for i, cell in enumerate(spec.cells)}
+                raise SweepFailure(
+                    [replace(f, key=names[f.key]) for f in exc.failures]
+                ) from None
     return {cell.key: res for cell, res in zip(spec.cells, results)}
 
 

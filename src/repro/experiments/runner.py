@@ -157,7 +157,7 @@ def _run_one(
     # Each experiment runs under its own child telemetry context, merged
     # back with ``scope=name`` so counters carry an ``exp=`` label.  The
     # same path runs inline (merging into the run context) and in pool
-    # workers (merging into the worker context, which the executor then
+    # workers (merging into the worker context, which the supervisor then
     # forwards), so ``obs summary`` rollups match for any ``jobs``.
     parent = obs.active()
     if parent.enabled:

@@ -517,9 +517,9 @@ def worker_telemetry() -> Optional[Telemetry]:
     telemetry is disabled (the worker then runs bare).
 
     Forked children inherit the parent's active context object; mutating
-    it would be invisible to the parent, so the executor swaps in a fresh
-    context, runs the work item, and ships the snapshot back for
-    :meth:`Telemetry.merge`.
+    it would be invisible to the parent, so the pool worker
+    (:mod:`repro.resilience.supervisor`) swaps in a fresh context, runs
+    the work item, and ships the snapshot back for :meth:`Telemetry.merge`.
     """
     if not _active.enabled:
         return None

@@ -3,7 +3,8 @@
 Every :class:`~repro.sim.engine.SimulationEngine` is hermetic — no global
 state — so independent (environment, policy, seed) cells can fan out
 across worker processes without sharing anything but their inputs.  This
-package provides the process-pool plumbing; the sweep *description* layer
+package provides the ordered fan-out (over the supervised fork pool of
+:mod:`repro.resilience`); the sweep *description* layer
 (:class:`~repro.experiments.common.SweepSpec`) lives with the experiment
 harnesses that use it.
 """

@@ -1,14 +1,14 @@
-"""Ordered process-pool fan-out with a safe in-process fallback.
+"""Ordered fan-out over the supervised fork pool.
 
 The contract is deliberately narrow: :func:`map_ordered` applies a
 picklable callable to a sequence of picklable items and returns the
 results *in input order*, so callers (sweep harnesses, ``run_all``) emit
 byte-identical tables whether cells ran sequentially or across a pool.
 
-Workers are forked (cheap, inherits the imported modules) when the
-platform offers it; when it does not — or when ``jobs`` resolves to 1 or
-there is nothing worth fanning out — execution degrades to a plain
-in-process loop, which is also what keeps nested sweeps from spawning
+There is one pool: :func:`map_ordered` is a single-attempt call of
+:func:`repro.resilience.supervised_map`, which forks the workers when
+``jobs`` resolves above 1 and the platform can fork, and otherwise runs
+a plain in-process loop — also what keeps nested sweeps from spawning
 pools inside pool workers.
 """
 
@@ -18,30 +18,9 @@ import multiprocessing
 import os
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from .. import obs
-from ..obs import insight as _insight
-from ..util.validation import require
-
 __all__ = ["available_parallelism", "map_ordered", "resolve_jobs", "supports_fork"]
 
 _T = TypeVar("_T")
-
-#: set in forked workers so nested map_ordered calls stay in-process
-_IN_WORKER = False
-
-
-class _Telemetered:
-    """Wrapper a pool worker returns when telemetry (or the insight
-    plane) is active: the real result plus the worker's snapshots for
-    the parent to merge.  ``record`` is the telemetry snapshot (or
-    ``None``), ``insight`` the insight snapshot (or ``None``)."""
-
-    __slots__ = ("result", "record", "insight")
-
-    def __init__(self, result: Any, record: Any, insight: Any = None) -> None:
-        self.result = result
-        self.record = record
-        self.insight = insight
 
 
 def available_parallelism() -> int:
@@ -65,64 +44,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _call(fn: Callable[[Any], _T], item: Any) -> Any:
-    global _IN_WORKER
-    _IN_WORKER = True
-    # A forked worker inherits the parent's active Telemetry object, but
-    # mutating it here would be invisible across the process boundary —
-    # so swap in a fresh child context and ship its snapshot back with
-    # the result for the parent to merge.
-    worker_tel = obs.worker_telemetry()
-    worker_ins = _insight.worker_insight()
-    if worker_tel is None and worker_ins is None:
-        return fn(item)
-    if worker_tel is None:
-        with _insight.session(worker_ins):
-            result = fn(item)
-        return _Telemetered(result, None, worker_ins.snapshot())
-    if worker_ins is None:
-        with obs.session(worker_tel):
-            result = fn(item)
-        return _Telemetered(result, worker_tel.snapshot())
-    with obs.session(worker_tel), _insight.session(worker_ins):
-        result = fn(item)
-    return _Telemetered(result, worker_tel.snapshot(), worker_ins.snapshot())
-
-
-def _map_dispatch(fn: Callable[[Any], _T], items: "list[Any]", jobs: Optional[int]) -> list[_T]:
-    """The raw ordered fan-out: pool when worthwhile, loop otherwise."""
-    n_jobs = min(resolve_jobs(jobs), len(items))
-    if n_jobs <= 1 or len(items) < 2 or not supports_fork() or _IN_WORKER:
-        return [fn(item) for item in items]
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(processes=n_jobs)
-    try:
-        # starmap preserves input order and re-raises worker errors.
-        raw = pool.starmap(_call, [(fn, item) for item in items])
-        pool.close()
-    except BaseException:
-        # Reap the children before propagating: without the terminate, a
-        # raising cell (or a Ctrl-C here) leaves live workers grinding
-        # through the rest of the sweep with nobody collecting them.
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    tel = obs.active()
-    ins = _insight.active()
-    results: list[_T] = []
-    for entry in raw:
-        if isinstance(entry, _Telemetered):
-            if entry.record is not None:
-                tel.merge(entry.record)
-            if entry.insight is not None:
-                ins.merge(entry.insight)
-            results.append(entry.result)
-        else:
-            results.append(entry)
-    return results
-
-
 def map_ordered(
     fn: Callable[[Any], _T],
     items: Sequence[Any],
@@ -133,36 +54,36 @@ def map_ordered(
 ) -> list[_T]:
     """``[fn(item) for item in items]`` — possibly across a process pool.
 
-    Results always come back in input order.  Falls back to the
-    in-process loop when the effective job count is 1, the platform
-    cannot fork, there are fewer than two items, or we are already
-    inside a worker (no nested pools).  Worker exceptions propagate to
-    the caller; the pool is torn down either way.
+    Results always come back in input order.  Runs in-process when the
+    effective job count is 1, the platform cannot fork, there are fewer
+    than two items, or we are already inside a worker (no nested pools).
+
+    Every cell gets one attempt, and every cell runs even when another
+    fails.  On failure the first failing cell (in input order) decides
+    what is raised: its own exception when it raised one that survives
+    pickling, else a :class:`~repro.resilience.SweepFailure` — a worker
+    that died under its cell leaves no exception to re-raise.  A dying
+    worker therefore fails the map; it never hangs it.
 
     ``cache`` + ``cache_key`` enable memoization (the sweep-cell result
     cache, :mod:`repro.cache`): ``cache_key(item)`` derives each item's
     key (``None`` → uncacheable, always computed), ``cache.get(key)``
     returns ``(hit, result)``, and ``cache.put(key, result)`` persists.
     Hits skip worker dispatch entirely — only the misses fan out — and
-    write-back happens in *this* process after ordered collection, so
-    pool workers never touch the store.
+    write-back happens in *this* process as each cell commits, so pool
+    workers never touch the store.
     """
-    items = list(items)
-    require(callable(fn), "fn must be callable")
-    if cache is None or cache_key is None:
-        return _map_dispatch(fn, items, jobs)
-    keys = [cache_key(item) for item in items]
-    results: list[Any] = [None] * len(items)
-    miss_idx: list[int] = []
-    for i, key in enumerate(keys):
-        hit, value = cache.get(key)
-        if hit:
-            results[i] = value
-        else:
-            miss_idx.append(i)
-    if miss_idx:
-        computed = _map_dispatch(fn, [items[i] for i in miss_idx], jobs)
-        for i, value in zip(miss_idx, computed):
-            results[i] = value
-            cache.put(keys[i], value)
-    return results
+    # lazy: repro.resilience imports this module for resolve_jobs
+    from ..resilience.policy import RetryPolicy, SweepFailure
+    from ..resilience.supervisor import supervised_map
+
+    sup = supervised_map(
+        fn, items, jobs=jobs, retry=RetryPolicy(max_attempts=1),
+        cache=cache, cache_key=cache_key,
+    )
+    if sup.failures:
+        first = sup.failures[0]
+        if first.exception is not None:
+            raise first.exception
+        raise SweepFailure(sup.failures)
+    return sup.results

@@ -2,10 +2,10 @@
 
 The layer that makes long sweeps crash-safe and self-healing:
 
-* :func:`~repro.resilience.supervisor.supervised_map` — the supervised
-  sibling of :func:`repro.parallel.map_ordered`: per-worker heartbeats,
-  per-cell deadlines, pool replenishment, deterministic retry backoff,
-  and poison-cell quarantine,
+* :func:`~repro.resilience.supervisor.supervised_map` — the one fork
+  pool (:func:`repro.parallel.map_ordered` is a one-attempt call of it):
+  per-worker heartbeats, per-cell deadlines, pool replenishment,
+  deterministic retry backoff, and poison-cell quarantine,
 * :class:`~repro.resilience.journal.RunJournal` — the fsync'd
   append-only ``journal.jsonl`` that makes ``run_all --resume`` and
   ``scenarios run --resume`` safe against SIGKILL,

@@ -70,6 +70,10 @@ class CellFailure:
     ``kind`` is ``"error"`` (the cell raised), ``"timeout"`` (it blew its
     deadline and the worker was killed), ``"crash"`` (the worker process
     died underneath it), or ``"interrupted"`` (a drain abandoned it).
+    ``error`` is the message the journal and failure table show;
+    ``exception`` is the raised object itself, kept for
+    :func:`~repro.parallel.map_ordered` to re-raise (``None`` unless the
+    last attempt raised an exception that pickles).
     """
 
     key: str
@@ -78,6 +82,7 @@ class CellFailure:
     error: str = ""
     elapsed: float = 0.0
     context: Dict[str, Any] = field(default_factory=dict)
+    exception: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:
         msg = f"{self.key}: {self.kind} after {self.attempts} attempt(s)"

@@ -1,10 +1,11 @@
 """Supervised fork-pool execution: heartbeats, deadlines, retries,
 quarantine, and graceful drains around an ordered map.
 
-:func:`supervised_map` is the resilient sibling of
-:func:`repro.parallel.map_ordered`.  The contract is the same — apply a
-picklable callable to picklable items, collect results in input order —
-but execution is supervised instead of fire-and-forget:
+:func:`supervised_map` is the project's one fork pool;
+:func:`repro.parallel.map_ordered` is a single-attempt call of it.  The
+contract: apply a picklable callable to picklable items and collect
+results in input order, with execution supervised instead of
+fire-and-forget:
 
 * **one task queue and one result pipe per worker** — the supervisor
   always knows which cell each worker holds, so a dead or hung worker
@@ -31,6 +32,11 @@ but execution is supervised instead of fire-and-forget:
   dispatches, lets in-flight cells finish within a grace window, records
   the interruption point in the journal, then re-raises as
   ``KeyboardInterrupt``; a second signal aborts immediately.
+* **forwarded records in input order** — a worker runs each cell under
+  fresh child telemetry and insight contexts and ships their snapshots
+  back with the result; once the pool drains, the committed cells'
+  records are merged into the parent's contexts in input order, so a
+  ``jobs=N`` run records exactly what ``jobs=1`` does.
 
 Platforms without ``fork`` (and nested calls inside pool workers) fall
 back to an in-process loop that keeps the retry/quarantine/journal
@@ -39,10 +45,12 @@ semantics but cannot preempt a hung cell — deadlines need workers.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import multiprocessing
 import multiprocessing.connection as _mpc
 import os
+import pickle
 import signal
 import threading
 import time
@@ -52,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..obs import insight as _insight
-from ..parallel import executor as _px
+from ..parallel.executor import resolve_jobs, supports_fork
 from ..util.validation import require
 from .journal import RunJournal
 from .policy import CellFailure, RetryPolicy
@@ -65,6 +73,14 @@ _TICK = 0.02
 
 #: exit code a worker uses when even its error report cannot be sent
 _EXIT_REPORT_FAILED = 81
+
+#: set in forked workers so nested map_ordered/supervised_map calls stay
+#: in-process
+_IN_WORKER = False
+
+#: the run-scoped planes whose worker records cross the fork (telemetry,
+#: then insight), each a module with ``session``/``active`` dispatch
+_PLANES = (obs, _insight)
 
 
 @dataclass
@@ -95,45 +111,67 @@ def _send_safe(result_conn: Any, message: Tuple) -> None:
         os._exit(_EXIT_REPORT_FAILED)
 
 
+def _run_forwarded(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Tuple]:
+    """Run one cell in a worker: ``(value, records)``.
+
+    A forked worker inherits the parent's active contexts, but mutating
+    them would be invisible across the process boundary — so each live
+    plane gets a fresh child context for the cell, and its snapshot
+    travels back in ``records`` (``None`` for a disabled plane) for the
+    parent to merge.
+    """
+    contexts = (obs.worker_telemetry(), _insight.worker_insight())
+    with contextlib.ExitStack() as stack:
+        for plane, ctx in zip(_PLANES, contexts):
+            if ctx is not None:
+                stack.enter_context(plane.session(ctx))
+        value = fn(item)
+    return value, tuple(None if ctx is None else ctx.snapshot() for ctx in contexts)
+
+
+def _merge_forwarded(forwarded: Sequence[Optional[Tuple]]) -> None:
+    """Fold workers' records into the parent's active contexts in input
+    order (``None`` marks a cell with nothing to merge)."""
+    for records in forwarded:
+        if records is not None:
+            for plane, record in zip(_PLANES, records):
+                plane.active().merge(record)
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """``exc`` when it survives a pickle round trip (the parent can then
+    re-raise it), else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
 def _worker_loop(worker_id: int, task_q: Any, result_conn: Any, fn: Callable[[Any], Any]) -> None:
     """One supervised worker: take a cell, run it, report back.
 
     Reports travel over the worker's private result pipe — a single
     writer per channel, so nothing this worker does (including dying
-    mid-send) can block another worker's reports.  Telemetry follows the
-    executor's fork contract: the worker runs the cell under a fresh
-    child context and ships the snapshot back with the result for the
-    parent to merge.
+    mid-send) can block another worker's reports.  A failed cell reports
+    ``(message, exception)``: the message feeds the journal and failure
+    table, the exception (``None`` when it does not pickle) lets
+    :func:`~repro.parallel.map_ordered` re-raise it.
     """
-    _px._IN_WORKER = True  # nested map_ordered/supervised_map stay in-process
+    global _IN_WORKER
+    _IN_WORKER = True  # nested map_ordered/supervised_map stay in-process
     while True:
         msg = task_q.get()
         if msg is None:
             break
         idx, attempt, item = msg
         try:
-            worker_tel = obs.worker_telemetry()
-            worker_ins = _insight.worker_insight()
-            if worker_tel is None and worker_ins is None:
-                payload: Any = fn(item)
-            elif worker_tel is None:
-                with _insight.session(worker_ins):
-                    value = fn(item)
-                payload = _px._Telemetered(value, None, worker_ins.snapshot())
-            elif worker_ins is None:
-                with obs.session(worker_tel):
-                    value = fn(item)
-                payload = _px._Telemetered(value, worker_tel.snapshot())
-            else:
-                with obs.session(worker_tel), _insight.session(worker_ins):
-                    value = fn(item)
-                payload = _px._Telemetered(
-                    value, worker_tel.snapshot(), worker_ins.snapshot()
-                )
+            payload = _run_forwarded(fn, item)
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             _send_safe(
                 result_conn,
-                ("error", worker_id, idx, attempt, f"{type(exc).__name__}: {exc}"),
+                ("error", worker_id, idx, attempt,
+                 (f"{type(exc).__name__}: {exc}", _portable(exc))),
             )
             continue
         try:
@@ -141,12 +179,12 @@ def _worker_loop(worker_id: int, task_q: Any, result_conn: Any, fn: Callable[[An
         except ValueError as exc:  # unpicklable result: report as a failure
             _send_safe(
                 result_conn,
-                ("error", worker_id, idx, attempt, f"result not picklable: {exc}"),
+                ("error", worker_id, idx, attempt, (f"result not picklable: {exc}", None)),
             )
         except Exception as exc:
             _send_safe(
                 result_conn,
-                ("error", worker_id, idx, attempt, f"result not sendable: {exc}"),
+                ("error", worker_id, idx, attempt, (f"result not sendable: {exc}", None)),
             )
 
 
@@ -221,7 +259,7 @@ class _Supervisor:
         retry: RetryPolicy,
         journal: Optional[RunJournal],
         drain_grace: float,
-        on_commit: Optional[Callable[[str, Any], None]] = None,
+        on_commit: Optional[Callable[[int, Any], None]] = None,
     ) -> None:
         self.fn = fn
         self.items = list(items)
@@ -234,6 +272,8 @@ class _Supervisor:
         self.drain_grace = drain_grace
         self.on_commit = on_commit
         self.results: List[Any] = [None] * self.n
+        #: per-cell worker records, merged in input order once the pool drains
+        self.forwarded: List[Optional[Tuple]] = [None] * self.n
         self.done = [False] * self.n
         self.failures: Dict[int, CellFailure] = {}
         self.first_started: Dict[int, float] = {}
@@ -294,22 +334,20 @@ class _Supervisor:
     # ------------------------------------------------------------------ #
     # outcome handling
     # ------------------------------------------------------------------ #
-    def _commit(self, idx: int, payload: Any) -> None:
+    def _commit(self, idx: int, payload: Tuple[Any, Tuple]) -> None:
         if self.done[idx] or idx in self.failures:
             return  # stale report for an already-settled cell
-        if isinstance(payload, _px._Telemetered):
-            if payload.record is not None:
-                obs.active().merge(payload.record)
-            if payload.insight is not None:
-                _insight.active().merge(payload.insight)
-            payload = payload.result
-        self.results[idx] = payload
+        value, self.forwarded[idx] = payload
+        self.results[idx] = value
         self.done[idx] = True
         self.outstanding -= 1
         if self.on_commit is not None:
-            self.on_commit(self.keys[idx], payload)
+            self.on_commit(idx, value)
 
-    def _attempt_failed(self, idx: int, attempt: int, kind: str, error: str) -> None:
+    def _attempt_failed(
+        self, idx: int, attempt: int, kind: str, error: str,
+        exception: Optional[BaseException] = None,
+    ) -> None:
         if self.done[idx] or idx in self.failures:
             return
         key = self.keys[idx]
@@ -319,7 +357,8 @@ class _Supervisor:
         if kind == "interrupted" or self.retry.exhausted(attempt):
             elapsed = time.monotonic() - self.first_started.get(idx, time.monotonic())
             self.failures[idx] = CellFailure(
-                key=key, kind=kind, attempts=attempt, error=error, elapsed=elapsed
+                key=key, kind=kind, attempts=attempt, error=error,
+                elapsed=elapsed, exception=exception,
             )
             self.outstanding -= 1
             obs.counter("resilience.quarantined")
@@ -350,6 +389,7 @@ class _Supervisor:
             for sig, old in saved_signals:
                 signal.signal(sig, old)
             self._shutdown_pool()
+            _merge_forwarded(self.forwarded)
         if interrupted:
             if self.journal is not None:
                 pending = [
@@ -428,7 +468,7 @@ class _Supervisor:
         if kind == "done":
             self._commit(idx, payload)
         else:
-            self._attempt_failed(idx, attempt, "error", str(payload))
+            self._attempt_failed(idx, attempt, "error", *payload)
         return True
 
     def _sweep_workers(self) -> None:
@@ -510,7 +550,7 @@ def _supervised_loop(
     keys: Sequence[str],
     retry: RetryPolicy,
     journal: Optional[RunJournal],
-    on_commit: Optional[Callable[[str, Any], None]] = None,
+    on_commit: Optional[Callable[[int, Any], None]] = None,
 ) -> SupervisedResult:
     results: List[Any] = [None] * len(items)
     failures: List[CellFailure] = []
@@ -523,7 +563,7 @@ def _supervised_loop(
             try:
                 results[idx] = fn(item)
                 if on_commit is not None:
-                    on_commit(keys[idx], results[idx])
+                    on_commit(idx, results[idx])
                 break
             except KeyboardInterrupt:
                 if journal is not None:
@@ -539,6 +579,7 @@ def _supervised_loop(
                         CellFailure(
                             key=keys[idx], kind="error", attempts=attempt,
                             error=error, elapsed=time.monotonic() - t0,
+                            exception=exc,
                         )
                     )
                     obs.counter("resilience.quarantined")
@@ -568,11 +609,14 @@ def supervised_map(
     cache_key: Optional[Callable[[Any], Any]] = None,
     drain_grace: float = 10.0,
 ) -> SupervisedResult:
-    """Resilient ordered map: ``map_ordered`` plus supervision.
+    """Resilient ordered map — the pool behind
+    :func:`repro.parallel.map_ordered`, which calls it with one attempt.
 
-    Parameters mirror :func:`repro.parallel.map_ordered` (including the
-    ``cache``/``cache_key`` memoization short-circuit), with the
-    supervision knobs on top:
+    ``fn``, ``items`` and ``jobs`` are as for ``map_ordered``.
+    ``cache`` + ``cache_key`` memoize: each item's key is computed once,
+    hits are served without dispatch (journalled as cached commits), and
+    each miss is written back from this process as it commits.  The
+    supervision knobs:
 
     ``keys``
         Stable per-item names for journal records, retry seeding, and
@@ -587,7 +631,8 @@ def supervised_map(
 
     Returns a :class:`SupervisedResult`; quarantined cells leave ``None``
     holes in ``results`` and one :class:`CellFailure` each in
-    ``failures``.  The function only raises for caller errors and
+    ``failures`` (carrying the cell's exception when it raised one that
+    pickles).  The function only raises for caller errors and
     ``KeyboardInterrupt`` (after a drain) — cell failures never
     propagate as exceptions.
     """
@@ -600,10 +645,12 @@ def supervised_map(
 
     results: List[Any] = [None] * len(items)
     miss_idx = list(range(len(items)))
+    cache_keys: List[Any] = []
     if cache is not None and cache_key is not None:
+        cache_keys = [cache_key(item) for item in items]
         miss_idx = []
-        for i, item in enumerate(items):
-            hit, value = cache.get(cache_key(item))
+        for i, ck in enumerate(cache_keys):
+            hit, value = cache.get(ck)
             if hit:
                 results[i] = value
                 if journal is not None:
@@ -615,20 +662,19 @@ def supervised_map(
 
     miss_items = [items[i] for i in miss_idx]
     miss_keys = [keys[i] for i in miss_idx]
-    key_to_idx = {keys[i]: i for i in miss_idx}
 
-    def commit_cb(key: str, value: Any) -> None:
+    def commit_cb(j: int, value: Any) -> None:
         # cache first, journal second: a crash between the two degrades to
         # a recompute on resume, never to a committed-but-missing result
-        if cache is not None and cache_key is not None:
-            cache.put(cache_key(items[key_to_idx[key]]), value)
+        if cache_keys:
+            cache.put(cache_keys[miss_idx[j]], value)
         if journal is not None:
-            journal.cell_committed(key)
+            journal.cell_committed(miss_keys[j])
 
-    n_workers = min(_px.resolve_jobs(jobs), len(miss_items))
+    n_workers = min(resolve_jobs(jobs), len(miss_items))
     use_pool = (
-        _px.supports_fork()
-        and not _px._IN_WORKER
+        supports_fork()
+        and not _IN_WORKER
         and (n_workers > 1 or deadline is not None)
     )
     with obs.span(
@@ -646,9 +692,6 @@ def supervised_map(
                 fn, miss_items, miss_keys, retry, journal, on_commit=commit_cb
             )
 
-    failures: List[CellFailure] = list(sub.failures)
-    failed_keys = {f.key for f in failures}
     for i, value in zip(miss_idx, sub.results):
-        if keys[i] not in failed_keys:
-            results[i] = value
-    return SupervisedResult(results=results, failures=failures)
+        results[i] = value  # quarantined cells are None holes already
+    return SupervisedResult(results=results, failures=sub.failures)

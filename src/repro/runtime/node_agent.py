@@ -20,6 +20,7 @@ from ..memory.system import NodeMemorySystem
 from ..memory.tiers import DRAM, NUM_TIERS, TierKind
 from ..metrics.collector import MetricsRegistry
 from ..policies.base import MemoryPolicy, PolicyContext
+from ..resilience import invariants as inv
 from ..sim.engine import SimulationEngine
 from ..sim.process import PeriodicProcess, TickGroup
 from ..util.validation import check_positive, require
@@ -45,7 +46,6 @@ class NodeAgent:
         rate_config: Optional[RateModelConfig] = None,
         heatmap_config: Optional[HeatmapConfig] = None,
         chunk_size: Optional[int] = None,
-        validate_invariants: bool = False,
         shared_memory=None,
         node_index: int = 0,
         tracer=None,
@@ -73,7 +73,6 @@ class NodeAgent:
         from ..memory.pageset import DEFAULT_CHUNK_SIZE
 
         self.chunk_size = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE
-        self.validate_invariants = validate_invariants
         self.running: dict[str, TaskExecution] = {}
         from ..util.rng import derive_seed
 
@@ -294,8 +293,9 @@ class NodeAgent:
                 dram_rss=self.memory.rss(DRAM),
             )
             self._traced_migrated_bytes = total
-        if self.validate_invariants:
-            self.memory.validate()
+        checker = inv.active()
+        if checker.enabled:
+            checker.memory(self.memory)
         self.recompute_rates()
 
     def stop(self) -> None:

@@ -16,6 +16,7 @@ from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import CXL, DRAM, PMEM, SWAP, TierKind, TierSpec
 from repro.metrics.collector import MetricsRegistry
 from repro.policies.base import PolicyContext
+from repro.resilience import InvariantChecker, invariants
 from repro.sim.engine import SimulationEngine
 from repro.util.units import GBps, KiB, MiB, ns, us
 from repro.workflows.patterns import HotColdPattern
@@ -98,6 +99,14 @@ def engine():
 @pytest.fixture
 def metrics():
     return MetricsRegistry()
+
+
+@pytest.fixture
+def checked():
+    """The strict runtime invariant checker, active for the whole test:
+    every node agent's daemon tick then also validates its memory."""
+    with invariants.session(InvariantChecker()) as checker:
+        yield checker
 
 
 def make_pageset(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.envs.environments import EnvKind, make_environment
 from repro.experiments import run_fig01
+from repro.resilience import InvariantChecker, invariants
 from repro.util.units import KiB, MiB
 from repro.workflows.patterns import DriftingHotSpotPattern
 from repro.workflows.task import WorkloadClass
@@ -119,8 +120,9 @@ class TestDriftingPattern:
         node = NodeMemorySystem(specs, "n")
         agent = NodeAgent(
             engine, node, TieredMemoryManager(specs), metrics,
-            cores=4, chunk_size=KiB(64), validate_invariants=True,
+            cores=4, chunk_size=KiB(64),
         )
         agent.start_task(spec)
-        engine.run(until=500.0)
+        with invariants.session(InvariantChecker()):
+            engine.run(until=500.0)
         assert metrics.get("drift").done

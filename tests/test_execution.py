@@ -16,14 +16,16 @@ from repro.workflows.task import DynamicRequest, TaskPhase, TaskSpec, WorkloadCl
 
 from conftest import CHUNK, simple_task, small_specs
 
+#: every agent here runs under the strict invariant checker, which
+#: validates its node's memory on each daemon tick
+pytestmark = pytest.mark.usefixtures("checked")
+
 
 def make_agent(engine, metrics, policy=None, **spec_kw):
     specs = small_specs(**spec_kw)
     node = NodeMemorySystem(specs, "n0")
     policy = policy if policy is not None else LinuxSwapPolicy(scan_noise=0.0)
-    return NodeAgent(
-        engine, node, policy, metrics, cores=8, chunk_size=CHUNK, validate_invariants=True
-    )
+    return NodeAgent(engine, node, policy, metrics, cores=8, chunk_size=CHUNK)
 
 
 class TestLifecycle:
@@ -176,7 +178,7 @@ class TestManagerIntegration:
         node = NodeMemorySystem(specs, "n0")
         agent = NodeAgent(
             engine, node, TieredMemoryManager(specs), metrics,
-            cores=8, chunk_size=CHUNK, validate_invariants=True,
+            cores=8, chunk_size=CHUNK,
         )
         te = agent.start_task(
             simple_task("lat-task", footprint=MiB(1), flags=MemFlag.LAT | MemFlag.SHL)

@@ -20,6 +20,10 @@ from repro.util.units import KiB, MiB
 
 from conftest import CHUNK, make_pageset, simple_task, small_specs
 
+#: every fault test runs under the strict invariant checker, which also
+#: validates each agent's node memory on every daemon tick
+pytestmark = pytest.mark.usefixtures("checked")
+
 
 def make_registry(image_size):
     reg = ImageRegistry()
@@ -130,7 +134,6 @@ def make_agent(engine, metrics, *, cores=4, specs=None, policy=None):
         metrics,
         cores=cores,
         chunk_size=CHUNK,
-        validate_invariants=True,
     )
 
 

@@ -18,6 +18,7 @@ from repro.memory.pageset import UNMAPPED, PageSet
 from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import DRAM, SWAP
 from repro.policies.base import AllocationRequest, PolicyContext, stripe_assignment
+from repro.resilience import InvariantChecker, invariants
 from repro.util.units import KiB, MiB
 
 from conftest import make_pageset, simple_task, small_specs
@@ -150,9 +151,9 @@ class TestEndToEndFuzz:
             kind,
             dram_capacity=max(total // 3, 8 * CHUNK),
             chunk_size=CHUNK,
-            validate_invariants=True,
         )
-        metrics = env.run_batch(specs, max_time=1e6)
+        with invariants.session(InvariantChecker()):
+            metrics = env.run_batch(specs, max_time=1e6)
         assert len(metrics.completed()) + len(metrics.failed()) == n_tasks
         for node in env.topology.nodes:
             node.validate()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.flags import MemFlag
 from repro.envs.environments import EnvKind, make_environment
+from repro.resilience import InvariantChecker, invariants
 from repro.util.units import GBps, KiB, MiB
 from repro.workflows.patterns import HotColdPattern
 from repro.workflows.task import TaskPhase, TaskSpec, WorkloadClass
@@ -120,10 +121,9 @@ class TestInvariantsUnderLoad:
     def test_accounting_survives_a_full_run(self, kind):
         specs = mixed_batch()
         total = sum(s.footprint for s in specs)
-        env = make_environment(
-            kind, dram_capacity=total // 4, chunk_size=CHUNK, validate_invariants=True
-        )
-        metrics = env.run_batch(specs, max_time=1e6)
+        env = make_environment(kind, dram_capacity=total // 4, chunk_size=CHUNK)
+        with invariants.session(InvariantChecker()):
+            metrics = env.run_batch(specs, max_time=1e6)
         env.topology.validate()
         assert len(metrics.completed()) == len(specs)
         # all memory returned

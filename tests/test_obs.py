@@ -3,6 +3,7 @@ fork pool, exporters, the ``obs`` CLI, and the latency-percentile
 aggregates it surfaces."""
 
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.metrics.collector import MetricsRegistry
 from repro.obs.exporters import write_run_dir
 from repro.obs.telemetry import add_label, metric_key, split_label
 from repro.parallel import map_ordered, supports_fork
+from repro.resilience import supervised_map
 
 
 # --------------------------------------------------------------------------- #
@@ -529,3 +531,38 @@ class TestInsightMergeUnderFork:
 
         assert not _insight.enabled()
         assert map_ordered(_insight_cell, [1, 2, 3], jobs=2) == [1, 4, 9]
+
+
+def _staggered_cell(i):
+    """Later inputs finish first; records telemetry and one ledger entry."""
+    from repro.obs import insight as _insight
+
+    time.sleep(0.05 * (5 - i))
+    obs.observe("cell_value", float(i))
+    obs.event(float(i), "cell", f"c{i}", index=i)
+    with _insight.cause("reactive"):
+        _insight.active().migration(float(i), "n0", f"t{i}", 2, 0, 1, 1024)
+    return i
+
+
+def _run_staggered(jobs):
+    from repro.obs import insight as _insight
+
+    tel, ins = obs.Telemetry("staggered"), _insight.Insight("staggered")
+    with obs.session(tel), _insight.session(ins):
+        sup = supervised_map(_staggered_cell, list(range(6)), jobs=jobs)
+    return sup.results, tel.snapshot(), ins.snapshot()
+
+
+@pytest.mark.skipif(not supports_fork(), reason="no fork on this platform")
+class TestForwardedRecordsInInputOrder:
+    def test_completion_order_does_not_leak_into_the_merge(self):
+        seq_results, seq_tel, seq_ins = _run_staggered(jobs=1)
+        par_results, par_tel, par_ins = _run_staggered(jobs=3)
+        assert par_results == seq_results == list(range(6))
+        assert seq_tel.histograms == {"cell_value": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}
+        assert par_tel.histograms == seq_tel.histograms
+        strip = lambda evs: [{k: v for k, v in e.items() if k != "worker"} for e in evs]
+        assert strip(par_tel.events) == strip(seq_tel.events)
+        assert [e[0] for e in seq_ins.entries] == [float(i) for i in range(6)]
+        assert par_ins.entries == seq_ins.entries

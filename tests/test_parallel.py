@@ -2,9 +2,13 @@
 and determinism of parallel vs sequential experiment runs."""
 
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.common import SweepSpec, sweep
 from repro.experiments.runner import run_all
 from repro.parallel import (
@@ -80,6 +84,66 @@ class TestExecutor:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.02)
         assert multiprocessing.active_children() == []
+
+
+#: a cell whose worker dies, run through map_ordered or sweep at jobs=2;
+#: prints the SweepFailure's (key, kind) pairs
+_DYING_SCRIPT = """
+import os
+import sys
+
+from repro.experiments.common import SweepSpec, sweep
+from repro.parallel import map_ordered
+from repro.resilience import SweepFailure
+
+
+def cell(x):
+    if x == 2:
+        os._exit(9)
+    return x
+
+
+spec = SweepSpec("dying", base_seed=0)
+for x in range(4):
+    spec.add(f"c{x}", cell, x=x)
+try:
+    if sys.argv[1] == "map":
+        map_ordered(cell, [0, 1, 2, 3], jobs=2)
+    else:
+        sweep(spec, jobs=2)
+except SweepFailure as exc:
+    print("failed", [(f.key, f.kind) for f in exc.failures])
+"""
+
+
+def _run_dying(tmp_path, mode):
+    """Run the dying-worker script in its own process group; a hang reads
+    as a test failure after 60 s instead of wedging the suite."""
+    script = tmp_path / "dying.py"
+    script.write_text(_DYING_SCRIPT)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), mode], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{mode}: a dying worker hung the map")
+    assert proc.returncode == 0, err
+    return out
+
+
+@pytest.mark.skipif(not supports_fork(), reason="no fork on this platform")
+class TestDyingWorker:
+    def test_map_ordered_raises_sweep_failure(self, tmp_path):
+        assert "failed [('cell2', 'crash')]" in _run_dying(tmp_path, "map")
+
+    def test_sweep_raises_sweep_failure_naming_the_cell(self, tmp_path):
+        assert "failed [('c2', 'crash')]" in _run_dying(tmp_path, "sweep")
 
 
 class TestSweepSpec:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Chaos smoke test: SIGKILL a sweep mid-run, resume it, compare bytes.
+"""Chaos smoke test: SIGKILL a sweep mid-run, resume it, compare bytes;
+then SIGKILL one pool worker and require the run to heal itself.
 
 The end-to-end proof behind ``run_all --resume``:
 
@@ -12,6 +13,13 @@ The end-to-end proof behind ``run_all --resume``:
 3. rerun with ``--resume``: committed cells must be served from the
    cache without re-executing, the rest must compute, and the resumed
    report must be byte-identical to the reference.
+
+The worker-kill phase then runs ``fig10 --jobs 2 --no-cache`` (a single
+experiment, so ``jobs`` fans out its inner sweep) once as a reference,
+and again while SIGKILLing one of the run's fork-pool workers with cells
+in flight.  The inner map must fail instead of hanging, ``run_all``'s
+default retry must rerun the experiment, and the run must exit 0 with a
+report byte-identical to the reference.
 
 Exits non-zero on any deviation.  Used by the ``chaos-smoke`` CI job and
 runnable locally: ``PYTHONPATH=src python tools/chaos_smoke.py``.
@@ -28,6 +36,9 @@ import time
 SUBSET = ["validation", "cold-pages", "fig01", "fig09"]
 COMMIT_WAIT_S = 120
 RESUME_TIMEOUT_S = 600
+
+#: the worker-kill phase's run: one experiment, its inner sweep at jobs=2
+WORKER_KILL_ARGS = ["fig10", "--quiet", "--jobs", "2", "--no-cache"]
 
 
 def log(msg):
@@ -53,6 +64,79 @@ def journal_committed(path):
             if entry.get("ev") == "cell-committed":
                 cells.add(entry["cell"])
     return cells
+
+
+def child_pids(pid):
+    """Live children of ``pid`` (Linux ``/proc``): a run's pool workers."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # the command name may hold spaces: ppid is 2 fields past its ')'
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def worker_kill_phase(tmp, env):
+    """SIGKILL one fork-pool worker mid-sweep; the run must still exit 0
+    with the reference report.  Returns a process exit code."""
+    ref_report = os.path.join(tmp, "fig10-reference.md")
+    out_report = os.path.join(tmp, "fig10-worker-killed.md")
+    telemetry = os.path.join(tmp, "fig10-telemetry")
+    log("worker-kill: reference run")
+    proc = run_cmd(
+        [*WORKER_KILL_ARGS, "--out", ref_report], env, timeout=RESUME_TIMEOUT_S
+    )
+    if proc.returncode != 0:
+        log(f"FAIL: worker-kill reference run exited {proc.returncode}")
+        return 1
+
+    victim = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", *WORKER_KILL_ARGS,
+         "--out", out_report, "--telemetry", telemetry],
+        env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        workers = []
+        deadline = time.monotonic() + COMMIT_WAIT_S
+        while not workers and time.monotonic() < deadline and victim.poll() is None:
+            workers = child_pids(victim.pid)
+            time.sleep(0.01)
+        if not workers:
+            log("FAIL: no pool worker appeared")
+            return 1
+        time.sleep(0.2)  # let the workers pick up their first cells
+        os.kill(workers[0], signal.SIGKILL)
+        log(f"worker-kill: SIGKILLed pool worker {workers[0]}")
+        try:
+            victim.wait(timeout=RESUME_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            log("FAIL: the run hung after losing a worker")
+            return 1
+    finally:
+        if victim.poll() is None:
+            os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
+    if victim.returncode != 0:
+        log(f"FAIL: worker-kill run exited {victim.returncode}")
+        return 1
+    with open(os.path.join(telemetry, "run.json"), encoding="utf-8") as fh:
+        counters = json.load(fh)["counters"]
+    if not any(key.startswith("resilience.retries") for key in counters):
+        log("WARN: the kill hit no busy worker; nothing was retried")
+    with open(ref_report, "rb") as a, open(out_report, "rb") as b:
+        if a.read() != b.read():
+            log("FAIL: worker-kill report differs from the reference")
+            return 1
+    log("OK: the run survived a killed worker, byte-identical to the reference")
+    return 0
 
 
 def main():
@@ -120,7 +204,7 @@ def main():
                 log("FAIL: resumed report differs from the reference")
                 return 1
         log("OK: resumed run is byte-identical to the reference")
-    return 0
+        return worker_kill_phase(tmp, env)
 
 
 if __name__ == "__main__":
