@@ -164,7 +164,7 @@ def test_insight_enabled_recording_cost(benchmark):
         return (_insight.Insight("bench", max_ledger_entries=2 * N_DISPATCH),), {}
 
     def emit(ins):
-        with _insight.session(ins), ins.cause("reactive"):
+        with obs.session(insight=ins), ins.cause("reactive"):
             for i in range(N_DISPATCH):
                 ins.migration(float(i), "n0", "t", 2, 0, 1, 4096)
                 if i % 10 == 0:
@@ -209,7 +209,7 @@ def test_insight_overhead_budget(benchmark, backend):
     spec = REGISTRY.scenario("ext-resilience/IMME")
 
     ins = _CountingInsight("bench-count")
-    with _insight.session(ins):
+    with obs.session(insight=ins):
         run_scenario(spec)
     emissions = ins.calls
     assert emissions > 50, "reference run recorded almost nothing"
@@ -219,7 +219,7 @@ def test_insight_overhead_budget(benchmark, backend):
     per_probe = (time.perf_counter() - t0) / N_DISPATCH
 
     live = _insight.Insight("bench-live", max_ledger_entries=2 * N_DISPATCH)
-    with _insight.session(live), live.cause("reactive"):
+    with obs.session(insight=live), live.cause("reactive"):
         t0 = time.perf_counter()
         for i in range(N_DISPATCH):
             live.migration(float(i), "n0", "t", 2, 0, 1, 4096)

@@ -18,6 +18,7 @@ append path are visible in the trajectory artifact.
 
 import time
 
+from repro import obs
 from repro.resilience import RetryPolicy, RunJournal, supervised_map
 from repro.resilience import invariants
 from repro.resilience.invariants import InvariantChecker
@@ -81,7 +82,8 @@ def test_disabled_invariant_budget(benchmark):
     _ensure_catalog()
     spec = REGISTRY.scenario("ext-resilience/IMME")  # fault-heavy: most sites
 
-    with invariants.session(_CountingChecker()) as counting:
+    counting = _CountingChecker()
+    with obs.session(checker=counting):
         run_scenario(spec)
     sites = counting.checks
     assert sites > 10, "reference run hit almost no check sites"

@@ -4,19 +4,20 @@
 Builds the ``ext-resilience`` scenario by hand — a two-node IMME cluster
 running a memory-capped scientific ensemble — then lets the
 :class:`FaultInjector` replay the default chaos schedule (registry
-outage, straggler, degraded PMem, node crash, CXL link flap) while a
-:class:`Tracer` records every injection and recovery.  The script prints
-the fault event log followed by the survival scoreboard: completions,
-requeues, retries, MTTR, and goodput.
+outage, straggler, degraded PMem, node crash, CXL link flap) under an
+``obs.session``, which records every injection and recovery along with
+the node agents' own fault events.  The script prints the fault event
+log followed by the survival scoreboard: completions, requeues, retries,
+MTTR, and goodput.
 
 Run:  python examples/chaos.py
 """
 
 from dataclasses import replace
 
+from repro import obs
 from repro.envs import EnvKind, make_environment
 from repro.experiments.ext_resilience import default_chaos_schedule
-from repro.sim import Tracer
 from repro.util.rng import RngFactory
 from repro.util.units import MiB, bytes_to_human
 from repro.workflows.ensembles import make_ensemble
@@ -46,15 +47,16 @@ def main() -> None:
         dram_capacity=int(total * 1.2 / N_NODES),
         chunk_size=MiB(1),
     )
-    tracer = Tracer(categories=["fault"])
+    tel = obs.Telemetry("chaos")
     schedule = default_chaos_schedule(N_NODES)
-    env.inject_faults(schedule, seed=7, tracer=tracer)
-    metrics = env.run_batch(members, max_time=1e7)
+    env.inject_faults(schedule, seed=7)
+    with obs.session(tel):
+        metrics = env.run_batch(members, max_time=1e7)
 
     print("=== Fault log ===")
-    for ev in tracer.events():
-        extra = ", ".join(f"{k}={v}" for k, v in ev.data.items())
-        print(f"  t={ev.time:7.1f}s  {ev.subject:18s}  {extra}")
+    for ev in tel.events("fault"):
+        extra = ", ".join(f"{k}={v}" for k, v in ev.items() if k not in ("t", "cat", "subj"))
+        print(f"  t={ev['t']:7.1f}s  {ev['subj']:18s}  {extra}")
 
     f = metrics.faults
     print("\n=== Survival scoreboard ===")

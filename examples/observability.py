@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Observability: tracing and memory-utilisation timelines.
 
-Attaches a :class:`Tracer` and a :class:`UtilizationSampler` to an IMME
-node, runs a colocated workload, and prints (1) the task/phase event log
-and (2) an ASCII utilisation-over-time strip per memory tier — the data a
-real deployment would ship to its monitoring stack.
+Records an IMME node's sim-time events through an ``obs.session`` and
+attaches a :class:`UtilizationSampler`, runs a colocated workload, and
+prints (1) the task/phase event log and (2) an ASCII
+utilisation-over-time strip per memory tier — the data a real deployment
+would ship to its monitoring stack.
 
 Run:  python examples/observability.py
 """
 
+from repro import obs
 from repro.envs import EnvKind, EnvironmentConfig, Environment
 from repro.memory import CXL, DRAM, TierKind
 from repro.metrics import UtilizationSampler
-from repro.sim import Tracer
 from repro.util.units import MiB, bytes_to_human
 from repro.workflows import paper_workload_suite
 
@@ -42,20 +43,20 @@ def main() -> None:
         chunk_size=MiB(1),
     )
     env = Environment(config)
-    tracer = Tracer(categories=["task", "phase"])
-    for agent in env.agents:
-        agent.tracer = tracer
+    tel = obs.Telemetry("observability")
     sampler = UtilizationSampler(env.engine, env.topology.nodes, interval=2.0)
     sampler.start()
 
-    env.run_batch(specs)
+    with obs.session(tel):
+        env.run_batch(specs)
     sampler.stop()
 
+    events = [ev for ev in tel.events() if ev["cat"] in ("task", "phase")]
     print("=== Event log (first 12 events) ===")
-    for ev in tracer.events()[:12]:
-        extra = ", ".join(f"{k}={v}" for k, v in ev.data.items())
-        print(f"  t={ev.time:8.2f}s  {ev.category:5s}  {ev.subject:4s}  {extra}")
-    print(f"  ... {len(tracer)} events total\n")
+    for ev in events[:12]:
+        extra = ", ".join(f"{k}={v}" for k, v in ev.items() if k not in ("t", "cat", "subj"))
+        print(f"  t={ev['t']:8.2f}s  {ev['cat']:5s}  {ev['subj']:4s}  {extra}")
+    print(f"  ... {len(events)} events total\n")
 
     print("=== Memory residency over time ===")
     for tier in (DRAM, TierKind.PMEM, CXL):

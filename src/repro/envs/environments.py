@@ -260,9 +260,7 @@ class Environment:
             max_time=max_time,
         )
 
-    def inject_faults(
-        self, schedule, *, seed: int = 0, interval: float = 1.0, tracer=None
-    ):
+    def inject_faults(self, schedule, *, seed: int = 0, interval: float = 1.0):
         """Attach a started :class:`~repro.faults.FaultInjector` for
         ``schedule``; faults fire as the next run advances the clock."""
         from ..faults.injector import FaultInjector
@@ -276,7 +274,6 @@ class Environment:
             schedule,
             seed=seed,
             interval=interval,
-            tracer=tracer,
         )
         injector.start()
         self.injectors.append(injector)

@@ -42,7 +42,6 @@ from ..resilience import (
     RunJournal,
     SweepFailure,
     failure_table,
-    invariants as _invariants,
     journal_path,
     supervised_map,
 )
@@ -259,11 +258,11 @@ def run_all(
     outer_jobs = 1 if inner_jobs != 1 else jobs
     resumed: dict[str, tuple[FigureResult, float, Optional[dict[str, int]]]] = {}
     with contextlib.ExitStack() as stack:
-        stack.enter_context(obs.session(telemetry))
+        # installed before the pool forks, so workers inherit every plane
+        stack.enter_context(obs.session(
+            telemetry, checker=InvariantChecker() if check_invariants else None
+        ))
         stack.enter_context(obs.span("experiments", count=len(selected)))
-        if check_invariants:
-            # installed before the pool forks, so workers inherit it
-            stack.enter_context(_invariants.session(InvariantChecker()))
         journal: Optional[RunJournal] = None
         committed: set[str] = set()
         if cache is not None:

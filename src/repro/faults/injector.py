@@ -45,7 +45,6 @@ class FaultInjector:
         *,
         seed: int = 0,
         interval: float = 1.0,
-        tracer=None,
     ) -> None:
         require(len(agents) > 0, "injector needs at least one node")
         self.engine = engine
@@ -54,7 +53,6 @@ class FaultInjector:
         self.containers = containers
         self.metrics = metrics
         self.schedule = schedule
-        self.tracer = tracer
         factory = RngFactory(seed)
         self._rng = factory.stream("fault-injector")
         #: dedicated stream for the container runtime's pull-failure draws
@@ -121,28 +119,20 @@ class FaultInjector:
                 checker.memory(agent.memory)
 
     def _trace(self, fault: FaultSpec, **extra) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.engine.now,
-                "fault",
-                fault.kind.value,
-                node=fault.node,
-                tier=fault.tier.name if fault.tier is not None else None,
-                duration=fault.duration,
-                severity=fault.severity,
-                **extra,
-            )
-        if obs.enabled():
-            obs.event(
-                self.engine.now,
-                "fault",
-                fault.kind.value,
-                node=fault.node,
-                tier=fault.tier.name if fault.tier is not None else None,
-                **extra,
-            )
-            if extra.get("event") == "injected":
-                obs.counter("faults.fired", 1, kind=fault.kind.value)
+        if not obs.enabled():
+            return
+        obs.event(
+            self.engine.now,
+            "fault",
+            fault.kind.value,
+            node=fault.node,
+            tier=fault.tier.name if fault.tier is not None else None,
+            duration=fault.duration,
+            severity=fault.severity,
+            **extra,
+        )
+        if extra.get("event") == "injected":
+            obs.counter("faults.fired", 1, kind=fault.kind.value)
 
     def _recover(self, fault: FaultSpec, action, label: str) -> None:
         """Schedule the recovery action and account its MTTR sample."""

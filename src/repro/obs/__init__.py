@@ -1,16 +1,16 @@
-"""Unified telemetry: spans, counters, and Perfetto-ready run traces.
+"""Unified observability: telemetry, the insight plane, and the run context.
 
 Emission points across the stack call the module-level dispatchers
 (:func:`counter`, :func:`span`, :func:`event`, ...), which are no-ops
-unless a run activates a :class:`Telemetry` context via :func:`session`
+unless a run installs a :class:`Telemetry` through :func:`session`
 (``run_all --telemetry DIR``, ``scenarios run --telemetry DIR``).  See
 ``docs/observability.md`` for the span taxonomy and exporter formats.
 
-The memory-introspection plane (:mod:`repro.obs.insight` — migration
-ledger, tier time-series, live service metrics) rides the same
-null-object discipline under its own active context: ``obs.insight``
-is re-exported here as the submodule, with the main types aliased for
-convenience (:class:`Insight`, :class:`InsightRecord`,
+:func:`session` scopes one :class:`RunContext`: telemetry, the
+memory-introspection plane (:mod:`repro.obs.insight` — migration ledger,
+tier time-series, live service metrics) and the invariant checker.
+``obs.insight`` is re-exported here as the submodule, with the main types
+aliased for convenience (:class:`Insight`, :class:`InsightRecord`,
 :class:`SignalView`, :class:`LiveMetricsWriter`).
 """
 
@@ -33,24 +33,21 @@ from .insight import (
     MigrationLedger,
     SignalView,
     TierSampler,
-    worker_insight,
 )
+from .run import RunContext, current, session
 from .telemetry import (
     NULL,
     NullTelemetry,
     SpanRecord,
     Telemetry,
     TelemetryRecord,
-    activate,
     active,
     counter,
     enabled,
     event,
     gauge,
     observe,
-    session,
     span,
-    worker_telemetry,
 )
 
 __all__ = [
@@ -60,14 +57,15 @@ __all__ = [
     "MigrationLedger",
     "NULL",
     "NullTelemetry",
+    "RunContext",
     "SignalView",
     "SpanRecord",
     "Telemetry",
     "TelemetryRecord",
     "TierSampler",
-    "activate",
     "active",
     "counter",
+    "current",
     "enabled",
     "event",
     "gauge",
@@ -83,7 +81,5 @@ __all__ = [
     "to_chrome_trace",
     "to_jsonl",
     "validate_chrome_trace",
-    "worker_insight",
-    "worker_telemetry",
     "write_run_dir",
 ]

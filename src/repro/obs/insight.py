@@ -4,8 +4,9 @@ and live service signals.
 ``repro.obs.insight`` answers *why* memory moved, not just how much.  It
 rides the same null-object discipline as :mod:`repro.obs.telemetry` — a
 module-level ``_active`` context defaulting to a shared no-op ``NULL``,
-so every emission point is one function call plus one no-op method call
-when the plane is off — and adds three surfaces on top:
+installed only through :func:`repro.obs.session` (``insight=``), so every
+emission point is one function call plus one no-op method call when the
+plane is off — and adds three surfaces on top:
 
 * the **migration ledger** — a bounded, append-only record of every
   movement-daemon decision (promote / demote / swap-in / swap-out /
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
+
+from .telemetry import _NULL_SPAN, _NullSpan
 
 # --------------------------------------------------------------------------- #
 # tier vocabulary (mirror of repro.memory.tiers — see module docstring)
@@ -273,21 +275,6 @@ class TierSampler:
 # --------------------------------------------------------------------------- #
 
 
-class _NullScope:
-    """Shared no-op context manager for the disabled path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class _CauseScope:
     __slots__ = ("_stack", "_name", "_pushed")
 
@@ -408,11 +395,11 @@ class NullInsight:
     def sample(self, *args: Any, **kwargs: Any) -> None:
         pass
 
-    def cause(self, name: str) -> _NullScope:
-        return _NULL_SCOPE
+    def cause(self, name: str) -> _NullSpan:
+        return _NULL_SPAN
 
-    def fallback_cause(self, name: str) -> _NullScope:
-        return _NULL_SCOPE
+    def fallback_cause(self, name: str) -> _NullSpan:
+        return _NULL_SPAN
 
     def current_cause(self) -> str:
         return "direct"
@@ -801,6 +788,7 @@ def format_live_window(payload: dict[str, Any]) -> str:
 # module-level dispatch (what the stack's emission points call)
 # --------------------------------------------------------------------------- #
 
+#: the installed context; :func:`repro.obs.session` is its only writer
 _active: "Insight | NullInsight" = NULL
 
 
@@ -813,41 +801,14 @@ def enabled() -> bool:
     return _active.enabled
 
 
-def activate(ctx: "Insight | NullInsight") -> "Insight | NullInsight":
-    """Install ``ctx`` as the active context; returns the previous one."""
-    global _active
-    previous = _active
-    _active = ctx
-    return previous
-
-
-@contextmanager
-def session(ctx: "Insight | NullInsight") -> Iterator["Insight | NullInsight"]:
-    """Scope ``ctx`` as the active context for the ``with`` body."""
-    previous = activate(ctx)
-    try:
-        yield ctx
-    finally:
-        activate(previous)
-
-
-def cause(name: str) -> "_CauseScope | _NullScope":
+def cause(name: str) -> "_CauseScope | _NullSpan":
     return _active.cause(name)
 
 
-def fallback_cause(name: str) -> "_CauseScope | _NullScope":
+def fallback_cause(name: str) -> "_CauseScope | _NullSpan":
     return _active.fallback_cause(name)
 
 
 def view() -> SignalView:
     """A :class:`SignalView` over whatever context is active."""
     return _active.view()
-
-
-def worker_insight() -> Optional[Insight]:
-    """A fresh child context for a forked pool worker, or ``None`` when
-    the plane is disabled — the insight analog of
-    :func:`repro.obs.telemetry.worker_telemetry`."""
-    if not _active.enabled:
-        return None
-    return Insight(run_id=_active.run_id, meta={"worker": f"pid{os.getpid()}"})

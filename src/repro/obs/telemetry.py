@@ -7,15 +7,15 @@ Design constraints (why this module looks the way it does):
 * **Disabled by default, null-object based.**  Every emission point in the
   stack calls the module-level dispatchers (:func:`counter`, :func:`span`,
   :func:`event`, ...), which forward to the *active* telemetry — a shared
-  :class:`NullTelemetry` singleton unless a run explicitly activates a
-  real context via :func:`session`.  The disabled path is one function
+  :class:`NullTelemetry` singleton unless a run installs a real context
+  through :func:`repro.obs.session`.  The disabled path is one function
   call plus one no-op method call, with no branching at the call site;
   ``benchmarks/bench_obs.py`` proves the overhead stays under budget.
 * **Two timebases.**  Spans measure *wall clock* (``perf_counter``
   relative to the context's epoch) — they answer "where did the
-  simulator's own time go?".  Events carry *simulated* timestamps — they
-  unify what :class:`~repro.sim.trace.Tracer` records (task lifecycle,
-  faults, daemon ticks) under the same run record.
+  simulator's own time go?".  Events carry *simulated* timestamps — the
+  task lifecycle, phase boundaries, faults, OOM kills and daemon ticks —
+  and :meth:`Telemetry.events` is the filtered view over them.
 * **Mergeable across forks.**  :meth:`Telemetry.snapshot` produces a
   plain, picklable :class:`TelemetryRecord`; :meth:`Telemetry.merge`
   folds a worker's record back into the parent — counters sum, spans are
@@ -29,12 +29,10 @@ Everything here is stdlib-only and imports nothing else from
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "NULL",
@@ -42,7 +40,6 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "TelemetryRecord",
-    "activate",
     "active",
     "add_label",
     "counter",
@@ -50,10 +47,8 @@ __all__ = [
     "event",
     "gauge",
     "observe",
-    "session",
     "span",
     "split_label",
-    "worker_telemetry",
 ]
 
 
@@ -169,7 +164,8 @@ class TelemetryRecord:
 # --------------------------------------------------------------------------- #
 
 class _NullSpan:
-    """Reusable no-op context manager; one shared instance, zero state."""
+    """Reusable no-op context manager; one shared instance, zero state
+    (also the disabled insight plane's cause scope)."""
 
     __slots__ = ()
 
@@ -275,8 +271,9 @@ class Telemetry:
     meta:
         Free-form provenance (scenario digests, CLI args, worker id...).
     max_spans / max_events / max_observations:
-        Ring bounds; overflow is dropped (newest-first for spans and
-        events) and counted, never an error.
+        Bounds; overflow is counted, never an error.  Spans and
+        observations past the bound are dropped; events are a ring that
+        evicts the oldest.
     """
 
     enabled = True
@@ -303,7 +300,8 @@ class Telemetry:
         self._spans: List[SpanRecord] = []
         self._stack: List[int] = []
         self._next_span_id = 0
-        self._events: "deque[Dict[str, Any]]" = deque()
+        # deque(maxlen=...) evicts the oldest event in O(1) once full
+        self._events: "deque[Dict[str, Any]]" = deque(maxlen=self.max_events)
         self._workers: List[str] = []
         self.dropped_spans = 0
         self.dropped_events = 0
@@ -354,10 +352,20 @@ class Telemetry:
     # events (simulated time)
     # ------------------------------------------------------------------ #
     def event(self, time: float, category: str, subject: str, **data: Any) -> None:
-        if len(self._events) >= self.max_events:
-            self.dropped_events += 1
-            self._events.popleft()
+        if len(self._events) == self.max_events:
+            self.dropped_events += 1  # the append below evicts the oldest
         self._events.append({"t": float(time), "cat": category, "subj": subject, **data})
+
+    def events(
+        self, category: Optional[str] = None, subject: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """The recorded events, oldest first, optionally only those of one
+        ``category`` and/or ``subject``."""
+        return [
+            ev for ev in self._events
+            if (category is None or ev["cat"] == category)
+            and (subject is None or ev["subj"] == subject)
+        ]
 
     # ------------------------------------------------------------------ #
     # snapshot / merge
@@ -435,9 +443,8 @@ class Telemetry:
             )
         self._next_span_id += max((s.span_id for s in record.spans), default=-1) + 1
         for ev in record.events:
-            if len(self._events) >= self.max_events:
+            if len(self._events) == self.max_events:
                 self.dropped_events += 1
-                self._events.popleft()
             out = dict(ev)
             if worker_id and "worker" not in out:
                 out["worker"] = worker_id
@@ -462,6 +469,7 @@ class Telemetry:
 # module-level dispatch (what the stack's emission points call)
 # --------------------------------------------------------------------------- #
 
+#: the installed context; :func:`repro.obs.session` is its only writer
 _active: "Telemetry | NullTelemetry" = NULL
 
 
@@ -472,24 +480,6 @@ def active() -> "Telemetry | NullTelemetry":
 
 def enabled() -> bool:
     return _active.enabled
-
-
-def activate(tel: "Telemetry | NullTelemetry") -> "Telemetry | NullTelemetry":
-    """Install ``tel`` as the active context; returns the previous one."""
-    global _active
-    previous = _active
-    _active = tel
-    return previous
-
-
-@contextmanager
-def session(tel: "Telemetry | NullTelemetry") -> Iterator["Telemetry | NullTelemetry"]:
-    """Scope ``tel`` as the active context for the ``with`` body."""
-    previous = activate(tel)
-    try:
-        yield tel
-    finally:
-        activate(previous)
 
 
 def counter(name: str, value: float = 1, **labels: Any) -> None:
@@ -510,17 +500,3 @@ def event(time: float, category: str, subject: str, **data: Any) -> None:
 
 def span(name: str, **attrs: Any) -> "_Span | _NullSpan":
     return _active.span(name, **attrs)
-
-
-def worker_telemetry() -> Optional[Telemetry]:
-    """A fresh child context for a forked pool worker, or ``None`` when
-    telemetry is disabled (the worker then runs bare).
-
-    Forked children inherit the parent's active context object; mutating
-    it would be invisible to the parent, so the pool worker
-    (:mod:`repro.resilience.supervisor`) swaps in a fresh context, runs
-    the work item, and ships the snapshot back for :meth:`Telemetry.merge`.
-    """
-    if not _active.enabled:
-        return None
-    return Telemetry(run_id=_active.run_id, meta={"worker": f"pid{os.getpid()}"})

@@ -14,9 +14,10 @@ never break:
 
 Checks are wired through the same null-object dispatch trick as
 :mod:`repro.obs`: every call site asks the *active* checker, which is a
-shared no-op :data:`NULL_CHECKER` unless a run enables checking
+shared no-op :data:`NULL_CHECKER` unless a run installs a live one as
+the ``checker`` plane of its :func:`repro.obs.session`
 (``run_all --check-invariants``, ``scenarios run --check-invariants``,
-or :func:`session` in tests).  Disabled cost is one attribute load plus
+the ``checked`` test fixture).  Disabled cost is one attribute load plus
 one no-op call — measured alongside the telemetry budget in
 ``benchmarks/bench_resilience.py``.
 
@@ -27,8 +28,7 @@ stack can call it without import cycles.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, List
+from typing import Any, List
 
 from ..util.errors import ReproError
 
@@ -39,7 +39,6 @@ __all__ = [
     "NullInvariantChecker",
     "active",
     "enabled",
-    "install",
     "session",
 ]
 
@@ -83,8 +82,8 @@ class InvariantChecker(NullInvariantChecker):
     """The live checker: asserts, records, and (by default) raises.
 
     ``strict=False`` collects violations in :attr:`violations` instead of
-    raising — what the chaos harness uses to keep a run alive while still
-    counting every broken invariant.
+    raising, which keeps a run alive while still counting every broken
+    invariant.
     """
 
     enabled = True
@@ -202,6 +201,7 @@ class InvariantChecker(NullInvariantChecker):
 # module-level dispatch (what the stack's check sites call)
 # --------------------------------------------------------------------------- #
 
+#: the installed checker; :func:`repro.obs.session` is its only writer
 _active: NullInvariantChecker = NULL_CHECKER
 
 
@@ -214,24 +214,9 @@ def enabled() -> bool:
     return _active.enabled
 
 
-def install(checker: NullInvariantChecker) -> NullInvariantChecker:
-    """Install ``checker`` as the active one; returns the previous.
+def session(checker: NullInvariantChecker) -> Any:
+    """Deprecated alias of ``repro.obs.session(checker=checker)``; kept
+    only while ``benchmarks/e2e/test_e2e.py`` calls it."""
+    from ..obs import session as run_session  # repro.obs imports this module
 
-    Installed *before* a fork pool spawns, the checker is inherited by
-    every worker — which is how ``--check-invariants`` reaches forked
-    sweep cells.
-    """
-    global _active
-    previous = _active
-    _active = checker
-    return previous
-
-
-@contextmanager
-def session(checker: NullInvariantChecker) -> Iterator[NullInvariantChecker]:
-    """Scope ``checker`` as active for the ``with`` body."""
-    previous = install(checker)
-    try:
-        yield checker
-    finally:
-        install(previous)
+    return run_session(checker=checker)

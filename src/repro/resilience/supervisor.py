@@ -33,10 +33,10 @@ fire-and-forget:
   the interruption point in the journal, then re-raises as
   ``KeyboardInterrupt``; a second signal aborts immediately.
 * **forwarded records in input order** — a worker runs each cell under
-  fresh child telemetry and insight contexts and ships their snapshots
-  back with the result; once the pool drains, the committed cells'
-  records are merged into the parent's contexts in input order, so a
-  ``jobs=N`` run records exactly what ``jobs=1`` does.
+  the worker form of the parent's run context (:func:`repro.obs.current`)
+  and ships its snapshot back with the result; once the pool drains, the
+  committed cells' records are merged into the parent's context in input
+  order, so a ``jobs=N`` run records exactly what ``jobs=1`` does.
 
 Platforms without ``fork`` (and nested calls inside pool workers) fall
 back to an in-process loop that keeps the retry/quarantine/journal
@@ -45,7 +45,6 @@ semantics but cannot preempt a hung cell — deadlines need workers.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import multiprocessing
 import multiprocessing.connection as _mpc
@@ -59,7 +58,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..obs import insight as _insight
 from ..parallel.executor import resolve_jobs, supports_fork
 from ..util.validation import require
 from .journal import RunJournal
@@ -77,10 +75,6 @@ _EXIT_REPORT_FAILED = 81
 #: set in forked workers so nested map_ordered/supervised_map calls stay
 #: in-process
 _IN_WORKER = False
-
-#: the run-scoped planes whose worker records cross the fork (telemetry,
-#: then insight), each a module with ``session``/``active`` dispatch
-_PLANES = (obs, _insight)
 
 
 @dataclass
@@ -114,28 +108,25 @@ def _send_safe(result_conn: Any, message: Tuple) -> None:
 def _run_forwarded(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Tuple]:
     """Run one cell in a worker: ``(value, records)``.
 
-    A forked worker inherits the parent's active contexts, but mutating
-    them would be invisible across the process boundary — so each live
-    plane gets a fresh child context for the cell, and its snapshot
-    travels back in ``records`` (``None`` for a disabled plane) for the
-    parent to merge.
+    A forked worker inherits the parent's run context, but what it
+    records there would be invisible across the process boundary — so the
+    cell runs under :meth:`~repro.obs.RunContext.worker`, and that
+    context's snapshot travels back in ``records`` for the parent to
+    merge.
     """
-    contexts = (obs.worker_telemetry(), _insight.worker_insight())
-    with contextlib.ExitStack() as stack:
-        for plane, ctx in zip(_PLANES, contexts):
-            if ctx is not None:
-                stack.enter_context(plane.session(ctx))
+    ctx = obs.current().worker()
+    with obs.session(ctx.telemetry, insight=ctx.insight):
         value = fn(item)
-    return value, tuple(None if ctx is None else ctx.snapshot() for ctx in contexts)
+    return value, ctx.snapshot()
 
 
 def _merge_forwarded(forwarded: Sequence[Optional[Tuple]]) -> None:
-    """Fold workers' records into the parent's active contexts in input
+    """Fold workers' records into the parent's run context in input
     order (``None`` marks a cell with nothing to merge)."""
+    ctx = obs.current()
     for records in forwarded:
         if records is not None:
-            for plane, record in zip(_PLANES, records):
-                plane.active().merge(record)
+            ctx.merge(records)
 
 
 def _portable(exc: BaseException) -> Optional[BaseException]:

@@ -48,7 +48,6 @@ class NodeAgent:
         chunk_size: Optional[int] = None,
         shared_memory=None,
         node_index: int = 0,
-        tracer=None,
         ticker: Optional[TickGroup] = None,
     ) -> None:
         check_positive(cores, "cores")
@@ -59,8 +58,6 @@ class NodeAgent:
         memory.now = lambda: engine.now
         self.policy = policy
         self.metrics = metrics
-        #: optional :class:`repro.sim.trace.Tracer` for structured events
-        self.tracer = tracer
         #: cluster-shared CXL manager (IMME only) and this node's index,
         #: used for §III-C5 shared read-only inputs
         self.shared_memory = shared_memory
@@ -155,10 +152,7 @@ class NodeAgent:
         return te
 
     def trace(self, category: str, subject: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.engine.now, category, subject, **data)
-        # Tracer and telemetry are independent sinks: the same structured
-        # events also flow into the active run record when one exists.
+        """Record a structured sim-time event in the active run record."""
         obs.event(self.engine.now, category, subject, **data)
 
     def task_finished(self, te: TaskExecution) -> None:
@@ -282,7 +276,7 @@ class NodeAgent:
         }
         self.heatmap.advance_node(self.memory, self.daemon_interval, rates)
         self.policy.tick(self.context)
-        if (self.tracer is not None and self.tracer.wants("daemon")) or obs.enabled():
+        if obs.enabled():
             total = self.memory.stats.total_migrated_bytes
             self.trace(
                 "daemon",

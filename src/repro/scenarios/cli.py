@@ -114,7 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         RetryPolicy,
         RunJournal,
         failure_table,
-        invariants as _invariants,
         journal_path,
         supervised_map,
     )
@@ -158,10 +157,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else _insight.NULL
     )
     with contextlib.ExitStack() as stack:
-        stack.enter_context(obs.session(telemetry))
-        stack.enter_context(_insight.session(ins))
-        if args.check_invariants:
-            stack.enter_context(_invariants.session(InvariantChecker()))
+        stack.enter_context(obs.session(
+            telemetry,
+            insight=ins,
+            checker=InvariantChecker() if args.check_invariants else None,
+        ))
         journal = None
         resumed: dict[str, object] = {}
         run_specs, run_keys = list(specs), list(keys)

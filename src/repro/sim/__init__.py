@@ -1,9 +1,8 @@
-"""Discrete-event simulation core: engine, events, process helpers, tracing."""
+"""Discrete-event simulation core: engine, events, process helpers."""
 
 from .engine import SimulationEngine
 from .events import Event
 from .process import PeriodicProcess, RateTracker, ReportPeriod, TickGroup
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "SimulationEngine",
@@ -12,6 +11,4 @@ __all__ = [
     "RateTracker",
     "ReportPeriod",
     "TickGroup",
-    "TraceEvent",
-    "Tracer",
 ]

@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.flags import MemFlag
 from repro.memory.pageset import PageSet
 from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import CXL, DRAM, PMEM, SWAP, TierKind, TierSpec
 from repro.metrics.collector import MetricsRegistry
 from repro.policies.base import PolicyContext
-from repro.resilience import InvariantChecker, invariants
+from repro.resilience import InvariantChecker
 from repro.sim.engine import SimulationEngine
 from repro.util.units import GBps, KiB, MiB, ns, us
 from repro.workflows.patterns import HotColdPattern
@@ -105,8 +106,8 @@ def metrics():
 def checked():
     """The strict runtime invariant checker, active for the whole test:
     every node agent's daemon tick then also validates its memory."""
-    with invariants.session(InvariantChecker()) as checker:
-        yield checker
+    with obs.session(checker=InvariantChecker()) as run:
+        yield run.checker
 
 
 def make_pageset(

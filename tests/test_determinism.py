@@ -3,9 +3,10 @@ across every environment kind and every experiment harness surface."""
 
 import pytest
 
+from repro import obs
 from repro.envs.environments import EnvKind, make_environment
 from repro.experiments import run_fig01
-from repro.resilience import InvariantChecker, invariants
+from repro.resilience import InvariantChecker
 from repro.util.units import KiB, MiB
 from repro.workflows.patterns import DriftingHotSpotPattern
 from repro.workflows.task import WorkloadClass
@@ -123,6 +124,6 @@ class TestDriftingPattern:
             cores=4, chunk_size=KiB(64),
         )
         agent.start_task(spec)
-        with invariants.session(InvariantChecker()):
+        with obs.session(checker=InvariantChecker()):
             engine.run(until=500.0)
         assert metrics.get("drift").done

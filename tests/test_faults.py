@@ -4,6 +4,7 @@ pull retries, and the injector's end-to-end recovery guarantees."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.containers.image import ContainerImage, ImageRegistry
 from repro.containers.runtime import ContainerRuntime, NetworkFabric
 from repro.core.manager import TieredMemoryManager
@@ -14,7 +15,6 @@ from repro.metrics.collector import MetricsRegistry
 from repro.runtime.node_agent import NodeAgent
 from repro.scheduler.job import JobState
 from repro.scheduler.slurm import SlurmScheduler
-from repro.sim.trace import Tracer
 from repro.util.errors import ConfigurationError
 from repro.util.units import KiB, MiB
 
@@ -197,14 +197,14 @@ class TestNodeCrash:
         assert te.interrupt("chaos") is False  # already dead
 
     def test_tier_offline_handler_recomputes_and_traces(self, engine, metrics):
-        tracer = Tracer(["fault"])
+        tel = obs.Telemetry()
         agent = make_agent(engine, metrics)
-        agent.tracer = tracer
-        agent.start_task(simple_task("t0", footprint=MiB(1)))
-        engine.run(until=1.0)
-        agent.handle_tier_offline(PMEM)
-        events = tracer.events("fault")
-        assert any(e.data.get("event") == "tier-offline" for e in events)
+        with obs.session(tel):
+            agent.start_task(simple_task("t0", footprint=MiB(1)))
+            engine.run(until=1.0)
+            agent.handle_tier_offline(PMEM)
+        events = tel.events("fault")
+        assert any(e.get("event") == "tier-offline" for e in events)
         agent.handle_tier_online(PMEM)
         assert agent.memory.tier_online(PMEM)
 
@@ -418,19 +418,25 @@ class TestInjector:
         schedule = FaultSchedule(
             [FaultSpec(FaultKind.NODE_CRASH, time=3.0, node=0, duration=5.0)]
         )
-        tracer = Tracer(["fault"])
+        tel = obs.Telemetry()
         injector = FaultInjector(
             engine, agents, scheduler, containers, metrics, schedule,
-            tracer=tracer,
         )
         injector.start()
-        scheduler.run_to_completion(max_time=1e5)
+        with obs.session(tel):
+            scheduler.run_to_completion(max_time=1e5)
         assert job.state is JobState.DONE
         assert job.retries == 1
         assert metrics.faults.injected == {"node-crash": 1}
         assert metrics.faults.mttr == pytest.approx(5.0)
-        subjects = {e.data.get("event") for e in tracer.events("fault")}
+        subjects = {e.get("event") for e in tel.events("fault")}
         assert {"injected", "recovered"} <= subjects
+        # the injector's one fault payload carries the spec's duration
+        injected = [
+            e for e in tel.events("fault", subject="node-crash")
+            if e.get("event") == "injected"
+        ]
+        assert len(injected) == 1 and injected[0]["duration"] == 5.0
 
     def test_inapplicable_fault_is_skipped(self, engine, metrics):
         scheduler, agents, containers = make_cluster(engine, metrics, n_nodes=1)
@@ -448,13 +454,13 @@ class TestInjector:
     def test_oom_kill_emits_trace_event(self, engine, metrics):
         from repro.policies.linux import LinuxSwapPolicy
 
-        tracer = Tracer(["oom"])
+        tel = obs.Telemetry()
         agent = make_agent(engine, metrics, policy=LinuxSwapPolicy())
-        agent.tracer = tracer
-        agent.start_task(oom_prone_task("t0"))
-        engine.run(until=1e4)
-        events = tracer.events("oom")
+        with obs.session(tel):
+            agent.start_task(oom_prone_task("t0"))
+            engine.run(until=1e4)
+        events = tel.events("oom")
         assert len(events) == 1
-        assert events[0].data["event"] == "oom-kill"
+        assert events[0]["event"] == "oom-kill"
         assert metrics.get("t0").oom_kills == 1
         assert metrics.get("t0").failed

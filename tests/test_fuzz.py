@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.core.flags import MemFlag
 from repro.core.manager import TieredMemoryManager
 from repro.core.movement import MovementConfig
@@ -18,7 +19,7 @@ from repro.memory.pageset import UNMAPPED, PageSet
 from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import DRAM, SWAP
 from repro.policies.base import AllocationRequest, PolicyContext, stripe_assignment
-from repro.resilience import InvariantChecker, invariants
+from repro.resilience import InvariantChecker
 from repro.util.units import KiB, MiB
 
 from conftest import make_pageset, simple_task, small_specs
@@ -152,7 +153,7 @@ class TestEndToEndFuzz:
             dram_capacity=max(total // 3, 8 * CHUNK),
             chunk_size=CHUNK,
         )
-        with invariants.session(InvariantChecker()):
+        with obs.session(checker=InvariantChecker()):
             metrics = env.run_batch(specs, max_time=1e6)
         assert len(metrics.completed()) + len(metrics.failed()) == n_tasks
         for node in env.topology.nodes:

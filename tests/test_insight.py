@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST
 from repro.memory.tiers import NUM_TIERS, TIER_NAMES, TierKind
 from repro.obs import insight as _insight
@@ -139,7 +140,7 @@ class TestNullPath:
     def test_disabled_by_default(self):
         assert not _insight.enabled()
         assert _insight.active() is _insight.NULL
-        assert _insight.worker_insight() is None
+        assert obs.current().worker().insight is _insight.NULL
 
     def test_null_operations_are_noops(self):
         null = _insight.NULL
@@ -157,9 +158,9 @@ class TestNullPath:
 
     def test_session_restores_previous_context(self):
         ins = Insight("outer")
-        with _insight.session(ins):
+        with obs.session(insight=ins):
             assert _insight.active() is ins
-            with _insight.session(Insight("inner")):
+            with obs.session(insight=Insight("inner")):
                 assert _insight.active().run_id == "inner"
             assert _insight.active() is ins
         assert _insight.active() is _insight.NULL
@@ -337,7 +338,7 @@ def scenario_ledger(name, backend):
     os.environ["REPRO_CORE"] = backend
     try:
         ins = Insight(f"equiv-{backend}")
-        with _insight.session(ins):
+        with obs.session(insight=ins):
             run_scenario(scenario(name))
     finally:
         if saved is None:
@@ -380,7 +381,7 @@ class TestBackendEquivalence:
         os.environ["REPRO_CORE"] = BACKEND_ARENA_FAST
         try:
             ins = Insight("fast-reconcile")
-            with _insight.session(ins):
+            with obs.session(insight=ins):
                 env = build_env(EnvKind.IMME, specs, dram_fraction=0.3, n_nodes=2)
                 env.run_batch(specs, max_time=1e7)
                 stats = [agent.memory.stats for agent in env.agents]

@@ -3,9 +3,10 @@ evaluation rests on, at miniature scale."""
 
 import pytest
 
+from repro import obs
 from repro.core.flags import MemFlag
 from repro.envs.environments import EnvKind, make_environment
-from repro.resilience import InvariantChecker, invariants
+from repro.resilience import InvariantChecker
 from repro.util.units import GBps, KiB, MiB
 from repro.workflows.patterns import HotColdPattern
 from repro.workflows.task import TaskPhase, TaskSpec, WorkloadClass
@@ -122,7 +123,7 @@ class TestInvariantsUnderLoad:
         specs = mixed_batch()
         total = sum(s.footprint for s in specs)
         env = make_environment(kind, dram_capacity=total // 4, chunk_size=CHUNK)
-        with invariants.session(InvariantChecker()):
+        with obs.session(checker=InvariantChecker()):
             metrics = env.run_batch(specs, max_time=1e6)
         env.topology.validate()
         assert len(metrics.completed()) == len(specs)

@@ -68,7 +68,7 @@ class TestRecomputeRates:
 
     def test_trace_hook_without_tracer_is_cheap(self, engine, metrics):
         agent = make_agent(engine, metrics)
-        agent.trace("task", "x", event="whatever")  # no tracer: no-op
+        agent.trace("task", "x", event="whatever")  # no session: a no-op
 
 
 def always_reschedule(self, rate):

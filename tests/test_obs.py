@@ -152,6 +152,62 @@ class TestTelemetry:
 
 
 # --------------------------------------------------------------------------- #
+# the one run context: telemetry, insight and the checker
+# --------------------------------------------------------------------------- #
+
+def _planes():
+    from repro.obs import insight as _insight
+    from repro.resilience import InvariantChecker
+
+    return obs.Telemetry("outer"), _insight.Insight("outer"), InvariantChecker()
+
+
+def _installed():
+    from repro.obs import insight as _insight
+    from repro.resilience import invariants
+
+    return obs.active(), _insight.active(), invariants.active()
+
+
+class TestRunSession:
+    def test_nested_session_inherits_unnamed_planes(self):
+        tel, ins, checker = _planes()
+        child = obs.Telemetry("child")
+        with obs.session(tel, insight=ins, checker=checker):
+            with obs.session(child) as run:
+                assert _installed() == tuple(run) == (child, ins, checker)
+            assert _installed() == (tel, ins, checker)
+
+    def test_exception_restores_every_plane(self):
+        from repro.obs import insight as _insight
+        from repro.resilience import NULL_CHECKER
+
+        tel, ins, checker = _planes()
+        with pytest.raises(RuntimeError, match="boom"):
+            with obs.session(tel, insight=ins, checker=checker):
+                raise RuntimeError("boom")
+        assert _installed() == (obs.NULL, _insight.NULL, NULL_CHECKER)
+
+    def test_worker_forks_live_planes_and_shares_the_checker(self):
+        from repro.obs import insight as _insight
+        from repro.resilience import NULL_CHECKER
+
+        assert tuple(obs.current().worker()) == (obs.NULL, _insight.NULL, NULL_CHECKER)
+        tel, ins, checker = _planes()
+        with obs.session(tel, insight=ins, checker=checker):
+            worker = obs.current().worker()
+            with obs.session(worker.telemetry, insight=worker.insight):
+                obs.counter("cells")
+                _insight.active().migration(1.0, "n0", "t", 2, 0, 1, 64)
+            obs.current().merge(worker.snapshot())
+        assert worker.telemetry is not tel and worker.telemetry.enabled
+        assert worker.insight is not ins and worker.insight.enabled
+        assert worker.checker is checker
+        assert tel.snapshot().counters == {"cells": 1}
+        assert ins.ledger.bytes_by_kind() == {"promote": 64}
+
+
+# --------------------------------------------------------------------------- #
 # merge
 # --------------------------------------------------------------------------- #
 
@@ -504,7 +560,7 @@ def _run_insight_sweep(jobs):
     from repro.obs import insight as _insight
 
     ins = _insight.Insight("sweep-insight")
-    with _insight.session(ins):
+    with obs.session(insight=ins):
         results = map_ordered(_insight_cell, list(range(8)), jobs=jobs)
     return results, ins.snapshot()
 
@@ -549,7 +605,7 @@ def _run_staggered(jobs):
     from repro.obs import insight as _insight
 
     tel, ins = obs.Telemetry("staggered"), _insight.Insight("staggered")
-    with obs.session(tel), _insight.session(ins):
+    with obs.session(tel, insight=ins):
         sup = supervised_map(_staggered_cell, list(range(6)), jobs=jobs)
     return sup.results, tel.snapshot(), ins.snapshot()
 

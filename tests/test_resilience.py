@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import obs
 from repro.parallel import supports_fork
 from repro.resilience import (
     NULL_CHECKER,
@@ -362,8 +363,8 @@ class TestInvariantChecker:
 
     def test_session_installs_and_restores(self):
         checker = InvariantChecker()
-        with invariants.session(checker) as active:
-            assert active is checker
+        with obs.session(checker=checker) as run:
+            assert run.checker is checker
             assert invariants.active() is checker
             assert invariants.enabled()
         assert invariants.active() is NULL_CHECKER
@@ -414,7 +415,7 @@ class TestInvariantChecker:
         from repro.memory.tiers import CXL, PMEM
 
         ps = make_pageset(node, "a", CHUNK * 4)
-        with invariants.session(InvariantChecker()):
+        with obs.session(checker=InvariantChecker()):
             node.place(ps, np.arange(ps.n_chunks), PMEM)
             node.migrate(ps, np.arange(2), CXL)
             evacuated, stranded = node.offline_tier(PMEM)
@@ -427,7 +428,7 @@ class TestInvariantChecker:
         ps = make_pageset(node, "a", CHUNK * 4)
         node.place(ps, np.arange(ps.n_chunks), PMEM)
         node._used[int(CXL)] += CHUNK  # seeded leak, invisible until checked
-        with invariants.session(InvariantChecker()):
+        with obs.session(checker=InvariantChecker()):
             with pytest.raises(InvariantViolation):
                 node.offline_tier(PMEM)
 
@@ -455,7 +456,8 @@ class TestFaultEdgeCases:
         injector = FaultInjector(engine, agents, scheduler, containers,
                                  metrics, schedule)
         injector.start()
-        with invariants.session(InvariantChecker()) as checker:
+        checker = InvariantChecker()
+        with obs.session(checker=checker):
             scheduler.run_to_completion(max_time=1e5)
         assert checker.violations == []
         assert checker.checks > 0
@@ -471,7 +473,8 @@ class TestFaultEdgeCases:
 
         agent = make_agent(engine, metrics, policy=LinuxSwapPolicy())
         agent.start_task(oom_prone_task("t0"))
-        with invariants.session(InvariantChecker()) as checker:
+        checker = InvariantChecker()
+        with obs.session(checker=checker):
             engine.run(until=1.0)
             # yank DRAM out from under the capped task mid-run: its pages
             # evacuate, then the dynamic growth trips the cgroup

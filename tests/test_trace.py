@@ -1,13 +1,13 @@
-"""Tracer and trace-integration tests."""
+"""Sim-time event tracing through the obs event sink and its filtered view."""
 
 import json
+from collections import deque
 
-import pytest
-
+from repro import obs
 from repro.memory.system import NodeMemorySystem
+from repro.obs.exporters import to_jsonl, write_run_dir
 from repro.policies.linux import LinuxSwapPolicy
 from repro.runtime.node_agent import NodeAgent
-from repro.sim.trace import TraceEvent, Tracer
 from repro.util.units import MiB
 
 from conftest import CHUNK, simple_task, small_specs
@@ -15,85 +15,99 @@ from conftest import CHUNK, simple_task, small_specs
 
 class TestTracer:
     def test_emit_and_query(self):
-        tr = Tracer()
-        tr.emit(1.0, "task", "a", event="started")
-        tr.emit(2.0, "task", "b", event="started")
-        tr.emit(3.0, "daemon", "n0", migrated_bytes=42)
-        assert len(tr) == 3
-        assert [e.subject for e in tr.events("task")] == ["a", "b"]
-        assert tr.events("task", subject="b")[0].time == 2.0
-        assert tr.events("daemon")[0].data["migrated_bytes"] == 42
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            obs.event(1.0, "task", "a", event="started")
+            obs.event(2.0, "task", "b", event="started")
+            obs.event(3.0, "daemon", "n0", migrated_bytes=42)
+        assert len(tel.events()) == 3
+        assert [e["subj"] for e in tel.events("task")] == ["a", "b"]
+        assert tel.events("task", subject="b")[0]["t"] == 2.0
+        assert tel.events("daemon")[0]["migrated_bytes"] == 42
 
     def test_category_filter_drops_at_emit(self):
-        tr = Tracer(categories=["task"])
-        tr.emit(1.0, "task", "a")
-        tr.emit(1.0, "daemon", "n0")
-        assert len(tr) == 1
-        assert not tr.wants("daemon")
+        # every category is recorded; the filter is applied at read time
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            obs.event(1.0, "task", "a")
+            obs.event(1.0, "daemon", "n0")
+        assert len(tel.events()) == 2
+        assert [e["cat"] for e in tel.events("task")] == ["task"]
+        assert tel.events("phase") == []
 
     def test_capacity_ring_buffer(self):
-        tr = Tracer(capacity=2)
-        for i in range(5):
-            tr.emit(float(i), "x", f"s{i}")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert tr.events()[0].subject == "s3"
+        tel = obs.Telemetry(max_events=2)
+        with obs.session(tel):
+            for i in range(5):
+                obs.event(float(i), "x", f"s{i}")
+        assert len(tel.events()) == 2
+        assert tel.dropped_events == 3
+        assert tel.events()[0]["subj"] == "s3"
 
     def test_capacity_eviction_is_constant_time(self):
         # the buffer must be a bounded deque: saturating it twice over must
         # not degrade (a list.pop(0) buffer turns this quadratic) and the
         # drop/eviction accounting must stay exact at any overshoot
         cap = 1000
-        tr = Tracer(capacity=cap)
-        for i in range(3 * cap):
-            tr.emit(float(i), "x", f"s{i}")
-        assert len(tr) == cap
-        assert tr.dropped == 2 * cap
-        assert tr.events()[0].subject == f"s{2 * cap}"
-        assert tr.events()[-1].subject == f"s{3 * cap - 1}"
-        from collections import deque
-
-        assert isinstance(tr._events, deque) and tr._events.maxlen == cap
+        tel = obs.Telemetry(max_events=cap)
+        with obs.session(tel):
+            for i in range(3 * cap):
+                obs.event(float(i), "x", f"s{i}")
+        assert len(tel.events()) == cap
+        assert tel.dropped_events == 2 * cap
+        assert tel.events()[0]["subj"] == f"s{2 * cap}"
+        assert tel.events()[-1]["subj"] == f"s{3 * cap - 1}"
+        assert isinstance(tel._events, deque) and tel._events.maxlen == cap
 
     def test_jsonl_roundtrip(self):
-        tr = Tracer()
-        tr.emit(1.5, "task", "a", event="started", node="n0")
-        line = tr.to_jsonl()
-        payload = json.loads(line)
-        assert payload == {"t": 1.5, "cat": "task", "subj": "a", "event": "started", "node": "n0"}
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            obs.event(1.5, "task", "a", event="started", node="n0")
+        payload = json.loads(to_jsonl(tel.snapshot()))
+        assert payload == {
+            "kind": "event", "t": 1.5, "cat": "task", "subj": "a",
+            "event": "started", "node": "n0",
+        }
 
     def test_write_jsonl(self, tmp_path):
-        tr = Tracer()
-        tr.emit(1.0, "a", "b")
-        tr.emit(2.0, "a", "c")
-        path = tmp_path / "trace.jsonl"
-        tr.write_jsonl(str(path))
-        assert len(path.read_text().strip().splitlines()) == 2
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            obs.event(1.0, "a", "b")
+            obs.event(2.0, "a", "c")
+        paths = write_run_dir(tel.snapshot(), str(tmp_path))
+        lines = open(paths["events"]).read().strip().splitlines()
+        assert [json.loads(ln)["subj"] for ln in lines] == ["b", "c"]
 
     def test_clear(self):
-        tr = Tracer()
-        tr.emit(1.0, "a", "b")
-        tr.clear()
-        assert len(tr) == 0
+        # a run's events live in its own context: once its session exits,
+        # emissions go nowhere, and a fresh context starts empty
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            obs.event(1.0, "a", "b")
+        obs.event(2.0, "a", "c")
+        assert len(tel.events()) == 1
+        assert obs.Telemetry().events() == []
 
 
 class TestRuntimeTracing:
     def test_task_lifecycle_traced(self, engine, metrics):
-        tracer = Tracer()
+        tel = obs.Telemetry()
         node = NodeMemorySystem(small_specs(dram=MiB(8)), "n0")
         agent = NodeAgent(
             engine, node, LinuxSwapPolicy(scan_noise=0.0), metrics,
-            cores=4, chunk_size=CHUNK, tracer=tracer,
+            cores=4, chunk_size=CHUNK,
         )
-        agent.start_task(simple_task("t", footprint=MiB(1), base_time=3.0, n_phases=2))
-        engine.run(until=100.0)
-        task_events = [e.data["event"] for e in tracer.events("task", subject="t")]
+        with obs.session(tel):
+            agent.start_task(simple_task("t", footprint=MiB(1), base_time=3.0, n_phases=2))
+            engine.run(until=100.0)
+        task_events = [e["event"] for e in tel.events("task", subject="t")]
         assert task_events == ["started", "finished"]
-        phases = tracer.events("phase", subject="t")
-        assert [e.data["index"] for e in phases] == [0, 1]
-        assert len(tracer.events("daemon")) > 0
+        phases = tel.events("phase", subject="t")
+        assert [e["index"] for e in phases] == [0, 1]
+        assert len(tel.events("daemon")) > 0
 
     def test_no_tracer_is_silent(self, engine, metrics):
+        assert obs.active() is obs.NULL
         node = NodeMemorySystem(small_specs(dram=MiB(8)), "n0")
         agent = NodeAgent(
             engine, node, LinuxSwapPolicy(scan_noise=0.0), metrics,

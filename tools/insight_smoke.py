@@ -173,17 +173,17 @@ def validate_record(run_dir: str, failures: list) -> None:
 def _self_contained(tmp: str) -> "tuple[str, str]":
     """Run the default service scenario with the insight plane on and
     write every artifact under ``tmp``; returns (telemetry_dir, live_dir)."""
+    from repro import obs
     from repro.obs.exporters import write_run_dir
-    from repro.obs.telemetry import Telemetry, session as tel_session
     from repro.scenarios import run_service
     from repro.scenarios.registry import scenario
 
     spec = scenario(DEFAULT)
     tel_dir = os.path.join(tmp, "telemetry")
     live_dir = os.path.join(tmp, "live")
-    telemetry = Telemetry("insight-smoke")
+    telemetry = obs.Telemetry("insight-smoke")
     insight = _insight.Insight("insight-smoke")
-    with tel_session(telemetry), _insight.session(insight):
+    with obs.session(telemetry, insight=insight):
         run_service(spec, live=live_dir)
     write_run_dir(telemetry.snapshot(), tel_dir, insight.snapshot())
     return tel_dir, live_dir
