@@ -94,17 +94,17 @@ class _CountingTelemetry(obs.Telemetry):
         return super().span(*a, **kw)
 
 
-def test_disabled_overhead_budget(benchmark, backend):
+def test_disabled_overhead_budget(benchmark, core):
     """emissions x null-dispatch cost must be < 2 % of the disabled run.
 
     The emission count comes from an *enabled* run of the same scenario
     (a superset of what the disabled run dispatches, since e.g. the env
     export only fires when enabled), so the bound is conservative.
 
-    Parametrized over both simulation cores: the arena's kernel
-    span/counter emissions (cells advanced per tick, kernel time per
-    node) sit behind the same ``obs.enabled()`` guard and must fit the
-    same budget — even against the arena's *smaller* disabled wall time.
+    The arena's kernel span/counter emissions (cells advanced per tick,
+    kernel time per node) sit behind the same ``obs.enabled()`` guard and
+    must fit the same budget — even against the arena's *smaller*
+    disabled wall time.
     """
     _ensure_catalog()
     spec = REGISTRY.scenario("cold-pages")
@@ -193,7 +193,7 @@ class _CountingInsight(_insight.Insight):
         super().sample(*a, **kw)
 
 
-def test_insight_overhead_budget(benchmark, backend):
+def test_insight_overhead_budget(benchmark, core):
     """Two-sided proof against a movement-heavy reference scenario.
 
     Disabled: emissions x the measured null-probe cost must stay under

@@ -4,9 +4,9 @@ Large-cluster runs execute one `tick` per node per simulated second and a
 rate recomputation per placement change; these measure both at realistic
 pageset sizes (a 512 GiB node at 4 MiB chunks ≈ 128k DRAM chunks).
 
-The tick benchmarks are parametrized over both simulation-core modes
-(see ``conftest.backend``); each records cells/sec in ``extra_info``,
-which the CI bench gate tracks per leg against BENCH_simulator.json.
+The tick benchmarks are ``[arena]`` legs (see ``conftest.core``); each
+records cells/sec in ``extra_info``, which the CI bench gate tracks per
+leg against BENCH_simulator.json.
 """
 
 import numpy as np
@@ -23,9 +23,9 @@ from repro.policies.tpp import TieredDemandPolicy
 from repro.util.units import GiB, MiB
 
 
-def big_node(policy_cls=None, n_tasks=8, task_bytes=GiB(32), backend=None):
+def big_node(policy_cls=None, n_tasks=8, task_bytes=GiB(32)):
     specs = default_tier_specs(dram_capacity=GiB(128))
-    node = NodeMemorySystem(specs, "bench", backend=backend)
+    node = NodeMemorySystem(specs, "bench")
     ctx = PolicyContext(memory=node, rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     policy = (
@@ -66,32 +66,31 @@ def test_victim_selection_cost(benchmark):
     assert cold.size == k and hot.size == k
 
 
-def test_manager_tick_cost(benchmark, backend, record_throughput):
+def test_manager_tick_cost(benchmark, core, record_throughput):
     """One IMME daemon tick over 8 x 32 GiB tasks (256 GiB of metadata)."""
-    node, ctx, policy = big_node(backend=backend)
+    node, ctx, policy = big_node()
     benchmark(lambda: policy.tick(ctx))
     node.validate()
     record_throughput(total_cells(node), MiB(4))
 
 
-def test_linux_kswapd_tick_cost(benchmark, backend, record_throughput):
+def test_linux_kswapd_tick_cost(benchmark, core, record_throughput):
     node, ctx, policy = big_node(
-        policy_cls=lambda: LinuxSwapPolicy(high_watermark=0.5, low_watermark=0.45),
-        backend=backend,
+        policy_cls=lambda: LinuxSwapPolicy(high_watermark=0.5, low_watermark=0.45)
     )
     benchmark(lambda: policy.tick(ctx))
     node.validate()
     record_throughput(total_cells(node), MiB(4))
 
 
-def test_tpp_tick_cost(benchmark, backend, record_throughput):
-    node, ctx, policy = big_node(policy_cls=lambda: TieredDemandPolicy(), backend=backend)
+def test_tpp_tick_cost(benchmark, core, record_throughput):
+    node, ctx, policy = big_node(policy_cls=lambda: TieredDemandPolicy())
     benchmark(lambda: policy.tick(ctx))
     node.validate()
     record_throughput(total_cells(node), MiB(4))
 
 
-def test_heatmap_advance_cost(benchmark, backend, record_throughput):
+def test_heatmap_advance_cost(benchmark, core, record_throughput):
     """The whole-node heatmap pass — fused temperature decay + access gain
     over every resident chunk — at a dense colocation of 128 x 2 GiB
     tasks (256 GiB of metadata, 64k cells).  This is the per-cell hot
@@ -99,7 +98,7 @@ def test_heatmap_advance_cost(benchmark, backend, record_throughput):
     *node* instead of ~3 numpy dispatches *per task* per tick (the
     retired per-pageset layout's cost, ~5x slower at 64 tasks/node,
     ~10x at 128 and ~17x at 256, measured best-of on an idle machine)."""
-    node, ctx, policy = big_node(n_tasks=128, task_bytes=GiB(2), backend=backend)
+    node, ctx, policy = big_node(n_tasks=128, task_bytes=GiB(2))
     heatmap = PageHeatmap()
     rates = {ps.owner: 1.0 for ps in node.pagesets()}
 
@@ -108,16 +107,15 @@ def test_heatmap_advance_cost(benchmark, backend, record_throughput):
     record_throughput(total_cells(node), MiB(4))
 
 
-def test_daemon_pass_cost(benchmark, backend, record_throughput):
+def test_daemon_pass_cost(benchmark, core, record_throughput):
     """The full per-node daemon pass — heatmap advance + IMME tick — over
     32 resident tasks (a dense colocation; same 256 GiB of metadata as
     the tick benches).  It mixes migration-heavy early rounds with the
-    steady state.  The exact core keeps a per-task movement loop so its
-    decisions stay bit-identical to the per-pageset references; the
-    arena-fast leg batches that daemon loop too —
-    bench_movement_daemon.py isolates the steady state where that pays
-    off (see docs/performance.md)."""
-    node, ctx, policy = big_node(n_tasks=32, task_bytes=GiB(8), backend=backend)
+    steady state, which bench_movement_daemon.py isolates.  The exact
+    core keeps a per-task movement loop so its decisions stay
+    bit-identical to the per-pageset references (see
+    docs/performance.md)."""
+    node, ctx, policy = big_node(n_tasks=32, task_bytes=GiB(8))
     heatmap = PageHeatmap()
     rates = {ps.owner: 1.0 for ps in node.pagesets()}
 

@@ -18,8 +18,8 @@ from repro.util.units import GiB, MiB
 SCALE = 1.0 / 2048.0
 
 
-def test_service_stream_throughput(benchmark, backend):
-    """The 10k-arrival saturated service run, per simulation-core backend."""
+def test_service_stream_throughput(benchmark, core):
+    """The 10k-arrival saturated service run."""
 
     spec = ServiceSpec(
         rate=50.0,
@@ -55,7 +55,7 @@ def test_service_stream_throughput(benchmark, backend):
         benchmark.extra_info["admitted_per_sec"] = round(report.admitted / median)
         benchmark.extra_info["events_per_sec"] = round(events_fired[0] / median)
     print(
-        f"\n{report.offered} arrivals ({backend} core): admitted "
+        f"\n{report.offered} arrivals ({core} core): admitted "
         f"{report.admitted}, {events_fired[0]} events, "
         f"util {report.steady_utilization:.2f}, {len(report.windows)} windows"
     )

@@ -35,12 +35,10 @@ def test_engine_event_throughput(benchmark):
 
 
 @pytest.mark.parametrize("instances", [200])
-def test_paper_scale_mix(benchmark, backend, instances):
+def test_paper_scale_mix(benchmark, core, instances):
     """A Fig-10-class run: ``instances`` tasks in the paper's mix on 8
-    IMME nodes, under each simulation-core backend (results are identical;
-    the wall-clock difference is the arena's end-to-end win).  The
-    assertion is completeness; the benchmark value is the simulator's
-    wall-clock cost at scale."""
+    IMME nodes.  The assertion is completeness; the benchmark value is
+    the simulator's wall-clock cost at scale."""
 
     specs = paper_batch(instances, scale=1 / 64, rng_factory=RngFactory(0))
 
@@ -52,6 +50,6 @@ def test_paper_scale_mix(benchmark, backend, instances):
     metrics = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(metrics.completed()) == len(specs)
     print(
-        f"\n{instances} instances on 8 nodes ({backend} core): simulated "
+        f"\n{instances} instances on 8 nodes ({core} core): simulated "
         f"makespan {metrics.makespan():.0f}s"
     )

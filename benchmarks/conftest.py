@@ -5,13 +5,10 @@ prints the same series the figure plots, and asserts the qualitative
 shape (who wins, roughly by how much).  Runs are deterministic, so a
 single round measures the harness cost without statistical noise.
 
-Simulation-core benchmarks are parametrized over the two core modes
-(the ``backend`` fixture).  The ``[arena]`` leg runs the exact core; the
-``[arena-fast]`` leg runs the relaxed batched movement kernels —
-statistically equivalent work, not byte-identical, so its ratio over
-``[arena]`` is the headline batched-daemon speedup rather than a
-same-trace comparison.  ``--backend arena|arena-fast`` pins one leg (the
-other is skipped).
+Simulation-core benchmarks carry the ``core`` fixture, which labels each
+leg with the core it runs: ``[arena]``, the exact arena core (the only
+one).  The label keeps the leg ids (``[arena]``, ``[arena-64]``,
+``[arena-200]``, ...) that CI's baseline comparison matches by name.
 """
 
 import pytest
@@ -20,28 +17,9 @@ import pytest
 PAGE_SIZE = 4096
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        choices=("arena", "arena-fast"),
-        help="pin the simulation-core mode (default: run every leg)",
-    )
-
-
-@pytest.fixture(params=["arena", "arena-fast"])
-def backend(request, monkeypatch):
-    """Parametrize a benchmark over the simulation-core modes.
-
-    Sets ``$REPRO_CORE`` so every :class:`NodeMemorySystem` constructed
-    inside the benchmark resolves the requested mode, and returns the
-    mode name for explicit ``backend=`` plumbing.
-    """
-    pinned = request.config.getoption("--backend")
-    if pinned is not None and request.param != pinned:
-        pytest.skip(f"pinned to --backend={pinned}")
-    monkeypatch.setenv("REPRO_CORE", request.param)
+@pytest.fixture(params=["arena"])
+def core(request):
+    """The simulation-core label of a benchmark leg (its test-id part)."""
     return request.param
 
 
@@ -52,7 +30,7 @@ def record_throughput(benchmark):
     A *cell* is one page-chunk's worth of simulation state touched per
     operation; dividing by the measured median converts the timing into
     the throughput number the CI regression gate and BENCH_simulator.json
-    track across core modes.  The median (not the mean) keeps the recorded
+    track per leg.  The median (not the mean) keeps the recorded
     number stable on noisy shared runners, where scheduler steal inflates
     a benchmark's tail rounds by an order of magnitude.
     """

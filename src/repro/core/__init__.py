@@ -21,9 +21,7 @@ _EXPORTS = {
     "bandwidth_fractions": ".allocation",
     "RegionHandle": ".api",
     "TieredMemoryClient": ".api",
-    "BACKEND_ARENA": ".arena",
     "NodeArena": ".arena",
-    "resolve_backend": ".arena",
     "MemFlag": ".flags",
     "normalize_flags": ".flags",
     "parse_flags": ".flags",
@@ -67,11 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
         bandwidth_fractions,
     )
     from .api import RegionHandle, TieredMemoryClient  # noqa: F401
-    from .arena import (  # noqa: F401
-        BACKEND_ARENA,
-        NodeArena,
-        resolve_backend,
-    )
+    from .arena import NodeArena  # noqa: F401
     from .flags import MemFlag, normalize_flags, parse_flags  # noqa: F401
     from .heatmap import HeatmapConfig, PageHeatmap, hot_mask, idle_fraction  # noqa: F401
     from .manager import TieredMemoryManager, classify_tiers  # noqa: F401

@@ -26,54 +26,23 @@ Every kernel reproduces the per-pageset selection order bit-for-bit —
 identical float32 arithmetic, identical tie-breaks ((protected,
 temperature, registration order, chunk index)), identical RNG draws —
 against the per-pageset references kept in ``tests/test_arena.py``.
-
-Mode selection: :func:`resolve_backend` reads the ``REPRO_CORE``
-environment variable (``arena`` | ``arena-fast``; default ``arena``).
-The switch deliberately lives *outside*
-:class:`~repro.scenarios.spec.ScenarioSpec`: digests hash every spec
-field, and both modes must produce the same digest for the same
-scenario.  ``object``, the name of the retired per-pageset layout, is a
-deprecated alias of ``arena``.
-
-``arena`` is the exact core.  ``arena-fast`` relaxes its bit-exact
-contract: the movement daemon and replacement paths run as whole-node
-batched kernels (:meth:`hot_by_tier` / :meth:`cold_by_tier` masked
-scans, :meth:`migrate_batch` / :meth:`shadow_batch` commits) that select
-candidates for *all* tasks from one pre-pass snapshot per tier instead
-of re-reading node state after every pageset.  Results are
-statistically equivalent to the exact core (tolerance bands pinned in
-``tests/test_arena_fast.py``), not byte-identical — see
-``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
 
 from .. import obs
 from ..memory.pageset import NO_REGION, UNMAPPED, _stable_top_k
-from ..memory.tiers import DRAM, NUM_TIERS, TierKind
+from ..memory.tiers import NUM_TIERS, TierKind
 from ..util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.pageset import PageSet
 
-__all__ = ["NodeArena", "BACKENDS", "resolve_backend"]
-
-#: the exact core (the default)
-BACKEND_ARENA = "arena"
-#: batched movement kernels, statistically equivalent to the exact core
-BACKEND_ARENA_FAST = "arena-fast"
-BACKENDS = (BACKEND_ARENA, BACKEND_ARENA_FAST)
-#: name of the retired per-pageset layout; a deprecated alias of "arena"
-_OBJECT_ALIAS = "object"
-
-#: env var naming the mode every new NodeMemorySystem uses by default
-ENV_VAR = "REPRO_CORE"
+__all__ = ["NodeArena"]
 
 _MIN_CAPACITY = 1024
 
@@ -86,23 +55,6 @@ _EMPTY_IDX.setflags(write=False)
 # exclude them without a separate liveness array
 _FREE_TIER = UNMAPPED
 _FREE_TASK = -1
-
-
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The core mode to use: ``explicit`` when given, else ``$REPRO_CORE``,
-    else the exact ``arena`` core.  ``object`` warns and selects ``arena``."""
-    name = explicit if explicit is not None else os.environ.get(ENV_VAR, BACKEND_ARENA)
-    name = str(name).strip().lower() or BACKEND_ARENA
-    if name == _OBJECT_ALIAS:
-        warnings.warn(
-            "core backend 'object' is deprecated: the per-pageset layout was "
-            "retired, and 'object' now selects the bit-identical 'arena' core",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return BACKEND_ARENA
-    require(name in BACKENDS, f"unknown core backend {name!r} (expected one of {BACKENDS})")
-    return name
 
 
 class _TaskEntry:
@@ -169,14 +121,12 @@ class NodeArena:
         self._slots: list[Optional[_TaskEntry]] = []
         self._free_slots: list[int] = []
         self._free: list[list[int]] = []  # [start, length], sorted by start
-        # (owners, seg_owner, seg_lens) run-length map of [0, hi); rebuilt
-        # lazily after adopt/release so advance() can np.repeat the per-task
-        # rate·dt gains instead of looping a segment assignment per task
-        self._seg_cache: Optional[tuple[list[str], np.ndarray, np.ndarray]] = None
-        # packed per-slot protection flags for the arena-fast masked scans;
-        # rebuilt by refresh_protection() at the top of every fast tick and
-        # invalidated whenever the slot table changes
-        self._prot_slots: Optional[np.ndarray] = None
+        # run-length map of [0, hi) (see _segments); rebuilt lazily after
+        # adopt/release so the whole-node kernels can expand per-task values
+        # over it, or reduce per task, instead of looping per task
+        self._seg_cache: Optional[
+            tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+        ] = None
         self._alloc_arrays(0)
         #: cumulative obs rollups (cheap ints; emitted when telemetry is on)
         self.cells_advanced = 0
@@ -291,7 +241,6 @@ class NodeArena:
         self._tasks[ps.owner] = entry
         self._slots[slot] = entry
         self._seg_cache = None
-        self._prot_slots = None
         ps._bind_arena_views(self, start)
 
     def release(self, ps: "PageSet") -> None:
@@ -312,7 +261,6 @@ class NodeArena:
         self._slots[entry.slot] = None
         self._free_slots.append(entry.slot)
         self._seg_cache = None
-        self._prot_slots = None
         self._release_segment(start, entry.n)
 
     def entries(self) -> Iterable[_TaskEntry]:
@@ -329,42 +277,14 @@ class NodeArena:
             out[entry.slot] = entry.chunk_size
         return out
 
-    def min_chunk_size(self) -> int:
-        """Smallest chunk size across adopted tasks (0 with no tasks) —
-        the conservative divisor for byte→chunk candidate caps on nodes
-        with mixed chunk sizes."""
-        return min((e.chunk_size for e in self._tasks.values()), default=0)
-
-    def chunk_cost(self, positions: np.ndarray) -> np.ndarray:
-        """``int64`` byte cost per arena position (each owner's chunk
-        size), the term every byte-budgeted prefix cut integrates."""
-        if positions.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self._chunk_sizes()[self.task_id[positions]]
-
-    def owner_chunk_counts(self, positions: np.ndarray) -> list[tuple[str, int]]:
-        """Per-owner chunk counts for ``positions`` (registration order) —
-        how batched moves fan back out to per-task fault accounting."""
-        if positions.size == 0:
-            return []
-        counts = np.bincount(self.task_id[positions], minlength=len(self._slots))
-        return [(e.owner, int(counts[e.slot])) for e in self._tasks.values() if counts[e.slot]]
-
-    def refresh_protection(self, classify: Callable[[str], bool]) -> None:
-        """Rebuild the packed per-slot protection column the arena-fast
-        masked scans honour.  Runs once per fast tick (O(tasks)), so the
-        per-chunk scans never call back into Python per candidate."""
-        prot = np.zeros(max(1, len(self._slots)), dtype=bool)
-        for entry in self._tasks.values():
-            if classify(entry.owner):
-                prot[entry.slot] = True
-        self._prot_slots = prot
-
-    def _rate_segments(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Run-length map of ``[0, hi)`` for the advance kernel: ``owners``
-        lists adopted tasks in segment order, ``seg_owner[i]`` indexes it
-        (-1 for free runs) and ``seg_lens[i]`` is the run length.  Cached
-        until the next adopt/release changes the layout."""
+    def _segments(
+        self,
+    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Run-length map of ``[0, hi)``, cached until the next
+        adopt/release changes the layout: ``owners`` lists adopted tasks in
+        segment order, and per run ``seg_owner`` indexes it (-1 for a free
+        run), ``seg_lens`` is its length, ``seg_start`` its first position
+        and ``seg_slot`` its task slot (-1 for a free run)."""
         cache = self._seg_cache
         if cache is not None:
             return cache
@@ -383,11 +303,11 @@ class NodeArena:
         if pos < self.hi:
             seg_owner.append(-1)
             seg_lens.append(self.hi - pos)
-        out = (
-            owners,
-            np.asarray(seg_owner, dtype=np.intp),
-            np.asarray(seg_lens, dtype=np.int64),
-        )
+        owner_idx = np.asarray(seg_owner, dtype=np.intp)
+        lens = np.asarray(seg_lens, dtype=np.int64)
+        # a trailing -1 so free runs (owner index -1) map to slot -1
+        slots = np.asarray([en.slot for en in entries] + [-1], dtype=np.intp)
+        out = (owners, owner_idx, lens, np.cumsum(lens) - lens, slots[owner_idx])
         self._seg_cache = out
         return out
 
@@ -421,7 +341,7 @@ class NodeArena:
         if hi == 0:
             return 0
         t = self.temperature[:hi]
-        owners, seg_owner, seg_lens = self._rate_segments()
+        owners, seg_owner, seg_lens, _, _ = self._segments()
         if rates is None:
             per_task = [1.0] * len(owners)
         else:
@@ -512,6 +432,28 @@ class NodeArena:
             return cand[:0]
         return cand[_stable_top_k(-temp[cand], max_chunks)]
 
+    def warm_by_task_tier(self, min_temperature: float) -> np.ndarray:
+        """``bool[n_slots, NUM_TIERS]``: whether each task holds a mapped
+        chunk at or above ``min_temperature`` in each tier, i.e. whether
+        :meth:`hot_chunks` with that bar can find anything there.
+
+        Task segments are contiguous, so each tier is one OR-reduction
+        over the segment map: a few passes over ``[:hi]`` however many
+        chunks are warm (a composite ``bincount`` pays per warm chunk).
+        """
+        out = np.zeros((max(1, len(self._slots)), NUM_TIERS), dtype=bool)
+        hi = self.hi
+        if hi == 0:
+            return out
+        _, _, _, seg_start, seg_slot = self._segments()
+        task_run = seg_slot >= 0
+        slots = seg_slot[task_run]
+        warm = self.temperature[:hi] >= min_temperature
+        tier = self.tier[:hi]
+        for t in range(NUM_TIERS):
+            out[slots, t] = np.logical_or.reduceat(warm & (tier == t), seg_start)[task_run]
+        return out
+
     # ------------------------------------------------------------------ #
     # kernel: cross-task victim selection (Algorithm 2's global scan)
     # ------------------------------------------------------------------ #
@@ -534,26 +476,9 @@ class NodeArena:
         :func:`_top_k_by_temp_rank`.  Returns ``(pageset, local_indices)``
         in first-appearance order with chunks in selection order.
         """
-        return self._group_in_order(
-            self.select_victim_positions(
-                tier, need_chunks, classify, protect_owner=protect_owner
-            )
-        )
-
-    def select_victim_positions(
-        self,
-        tier: TierKind,
-        need_chunks: int,
-        classify: Callable[[str], bool],
-        *,
-        protect_owner: Optional[str] = None,
-    ) -> np.ndarray:
-        """:meth:`select_victims` before grouping: raw arena positions in
-        selection order — the form the arena-fast batched demotion path
-        consumes directly."""
         hi = self.hi
         if hi == 0 or need_chunks <= 0 or not self._tasks:
-            return _EMPTY_IDX
+            return []
         elig = self.tier[:hi] == int(tier)
         elig &= ~self.pinned[:hi]
         n_slots = len(self._slots)
@@ -565,7 +490,7 @@ class NodeArena:
                 prot_tab[entry.slot] = True
         cand = np.flatnonzero(elig)
         if cand.size == 0:
-            return _EMPTY_IDX
+            return []
         self.kernel_invocations += 1
         if obs.enabled():
             obs.counter("arena.cells_scanned", hi, node=self.node_id, kernel="select_victims")
@@ -581,7 +506,7 @@ class NodeArena:
                     temp, rank, prot, min(need_chunks - chosen.size, prot.size)
                 )
                 chosen = np.concatenate([chosen, extra])
-        return chosen
+        return self._group_in_order(chosen)
 
     def _group_in_order(self, chosen: np.ndarray) -> list[tuple["PageSet", np.ndarray]]:
         """Group selected arena positions by owner (first-appearance order),
@@ -676,125 +601,6 @@ class NodeArena:
             local = np.unique(allpos[all_tids == slot] - entry.start)
             out.append((entry.ps, local.astype(np.int64)))
         return out
-
-    # ------------------------------------------------------------------ #
-    # kernels: cross-task candidate scans + batch commits (arena-fast)
-    #
-    # The exact core must interleave candidate scans with migrations
-    # (mid-pass moves feed later scans), which forces a Python loop per
-    # task.  These kernels instead select candidates for *all* tasks from
-    # one pre-pass snapshot per tier and commit moves in one vectorised
-    # pass — the relaxed arena-fast contract.
-    # ------------------------------------------------------------------ #
-    def hot_by_tier(
-        self,
-        tier: TierKind,
-        max_chunks: int,
-        *,
-        min_temperature: Optional[float] = None,
-    ) -> np.ndarray:
-        """Up to ``max_chunks`` arena positions resident in ``tier``,
-        hottest first (ties by registration order then chunk index),
-        across every adopted task in one masked scan."""
-        hi = self.hi
-        if hi == 0 or max_chunks <= 0 or not self._tasks:
-            return _EMPTY_IDX
-        mask = self.tier[:hi] == int(tier)
-        if not mask.any():
-            return _EMPTY_IDX
-        temp = self.temperature[:hi]
-        if min_temperature is not None:
-            mask &= temp >= min_temperature
-        cand = np.flatnonzero(mask)
-        if cand.size == 0:
-            return cand
-        self.kernel_invocations += 1
-        if obs.enabled():
-            obs.counter("arena.cells_scanned", hi, node=self.node_id, kernel="hot_by_tier")
-        return _top_k_by_temp_rank(-temp, self.rank[:hi], cand, min(max_chunks, cand.size))
-
-    def cold_by_tier(
-        self,
-        tier: TierKind,
-        max_chunks: int,
-        *,
-        max_temperature: Optional[float] = None,
-        skip_protected: bool = False,
-        protect_owner: Optional[str] = None,
-        include_pinned: bool = False,
-    ) -> np.ndarray:
-        """Up to ``max_chunks`` arena positions resident in ``tier``,
-        coldest first across every adopted task.  ``skip_protected``
-        honours the packed per-slot protection column (which
-        :meth:`refresh_protection` must have rebuilt this tick)."""
-        hi = self.hi
-        if hi == 0 or max_chunks <= 0 or not self._tasks:
-            return _EMPTY_IDX
-        mask = self.tier[:hi] == int(tier)
-        if not mask.any():
-            return _EMPTY_IDX
-        if not include_pinned:
-            mask &= ~self.pinned[:hi]
-        temp = self.temperature[:hi]
-        if max_temperature is not None:
-            mask &= temp <= max_temperature
-        if protect_owner is not None:
-            entry = self._tasks.get(protect_owner)
-            if entry is not None:
-                mask[entry.start : entry.start + entry.n] = False
-        cand = np.flatnonzero(mask)
-        if skip_protected and cand.size:
-            prot = self._prot_slots
-            require(prot is not None, "refresh_protection() must run before protected scans")
-            cand = cand[~prot[self.task_id[cand]]]
-        if cand.size == 0:
-            return cand
-        self.kernel_invocations += 1
-        if obs.enabled():
-            obs.counter("arena.cells_scanned", hi, node=self.node_id, kernel="cold_by_tier")
-        return _top_k_by_temp_rank(temp, self.rank[:hi], cand, min(max_chunks, cand.size))
-
-    def migrate_batch(self, positions: np.ndarray, dst: TierKind) -> tuple[np.ndarray, int, int]:
-        """Commit tier moves for ``positions`` (all mapped, none already in
-        ``dst``) in one vectorised pass.  Returns ``(bytes_per_src,
-        shadow_chunks_dropped, shadow_bytes_dropped)`` so the caller
-        (:meth:`NodeMemorySystem.migrate_positions`) can settle the
-        used/free/page-cache counters and invariant deltas without looping
-        per chunk range.  Shadows drop only on arrival in DRAM (the
-        authoritative copy is byte-addressable again)."""
-        csizes = self._chunk_sizes()
-        comp = (
-            self.task_id[positions].astype(np.int64) * NUM_TIERS
-            + self.tier[positions].astype(np.int64)
-        )
-        counts = np.bincount(comp, minlength=csizes.size * NUM_TIERS)
-        bytes_per_src = (counts.reshape(csizes.size, NUM_TIERS) * csizes[:, None]).sum(axis=0)
-        sh_chunks = 0
-        sh_bytes = 0
-        if dst == DRAM:
-            shadowed = positions[self.in_page_cache[positions]]
-            if shadowed.size:
-                self.in_page_cache[shadowed] = False
-                sh_chunks = int(shadowed.size)
-                sh_bytes = int(csizes[self.task_id[shadowed]].sum())
-        self.tier[positions] = np.int8(int(dst))
-        self.kernel_invocations += 1
-        return bytes_per_src, sh_chunks, sh_bytes
-
-    def shadow_batch(self, positions: np.ndarray, room_bytes: int) -> tuple[np.ndarray, int]:
-        """Mark page-cache shadow copies for the not-yet-shadowed prefix of
-        ``positions`` that fits in ``room_bytes`` of free DRAM.  Returns
-        ``(taken_positions, nbytes)``."""
-        fresh = positions[~self.in_page_cache[positions]]
-        if fresh.size == 0 or room_bytes <= 0:
-            return fresh[:0], 0
-        cum = np.cumsum(self.chunk_cost(fresh))
-        take = fresh[: int(np.searchsorted(cum, room_bytes, side="right"))]
-        if take.size == 0:
-            return take, 0
-        self.in_page_cache[take] = True
-        self.kernel_invocations += 1
-        return take, int(cum[take.size - 1])
 
     # ------------------------------------------------------------------ #
     # kernel: tier reductions

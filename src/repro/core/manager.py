@@ -287,20 +287,6 @@ class TieredMemoryManager(MemoryPolicy):
         self, ctx: PolicyContext, src: TierKind, dst: TierKind, nbytes: int, protect: str
     ) -> int:
         mem = ctx.memory
-        if mem.fast_core:
-            # arena-fast: one cross-task cold scan + one batched commit
-            # (globally coldest order, vs the exact path's
-            # registration-then-coldest; statistically equivalent)
-            arena = mem.arena
-            min_cs = arena.min_chunk_size()
-            if min_cs <= 0:
-                return 0
-            cold = arena.cold_by_tier(src, -(-nbytes // min_cs), protect_owner=protect)
-            if cold.size == 0:
-                return 0
-            cum = np.cumsum(arena.chunk_cost(cold))
-            k = min(int(np.searchsorted(cum, nbytes, side="left")) + 1, cold.size)
-            return mem.migrate_positions(cold[:k], dst)
         freed = 0
         for other in list(mem.pagesets()):
             if freed >= nbytes or other.owner == protect:

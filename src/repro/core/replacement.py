@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..memory.pageset import PageSet
-from ..memory.tiers import CXL, DRAM, PMEM, SWAP, TierKind
+from ..memory.tiers import CXL, DRAM, PMEM, TierKind
 from ..obs import insight as _insight
 from ..policies.base import PolicyContext
 from ..util.validation import require
@@ -101,11 +101,7 @@ class PageReplacementPolicy:
         if nbytes <= 0:
             return 0
         mem = ctx.memory
-        if mem.fast_core:
-            return self._replace_fast(
-                ctx, nbytes, protect_owner=protect_owner, shadow_demotions=shadow_demotions
-            )
-        any_ps = next(iter(ctx.memory.pagesets()), None)
+        any_ps = next(iter(mem.pagesets()), None)
         if any_ps is None:
             return 0
         need_chunks = -(-nbytes // any_ps.chunk_size)
@@ -128,52 +124,4 @@ class PageReplacementPolicy:
                 if remaining.size:
                     # every lower tier full: pages must swap after all
                     freed += mem.swap_out(ps, remaining)
-        return freed
-
-    def _replace_fast(
-        self,
-        ctx: PolicyContext,
-        nbytes: int,
-        *,
-        protect_owner: Optional[str] = None,
-        shadow_demotions: bool = False,
-    ) -> int:
-        """:meth:`replace` as batched arena kernels (``arena-fast``):
-        victims for all tasks come from one selection pass, and each
-        demotion tier takes one byte-room prefix of the cross-task victim
-        order instead of a per-pageset migrate loop.  Statistically
-        equivalent to the exact path, not byte-identical."""
-        mem = ctx.memory
-        arena = mem.arena
-        min_cs = arena.min_chunk_size()
-        if min_cs <= 0:
-            return 0
-        victims = arena.select_victim_positions(
-            DRAM, -(-nbytes // min_cs), self._protected, protect_owner=protect_owner
-        )
-        if victims.size == 0:
-            return 0
-        cum = np.cumsum(arena.chunk_cost(victims))
-        # the shortest victim prefix covering nbytes (selection order)
-        k = min(int(np.searchsorted(cum, nbytes, side="left")) + 1, victims.size)
-        victims = victims[:k]
-        cum = cum[:k]
-        freed = 0
-        start = 0
-        with _insight.fallback_cause("replace"):
-            for tier in self.demote_order:
-                if start >= victims.size:
-                    break
-                room = max(0, mem.free(tier))
-                base = int(cum[start - 1]) if start else 0
-                end = int(np.searchsorted(cum, base + room, side="right"))
-                take = victims[start:end]
-                if take.size:
-                    freed += mem.migrate_positions(take, tier)
-                    if shadow_demotions:
-                        mem.add_page_cache_shadows_batch(take)
-                    start = end
-            if start < victims.size:
-                # every lower tier full: pages must swap after all
-                freed += mem.migrate_positions(victims[start:], SWAP)
         return freed

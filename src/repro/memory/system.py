@@ -66,28 +66,16 @@ class NodeMemorySystem:
     Per-chunk metadata lives in one node-level
     :class:`~repro.core.arena.NodeArena` that adopts every registered
     pageset, and whose vectorised kernels the hot paths (heatmap advance,
-    victim selection, evictable accounting) dispatch to.  ``backend``
-    picks the mode: ``"arena"`` (the exact core) or ``"arena-fast"``,
-    which additionally lets the movement/replacement paths run whole-node
-    batched kernels (statistically equivalent, not byte-identical — see
-    ``tests/test_arena_fast.py``).  ``None`` defers to ``$REPRO_CORE``;
-    ``"object"`` is a deprecated alias of ``"arena"``.
+    victim selection, evictable accounting, promotion-candidate counts)
+    dispatch to.
     """
 
-    def __init__(
-        self,
-        specs: dict[TierKind, TierSpec],
-        node_id: str = "node0",
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, specs: dict[TierKind, TierSpec], node_id: str = "node0") -> None:
         require(set(specs) == set(TierKind), "specs must cover every TierKind")
-        from ..core.arena import BACKEND_ARENA_FAST, NodeArena, resolve_backend
+        from ..core.arena import NodeArena
 
         self.node_id = node_id
         self.specs = dict(specs)
-        self.backend = resolve_backend(backend)
-        #: True when relaxed batched movement kernels are sanctioned
-        self.fast_core: bool = self.backend == BACKEND_ARENA_FAST
         #: the struct-of-arrays core holding every registered pageset
         self.arena: NodeArena = NodeArena(node_id)
         self._capacity = np.array(
@@ -280,78 +268,6 @@ class NodeMemorySystem:
         raises if even swap is exhausted, the paper's failure mode)."""
         return self.migrate(ps, idx, SWAP)
 
-    def migrate_positions(self, positions: np.ndarray, dst: TierKind) -> int:
-        """Batched form of :meth:`migrate` over raw *arena* positions
-        spanning any number of tasks (the arena-fast movement path).
-
-        The accounting contract is identical — per-source migration
-        counters, obs emission, shadow drops on arrival in DRAM,
-        page-cache reclaim for a short DRAM allocation, conservation
-        checks — but the per-chunk bookkeeping is settled by one
-        :meth:`~repro.core.arena.NodeArena.migrate_batch` commit instead
-        of a loop per pageset chunk range.  Returns bytes moved.
-        """
-        arena = self.arena
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.size == 0:
-            return 0
-        src = arena.tier[positions]
-        require(bool(np.all(src != UNMAPPED)), "migrate_positions() requires mapped chunks")
-        moving = positions[src != int(dst)]
-        if moving.size == 0:
-            return 0
-        d = int(dst)
-        if self._offline[d]:
-            raise AllocationError(f"node {self.node_id}: tier {dst.name} is offline")
-        nbytes = int(arena.chunk_cost(moving).sum())
-        headroom = self._capacity[d] - self._used[d] - (self._page_cache_used if dst == DRAM else 0)
-        if headroom < nbytes:
-            if dst == DRAM and self._capacity[d] - self._used[d] >= nbytes:
-                self._reclaim_page_cache(nbytes - headroom)
-            else:
-                raise AllocationError(
-                    f"node {self.node_id}: migrate to {dst.name} needs {nbytes} bytes, "
-                    f"only {self.free(dst)} free"
-                )
-        checker = inv.active()
-        before = int(self._used.sum()) if checker.enabled else 0
-        bytes_per_src, sh_chunks, sh_bytes = arena.migrate_batch(moving, dst)
-        self._used -= bytes_per_src
-        self._used[d] += nbytes
-        tel_on = obs.enabled()
-        ins = _insight.active()
-        for s in np.flatnonzero(bytes_per_src):
-            moved_bytes = int(bytes_per_src[s])
-            self.stats.record_migration(int(s), d, moved_bytes)
-            if tel_on:
-                obs.counter(
-                    "mem.migrated_bytes",
-                    moved_bytes,
-                    src=TIER_NAMES[TierKind(int(s))],
-                    dst=TIER_NAMES[dst],
-                )
-            if ins.enabled:
-                # positions span tasks: the batched path attributes to "*"
-                ins.migration(
-                    self.now(), self.node_id, "*",
-                    int(s), d, int(np.count_nonzero(src == s)), moved_bytes,
-                )
-        self.migration_bytes_window += nbytes
-        if sh_chunks:
-            self._page_cache_used -= sh_bytes
-            self.stats.page_cache_drops += sh_chunks
-            if ins.enabled:
-                ins.ledger_event(
-                    self.now(), self.node_id, "shadow-drop", "*",
-                    int(DRAM), _insight.ANY_TIER, int(sh_chunks), int(sh_bytes),
-                )
-        if checker.enabled:
-            checker.conservation(
-                self.node_id, before, int(self._used.sum()),
-                op=f"migrate->{TIER_NAMES[dst]}",
-            )
-        return nbytes
-
     # ------------------------------------------------------------------ #
     # page cache (shadow copies of proactively-swapped pages)
     # ------------------------------------------------------------------ #
@@ -385,32 +301,6 @@ class NodeMemorySystem:
                 self.now(), self.node_id, "shadow", ps.owner,
                 _insight.ANY_TIER, int(DRAM),
                 int(take.size), int(take.size) * ps.chunk_size,
-            )
-        return int(take.size)
-
-    def add_page_cache_shadows_batch(self, positions: np.ndarray) -> int:
-        """Batched form of :meth:`add_page_cache_shadow` over raw arena
-        positions spanning any number of tasks (the arena-fast proactive
-        path).  Returns the number of chunks actually shadowed."""
-        arena = self.arena
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.size == 0:
-            return 0
-        tiers = arena.tier[positions]
-        require(
-            bool(np.all((tiers != UNMAPPED) & (tiers != int(DRAM)))),
-            "shadows only cover mapped, non-DRAM chunks",
-        )
-        take, nbytes = arena.shadow_batch(positions, max(0, self.free(DRAM)))
-        if take.size == 0:
-            return 0
-        self._page_cache_used += nbytes
-        self.stats.page_cache_inserts += int(take.size)
-        ins = _insight.active()
-        if ins.enabled:
-            ins.ledger_event(
-                self.now(), self.node_id, "shadow", "*",
-                _insight.ANY_TIER, int(DRAM), int(take.size), int(nbytes),
             )
         return int(take.size)
 

@@ -26,26 +26,6 @@ from repro.workflows.task import TaskPhase, TaskSpec, WorkloadClass
 CHUNK = KiB(64)
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``requires_bit_exact`` tests under ``REPRO_CORE=arena-fast``.
-
-    Those tests pin the exact per-pageset movement path chunk-for-chunk;
-    the arena-fast backend replaces that path with batched kernels whose
-    contract is statistical (see test_arena_fast.py), so asserting exact
-    chunk subsets there would test code the backend never runs.
-    """
-    from repro.core.arena import BACKEND_ARENA_FAST, resolve_backend
-
-    if resolve_backend() != BACKEND_ARENA_FAST:
-        return
-    skip = pytest.mark.skip(
-        reason="pins the exact movement path; REPRO_CORE=arena-fast routes around it"
-    )
-    for item in items:
-        if "requires_bit_exact" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_result_cache(tmp_path_factory):
     """Point the default result cache at a per-session temp dir.

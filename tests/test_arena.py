@@ -26,14 +26,12 @@ reason, with ``PYTHONPATH=src python tests/test_arena.py``.
 """
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST, BACKENDS, resolve_backend
 from repro.core.flags import MemFlag
 from repro.core.heatmap import PageHeatmap
 from repro.core.replacement import PageReplacementPolicy, is_protected
@@ -110,7 +108,7 @@ def build_node(tasks, seed=11):
     exactly the rebind pattern external code uses — so this also
     exercises the write-through path on every example.
     """
-    node = NodeMemorySystem(small_specs(), "eq", backend=BACKEND_ARENA)
+    node = NodeMemorySystem(small_specs(), "eq")
     ctx = PolicyContext(memory=node, rng=np.random.default_rng(seed))
     flags = {}
     for i, td in enumerate(tasks):
@@ -298,11 +296,18 @@ class TestKernelEquivalence:
         kernel, _, _ = build_node(tasks)
         ref, _, _ = build_node(tasks)
         arena = kernel.arena
+        warm = arena.warm_by_task_tier(thr)
         for ps_k, ps_r in zip(kernel.pagesets(), ref.pagesets()):
+            slot = arena._tasks[ps_k.owner].slot
             for tier in (DRAM, PMEM, CXL, SWAP):
                 assert np.array_equal(
                     arena.hot_chunks(ps_k, tier, k, min_temperature=thr),
                     reference_hot_candidates(ps_r, tier, k, thr),
+                )
+                # the promote pass scans a (task, tier) pair only when
+                # the whole-node table says it holds a candidate
+                assert warm[slot, int(tier)] == bool(
+                    reference_hot_candidates(ps_r, tier, ps_r.n_chunks, thr).size
                 )
                 assert np.array_equal(
                     arena.cold_chunks(ps_k, tier, k, max_temperature=thr),
@@ -365,33 +370,22 @@ def metrics_fingerprint(m):
     ]
 
 
-def run_small_metrics(backend, kind, policy_factory=None, faults=None):
-    """One small cluster run under ``backend``; returns the full registry."""
+def run_small_metrics(kind, policy_factory=None, faults=None):
+    """One small cluster run; returns the full registry."""
     from repro.experiments.common import build_env
 
     specs = paper_batch(12, scale=1 / 128, rng_factory=RngFactory(5))
-    saved = os.environ.get("REPRO_CORE")
-    os.environ["REPRO_CORE"] = backend
-    try:
-        env = build_env(
-            kind, specs, dram_fraction=0.3, n_nodes=2, policy_factory=policy_factory
-        )
-        assert env.topology.nodes[0].backend == backend
-        if faults is not None:
-            env.inject_faults(faults, seed=3)
-        metrics = env.run_batch(specs, max_time=1e7)
-        env.stop()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CORE", None)
-        else:
-            os.environ["REPRO_CORE"] = saved
+    env = build_env(kind, specs, dram_fraction=0.3, n_nodes=2, policy_factory=policy_factory)
+    if faults is not None:
+        env.inject_faults(faults, seed=3)
+    metrics = env.run_batch(specs, max_time=1e7)
+    env.stop()
     return metrics
 
 
-def run_small_batch(backend, kind, policy_factory=None, faults=None):
-    """One small cluster run under ``backend``; returns a metric fingerprint."""
-    return metrics_fingerprint(run_small_metrics(backend, kind, policy_factory, faults))
+def run_small_batch(kind, policy_factory=None, faults=None):
+    """One small cluster run; returns a metric fingerprint."""
+    return metrics_fingerprint(run_small_metrics(kind, policy_factory, faults))
 
 
 def fault_schedule():
@@ -422,17 +416,14 @@ def capture_exact_core():
     return as_json(
         {
             "env_cases": {
-                label: run_small_batch(BACKEND_ARENA, kind, factory)
+                label: run_small_batch(kind, factory)
                 for label, kind, factory in ENV_CASES
             },
-            "fault_injection": run_small_batch(
-                BACKEND_ARENA, EnvKind.IMME, faults=fault_schedule()
-            ),
+            "fault_injection": run_small_batch(EnvKind.IMME, faults=fault_schedule()),
             "ledgers": {
-                name: ledger_fingerprint(scenario_ledger(name, BACKEND_ARENA))
-                for name in EQUIV_SCENARIOS
+                name: ledger_fingerprint(scenario_ledger(name)) for name in EQUIV_SCENARIOS
             },
-            "layout_rates": layout_rates(BACKEND_ARENA),
+            "layout_rates": layout_rates(),
         }
     )
 
@@ -444,27 +435,26 @@ class TestEndToEndEquivalence:
     def test_environments_and_policies(self, label, kind, policy_factory):
         """The paper's class mix through every environment/policy: the
         exact core reproduces the frozen per-task metric timelines."""
-        got = as_json(run_small_batch(BACKEND_ARENA, kind, policy_factory))
+        got = as_json(run_small_batch(kind, policy_factory))
         assert got == frozen_exact_core()["env_cases"][label]
 
     def test_fault_injection(self):
         """Tier-offline evacuation and a node crash mid-run: the fault
         paths (offline_tier, crash/interrupt, requeue) stay frozen too."""
-        got = as_json(run_small_batch(BACKEND_ARENA, EnvKind.IMME, faults=fault_schedule()))
+        got = as_json(run_small_batch(EnvKind.IMME, faults=fault_schedule()))
         assert got == frozen_exact_core()["fault_injection"]
 
-    def test_scenario_digests_backend_invariant(self, monkeypatch):
-        """Digests hash the scenario *spec*; selecting the exact core by
-        its name or by the deprecated ``object`` alias must never perturb
-        them (the cache keys on digests)."""
-        from repro.scenarios import REGISTRY
+    def test_scenario_digests_backend_invariant(self):
+        """Digests hash the scenario *spec*, and the cache keys on them.
+        The core keeps its state on the nodes it builds, never on the
+        spec, so running a scenario leaves every digest unchanged."""
+        from repro.scenarios.build import run_scenario
+        from repro.scenarios.registry import family
 
-        names = REGISTRY.family_names()[:3]
-        digests = []
-        for backend in ("object", BACKEND_ARENA):
-            monkeypatch.setenv("REPRO_CORE", backend)
-            digests.append([REGISTRY.family(n).digest() for n in names])
-        assert digests[0] == digests[1]
+        names = ("ablations", "cold-pages", "ext-colocation")
+        before = [family(n).digest() for n in names]
+        run_scenario(family(names[0]).scenarios[0])
+        assert [family(n).digest() for n in names] == before
 
 
 # --------------------------------------------------------------------------- #
@@ -473,7 +463,7 @@ class TestEndToEndEquivalence:
 
 
 def arena_node(n_tasks=3, chunks=16):
-    node = NodeMemorySystem(small_specs(), "mech", backend=BACKEND_ARENA)
+    node = NodeMemorySystem(small_specs(), "mech")
     sets = []
     for i in range(n_tasks):
         ps = PageSet(f"t{i}", chunks * CHUNK, CHUNK)
@@ -532,7 +522,7 @@ class TestArenaMechanics:
         node.validate()
 
     def test_growth_preserves_live_views_and_values(self):
-        node = NodeMemorySystem(small_specs(), "grow", backend=BACKEND_ARENA)
+        node = NodeMemorySystem(small_specs(), "grow")
         arena = node.arena
         ps1 = PageSet("big1", 800 * CHUNK, CHUNK)
         ps1.region[:] = 0
@@ -551,6 +541,20 @@ class TestArenaMechanics:
         assert np.array_equal(ps1.temperature, marker)
         node.validate()
 
+    def test_warm_table_ignores_freed_segments(self):
+        node, (a, b, c) = arena_node(n_tasks=3)
+        node.place(a, np.arange(4), CXL)
+        a.temperature[:4] = 0.5
+        node.place(b, np.arange(4), SWAP)
+        b.temperature[:4] = 0.5
+        node.place(c, np.arange(4), PMEM)
+        c.temperature[1] = 0.5
+        node.unregister(b)  # a free run between a's and c's segments
+        warm = node.arena.warm_by_task_tier(0.1)
+        slot = {ps.owner: node.arena._tasks[ps.owner].slot for ps in (a, c)}
+        assert warm.sum() == 2
+        assert warm[slot["t0"], int(CXL)] and warm[slot["t2"], int(PMEM)]
+
     def test_validate_detects_detached_view(self):
         node, (ps, *_) = arena_node(n_tasks=1)
         # simulate the bug write-through properties exist to prevent:
@@ -558,43 +562,6 @@ class TestArenaMechanics:
         object.__setattr__(ps, "_temperature", ps.temperature.copy())
         with pytest.raises(Exception):
             node.validate()
-
-
-class TestBackendResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", BACKEND_ARENA_FAST)
-        assert resolve_backend(BACKEND_ARENA) == BACKEND_ARENA
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", BACKEND_ARENA_FAST)
-        assert resolve_backend() == BACKEND_ARENA_FAST
-        monkeypatch.delenv("REPRO_CORE")
-        assert resolve_backend() == BACKEND_ARENA
-
-    def test_object_is_a_deprecated_alias_for_arena(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CORE", raising=False)
-        with pytest.warns(DeprecationWarning, match="object"):
-            assert resolve_backend("object") == BACKEND_ARENA
-        monkeypatch.setenv("REPRO_CORE", "object")
-        with pytest.warns(DeprecationWarning, match="object"):
-            assert resolve_backend() == BACKEND_ARENA
-        with pytest.warns(DeprecationWarning, match="object"):
-            node = NodeMemorySystem(small_specs(), "alias")
-        assert node.backend == BACKEND_ARENA and not node.fast_core
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CORE", "vectorised")
-        with pytest.raises(Exception):
-            resolve_backend()
-        with pytest.raises(Exception):
-            NodeMemorySystem(small_specs(), "bad", backend="vectorised")
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    @pytest.mark.parametrize("name", [*BACKENDS, "object"])
-    def test_every_accepted_name_builds_an_arena(self, name):
-        node = NodeMemorySystem(small_specs(), "any", backend=name)
-        assert node.arena is not None
-        assert node.fast_core == (name == BACKEND_ARENA_FAST)
 
 
 if __name__ == "__main__":

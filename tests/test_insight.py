@@ -1,25 +1,22 @@
 """The memory-introspection plane: ledger mechanics, tier sampler,
 cause scopes, the null path, record round-trips, the live-metrics
-surface, and the cross-backend equivalence contract.
+surface, and the exact core's ledger contract.
 
-The plane's placement hooks live on the hot movement paths of both
-core modes, so the load-bearing assertions here are the equivalence
-ones: the exact core's ledger must match the one frozen while the
-retired object layout and the arena still agreed bit for bit, and
-arena-fast's must reconcile exactly with
+The plane's placement hooks live on the hot movement paths, so the
+load-bearing assertions here are the core ones: the exact core's ledger
+must match the one frozen while the retired object layout and the arena
+still agreed bit for bit, and its counts must reconcile exactly with
 :class:`~repro.memory.system.MemoryTrafficStats` — if either drifts, an
-emission point was added to one path but not the other.
+emission point was added, dropped or moved on a movement path.
 """
 
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.arena import BACKEND_ARENA, BACKEND_ARENA_FAST
 from repro.memory.tiers import NUM_TIERS, TIER_NAMES, TierKind
 from repro.obs import insight as _insight
 from repro.obs.insight import (
@@ -316,7 +313,7 @@ class TestLiveMetrics:
 
 
 # --------------------------------------------------------------------------- #
-# cross-backend equivalence (the contract that keeps the hooks honest)
+# the exact core's ledger (the contract that keeps the hooks honest)
 # --------------------------------------------------------------------------- #
 
 #: registry families with distinct movement mixes: resilience (evacuate +
@@ -329,22 +326,14 @@ EQUIV_SCENARIOS = [
 ]
 
 
-def scenario_ledger(name, backend):
-    """Run one registry scenario under ``backend`` with the plane active."""
+def scenario_ledger(name):
+    """Run one registry scenario with the plane active."""
     from repro.scenarios.build import run_scenario
     from repro.scenarios.registry import scenario
 
-    saved = os.environ.get("REPRO_CORE")
-    os.environ["REPRO_CORE"] = backend
-    try:
-        ins = Insight(f"equiv-{backend}")
-        with obs.session(insight=ins):
-            run_scenario(scenario(name))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CORE", None)
-        else:
-            os.environ["REPRO_CORE"] = saved
+    ins = Insight(f"equiv-{name}")
+    with obs.session(insight=ins):
+        run_scenario(scenario(name))
     return ins
 
 
@@ -364,35 +353,30 @@ class TestBackendEquivalence:
         """The exact core makes the movement decisions the object layout
         made, so every ledger entry — time, task, endpoints, cause — and
         every total matches the frozen fingerprint."""
-        got = ledger_fingerprint(scenario_ledger(name, BACKEND_ARENA))
+        got = ledger_fingerprint(scenario_ledger(name))
         assert got["entries"], f"{name} produced no ledger entries"
         assert got == frozen_exact_core()["ledgers"][name]
 
-    def test_arena_fast_counts_reconcile_with_traffic_stats(self):
-        """arena-fast batches decisions (entries aren't per-task), but its
-        ledger must reconcile exactly with the node traffic counters."""
+    def test_ledger_counts_reconcile_with_traffic_stats(self):
+        """Every byte the node traffic counters saw move, and every shadow
+        insert and drop, has its ledger entry: a movement path that skips
+        its emission point shows up here as a mismatch."""
         from repro.experiments.common import build_env
         from repro.envs.environments import EnvKind
         from repro.util.rng import RngFactory
         from repro.workflows.ensembles import paper_batch
 
         specs = paper_batch(12, scale=1 / 128, rng_factory=RngFactory(5))
-        saved = os.environ.get("REPRO_CORE")
-        os.environ["REPRO_CORE"] = BACKEND_ARENA_FAST
-        try:
-            ins = Insight("fast-reconcile")
-            with obs.session(insight=ins):
-                env = build_env(EnvKind.IMME, specs, dram_fraction=0.3, n_nodes=2)
-                env.run_batch(specs, max_time=1e7)
-                stats = [agent.memory.stats for agent in env.agents]
-                env.stop()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CORE", None)
-            else:
-                os.environ["REPRO_CORE"] = saved
+        ins = Insight("reconcile")
+        with obs.session(insight=ins):
+            env = build_env(EnvKind.IMME, specs, dram_fraction=0.3, n_nodes=2)
+            env.run_batch(specs, max_time=1e7)
+            stats = [agent.memory.stats for agent in env.agents]
+            env.stop()
         migrated = sum(s.migrated_bytes for s in stats)
         assert np.array_equal(ins.ledger.migrated_matrix(), migrated)
         chunks = ins.ledger.chunks_by_kind()
+        # the run exercises every movement kind the counters cover
+        assert all(chunks.get(k) for k in ("promote", "demote", "shadow", "shadow-drop"))
         assert chunks.get("shadow", 0) == sum(s.page_cache_inserts for s in stats)
         assert chunks.get("shadow-drop", 0) == sum(s.page_cache_drops for s in stats)

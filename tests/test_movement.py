@@ -96,12 +96,80 @@ class TestTierPromotion:
         assert warm.bytes_in(DRAM) == 0
 
 
-@pytest.mark.requires_bit_exact
+class TestPromoteCandidateCounts:
+    """The promote pass marks the (task, tier) pairs holding a candidate
+    in one whole-node reduction and scans only those; the marks follow
+    every move inside the pass that can create a candidate."""
+
+    def test_scans_only_pairs_holding_a_candidate(self, monkeypatch):
+        node, ctx, movement = setup()
+        layout = {  # owner: (tier, temperatures of its 8 chunks)
+            "swap-hot": (SWAP, [1.0, 1.0] + [0.0] * 6),
+            "pmem-hot": (PMEM, [0.5] + [0.0] * 7),
+            "cxl-hot": (CXL, [0.3] * 8),
+            "dram-hot": (DRAM, [1.0] * 8),  # DRAM is never scanned
+            "cxl-cold": (CXL, [0.0] * 8),
+            "swap-lukewarm": (SWAP, [0.01] * 8),  # below promote_threshold
+        }
+        for owner, (tier, temps) in layout.items():
+            ps = make_pageset(node, owner, 8 * CHUNK)
+            node.place(ps, np.arange(ps.n_chunks), tier)
+            ps.temperature[:] = temps
+        scans = []
+        real = node.arena.hot_chunks
+
+        def spy(ps, tier, max_chunks, **kw):
+            scans.append((ps.owner, tier))
+            return real(ps, tier, max_chunks, **kw)
+
+        monkeypatch.setattr(node.arena, "hot_chunks", spy)
+        movement.tick(ctx, promote_budget_bytes=MiB(4))
+        assert scans == [("swap-hot", SWAP), ("pmem-hot", PMEM), ("cxl-hot", CXL)]
+        for owner in ("swap-hot", "pmem-hot", "cxl-hot"):
+            ps = node.get_pageset(owner)
+            assert (ps.tier[ps.temperature >= 0.05] == int(DRAM)).all()
+        node.validate()
+
+    def test_exchange_demotion_of_a_warm_chunk_is_recounted(self):
+        # "a" (64 KiB chunks, registered first) holds very hot CXL chunks
+        # while "b" (128 KiB chunks) fills DRAM with warm ones.  The
+        # exchange sizes its victim count by the first pageset's chunk
+        # size, so demoting 4 of b's chunks frees twice what a needs; b's
+        # demoted chunks are still above promote_threshold, so b's own
+        # CXL scan later in the same pass brings 2 of them back.
+        node, ctx, movement = setup()
+        a = make_pageset(node, "a", 4 * CHUNK)
+        node.place(a, np.arange(a.n_chunks), CXL)
+        a.temperature[:] = 1.0
+        b = make_pageset(node, "b", MiB(4), chunk_size=2 * CHUNK)
+        node.place(b, np.arange(b.n_chunks), DRAM)
+        b.temperature[:] = 0.1  # promotion-worthy, below the exchange bar
+        movement._promote(ctx, MiB(4))
+        assert (a.tier == int(DRAM)).all()
+        assert list(np.flatnonzero(b.tier == int(CXL))) == [2, 3]
+        assert b.bytes_in(DRAM) == MiB(4) - 2 * b.chunk_size
+        node.validate()
+
+    def test_pmem_spill_counts_as_a_cxl_candidate(self):
+        # "hot" (64 KiB chunks) holds very hot PMem chunks; "cold"
+        # (32 KiB chunks) fills DRAM.  Each exchange frees half the bytes
+        # it asks for, so the PMem step promotes 4 chunks and spills 4 to
+        # CXL, and the CXL step of the same task exchanges again for 2.
+        node, ctx, movement = setup()
+        hot = make_pageset(node, "hot", 8 * CHUNK)
+        node.place(hot, np.arange(hot.n_chunks), PMEM)
+        hot.temperature[:] = 1.0
+        cold = make_pageset(node, "cold", MiB(4), chunk_size=CHUNK // 2)
+        node.place(cold, np.arange(cold.n_chunks), DRAM)
+        movement._promote(ctx, MiB(4))
+        assert list(np.flatnonzero(hot.tier == int(DRAM))) == [0, 1, 2, 3, 4, 5]
+        assert list(np.flatnonzero(hot.tier == int(CXL))) == [6, 7]
+        node.validate()
+
+
 class TestPullUpPartialFill:
     """`_pull_up` fills DRAM→CXL→PMem in the caller's candidate order and
-    reports exactly the chunks it moved.  These pin the exact path
-    chunk-for-chunk, hence the marker: arena-fast's batched pull-up is
-    held to the statistical contract instead."""
+    reports exactly the chunks it moved, chunk for chunk."""
 
     def make_swapped(self, n_mib=4, **spec_kw):
         node, ctx, movement = setup(**spec_kw)
@@ -240,13 +308,21 @@ class TestCompaction:
         assert node.stats.compactions == 0
 
     def test_deprecated_chunk_alias_scales_by_default_chunk_size(self):
+        """The byte threshold defaults to the 16 default-size chunks the
+        removed chunk-count alias used to give.  The config accepts
+        exactly its fields as keywords, and the byte threshold is the
+        only compaction field left, so the alias is rejected."""
+        import dataclasses
+
         from repro.memory.pageset import DEFAULT_CHUNK_SIZE
 
-        cfg = MovementConfig(compaction_min_chunks=3)
-        assert cfg.compaction_min_bytes == 3 * DEFAULT_CHUNK_SIZE
-        # an explicit byte threshold wins over the alias
-        cfg = MovementConfig(compaction_min_chunks=3, compaction_min_bytes=123456)
-        assert cfg.compaction_min_bytes == 123456
+        assert MovementConfig().compaction_min_bytes == 16 * DEFAULT_CHUNK_SIZE
+        compaction = [
+            f.name for f in dataclasses.fields(MovementConfig) if f.name.startswith("compaction")
+        ]
+        assert compaction == ["compaction_min_bytes"]
+        with pytest.raises(Exception):
+            MovementConfig(compaction_min_bytes=0)
 
     def test_threshold_is_bytes_not_an_arbitrary_pagesets_chunks(self):
         """Mixed chunk sizes on one node: the trigger must compare bytes

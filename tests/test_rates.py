@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arena import BACKEND_ARENA
 from repro.memory.contention import allocate_bandwidth
 from repro.memory.pageset import UNMAPPED, PageSet
 from repro.memory.system import NodeMemorySystem
@@ -248,11 +247,11 @@ class TestNodeKernel:
         assert phase_slowdown(p, ps, SPECS, bw) == kernel
 
 
-def layout_rates(backend):
+def layout_rates():
     """Rates on a node whose arena has a freed hole (a finished task) and
     a registered pageset of a task that never started."""
     engine, metrics = SimulationEngine(), MetricsRegistry()
-    node = NodeMemorySystem(small_specs(dram=MiB(2), cxl=MiB(64)), "n0", backend=backend)
+    node = NodeMemorySystem(small_specs(dram=MiB(2), cxl=MiB(64)), "n0")
     agent = NodeAgent(
         engine, node, LinuxSwapPolicy(scan_noise=0.0), metrics, cores=8, chunk_size=CHUNK
     )
@@ -278,6 +277,6 @@ def layout_rates(backend):
 def test_object_and_arena_rates_bit_identical():
     """The rates the object layout and the arena both produced, frozen
     before the object layout was retired."""
-    rates = layout_rates(BACKEND_ARENA)
+    rates = layout_rates()
     assert all(r > 0 for r in rates)
     assert rates == frozen_exact_core()["layout_rates"]

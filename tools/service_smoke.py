@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Service-mode smoke check for CI.
 
-Runs one registered steady-state service scenario under the active
-``$REPRO_CORE`` backend and validates the report *schema*: every field a
-downstream consumer (CLI table, experiment series, cache codec) reads
-must be present, typed, and internally consistent, and the run must have
-actually admitted and completed work.  Exit 0 on success, 1 with a
+Runs one registered steady-state service scenario and validates the
+report *schema*: every field a downstream consumer (CLI table,
+experiment series, cache codec) reads must be present, typed, and
+internally consistent, and the run must have actually admitted and
+completed work.  Exit 0 on success, 1 with a
 diagnostic otherwise.
 
 Usage::
