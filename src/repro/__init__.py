@@ -16,14 +16,15 @@ simulation of tiered-memory HPC clusters.  Public entry points:
   serializable :class:`~repro.scenarios.ScenarioSpec` specs naming every
   experiment, resolved through the scenario ``REGISTRY``.
 * :mod:`~repro.resilience` — supervised sweep execution: retries with
-  deterministic backoff, the crash-safe run journal behind ``--resume``,
-  and the runtime invariant checker.
+  deterministic backoff, the crash-safe run journal (a killed run
+  resumes by running the same command again), and the runtime invariant
+  checker.
 """
 
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 _EXPORTS = {
     # environments

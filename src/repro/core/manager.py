@@ -12,8 +12,10 @@ the paper's list:
 4. *dynamically adjust buffers* — each tick the buffers shrink under tier
    pressure and regrow when utilisation falls (§III-C1), throttling how
    much the movement daemon may migrate per tick;
-5. *track page hotness* — a :class:`~repro.core.heatmap.PageHeatmap`
-   drives every promotion/demotion decision.
+5. *track page hotness* — the node agent's
+   :class:`~repro.core.heatmap.PageHeatmap` advances every page's
+   temperature each daemon tick, and those temperatures drive every
+   promotion/demotion decision.
 
 Placement requests flow through Algorithm 1
 (:class:`~repro.core.allocation.TierAllocator`), evictions through
@@ -42,7 +44,6 @@ from ..util.errors import OutOfMemoryError
 from ..util.validation import check_fraction, require
 from .allocation import AllocationPlan, EvictableMap, TierAllocator
 from .flags import MemFlag
-from .heatmap import HeatmapConfig, PageHeatmap
 from .movement import IntelligentPageMovement, MovementConfig
 from .predictor import FlagPredictor
 from .replacement import PageReplacementPolicy
@@ -73,7 +74,6 @@ class TieredMemoryManager(MemoryPolicy):
         *,
         predictor: Optional[FlagPredictor] = None,
         movement_config: Optional[MovementConfig] = None,
-        heatmap_config: Optional[HeatmapConfig] = None,
         pin_fraction: float = 0.60,
         staging_fraction: float = 0.02,
         prefault_heat: float = 0.10,
@@ -85,7 +85,6 @@ class TieredMemoryManager(MemoryPolicy):
         self.tier_order = classify_tiers(specs)
         self.predictor = predictor if predictor is not None else FlagPredictor()
         self.allocator = TierAllocator(specs, self.predictor)
-        self.heatmap = PageHeatmap(heatmap_config)
         self.replacement = PageReplacementPolicy(self.flags_of)
         self.movement = IntelligentPageMovement(
             self.flags_of, self.replacement, movement_config

@@ -25,7 +25,7 @@ from ..metrics.collector import MetricsRegistry
 from ..metrics.report import format_table
 from ..parallel import map_ordered
 from ..policies.base import MemoryPolicy
-from ..resilience import SweepFailure, supervised_map
+from ..resilience import SweepFailure
 from ..scenarios.build import environment_for_tasks, realize
 from ..scenarios.spec import (
     DEFAULT_CHUNK,
@@ -235,9 +235,6 @@ def sweep(
     *,
     jobs: Optional[int] = None,
     cache: "Optional[ResultCache]" = None,
-    retry: Optional[Any] = None,
-    deadline: Optional[float] = None,
-    journal: Optional[Any] = None,
 ) -> dict[str, Any]:
     """Run every cell of ``spec`` and return ``{key: result}`` in cell order.
 
@@ -247,59 +244,30 @@ def sweep(
     byte-identical to a sequential run.
 
     With a ``cache`` (:class:`~repro.cache.ResultCache`), cells whose
-    stored result is still valid are served without dispatching a worker;
-    only the misses execute, and each result is written back atomically
-    from this process as its cell completes.
+    stored result is still valid are served without running; only the
+    misses execute, and each result is written back atomically from this
+    process as its cell completes.
 
-    Both paths run on the one supervised pool, with two failure
-    contracts.  By default (:func:`~repro.parallel.map_ordered`, one
-    attempt per cell) the first failing cell's own exception propagates
-    as-is; a cell whose worker died raises
-    :class:`~repro.resilience.SweepFailure` naming it.  Passing any of
-    ``retry`` (a :class:`~repro.resilience.RetryPolicy`), ``deadline``
-    (per-cell seconds), or ``journal`` (a
-    :class:`~repro.resilience.RunJournal`) instead retries failing or
-    hung cells with deterministic backoff, quarantines them when their
-    budget is spent, and raises ``SweepFailure`` (carrying the partial
-    results) only after every other cell has finished.
+    Cells run through :func:`~repro.parallel.map_ordered`, one attempt
+    each: every cell runs, then the first failing cell's own exception
+    propagates as-is, and a cell whose worker died raises
+    :class:`~repro.resilience.SweepFailure` naming it.
     """
-    supervised = retry is not None or deadline is not None or journal is not None
     with obs.span("sweep", sweep=spec.name, cells=len(spec.cells)):
-        if supervised:
-            sub = supervised_map(
+        try:
+            results = map_ordered(
                 _run_sweep_cell,
                 spec.cells,
-                keys=[cell.key for cell in spec.cells],
                 jobs=jobs,
-                deadline=deadline,
-                retry=retry,
-                journal=journal,
                 cache=cache,
                 cache_key=None if cache is None else partial(cell_cache_key, spec),
             )
-            if sub.failures:
-                done = {
-                    cell.key: res
-                    for cell, res in zip(spec.cells, sub.results)
-                    if all(f.key != cell.key for f in sub.failures)
-                }
-                raise SweepFailure(sub.failures, results=done)
-            results = sub.results
-        else:
-            try:
-                results = map_ordered(
-                    _run_sweep_cell,
-                    spec.cells,
-                    jobs=jobs,
-                    cache=cache,
-                    cache_key=None if cache is None else partial(cell_cache_key, spec),
-                )
-            except SweepFailure as exc:
-                # map_ordered names cells by position: cell0, cell1, ...
-                names = {f"cell{i}": cell.key for i, cell in enumerate(spec.cells)}
-                raise SweepFailure(
-                    [replace(f, key=names[f.key]) for f in exc.failures]
-                ) from None
+        except SweepFailure as exc:
+            # map_ordered names cells by position: cell0, cell1, ...
+            names = {f"cell{i}": cell.key for i, cell in enumerate(spec.cells)}
+            raise SweepFailure(
+                [replace(f, key=names[f.key]) for f in exc.failures]
+            ) from None
     return {cell.key: res for cell, res in zip(spec.cells, results)}
 
 

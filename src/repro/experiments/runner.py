@@ -21,19 +21,20 @@ Execution is supervised (:mod:`repro.resilience`): failing experiments
 are retried with deterministic backoff (``--retries``), optionally
 deadline-bounded (``--cell-timeout``), and quarantined instead of
 killing the run — the process then exits non-zero with a per-experiment
-failure table.  Progress is journaled durably next to the cache, so
-``--resume`` continues a killed run, and ``--check-invariants`` turns
-the simulator's conservation laws into hard runtime assertions.
+failure table.  Progress is journaled durably next to the cache.  A
+killed run resumes by running the same command again: the cache serves
+every experiment that committed, and only the rest execute.
+``--check-invariants`` turns the simulator's conservation laws into hard
+runtime assertions.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .. import obs
 from ..resilience import (
@@ -124,12 +125,12 @@ def _experiment_key(name: str, fn: Callable[..., FigureResult]):
 def _run_one(
     name: str, jobs: int = 1, cache_dir: Optional[str] = None
 ) -> tuple[FigureResult, float, Optional[dict[str, int]]]:
-    """Run one experiment, forwarding ``jobs`` to harnesses whose inner
-    sweeps accept it.  Top-level and picklable, so it can be a pool task.
+    """Run one experiment, forwarding ``jobs`` to its inner sweep.
+    Top-level and picklable, so it can be a pool task.
 
     With a cache, the whole experiment's :class:`FigureResult` is served
     from disk when still valid; on a miss the harness runs (with per-cell
-    caching when it accepts ``cache=``) and the result is written back.
+    caching through its ``cache=``) and the result is written back.
     Returns ``(result, elapsed, cache stats or None)`` — stats come from
     this process's cache instance, so pool workers report their own.
     """
@@ -138,20 +139,14 @@ def _run_one(
     t0 = time.perf_counter()
 
     def execute() -> FigureResult:
-        kwargs: dict[str, Any] = {}
-        params = inspect.signature(fn).parameters
-        if jobs != 1 and "jobs" in params:
-            kwargs["jobs"] = jobs
-        if cache is not None and "cache" in params:
-            kwargs["cache"] = cache
-        if cache is not None:
-            key = _experiment_key(name, fn)
-            hit, result = cache.get(key)
-            if not hit:
-                result = fn(**kwargs)
-                cache.put(key, result)
-            return result
-        return fn(**kwargs)
+        if cache is None:
+            return fn(jobs=jobs)
+        key = _experiment_key(name, fn)
+        hit, result = cache.get(key)
+        if not hit:
+            result = fn(jobs=jobs, cache=cache)
+            cache.put(key, result)
+        return result
 
     # Each experiment runs under its own child telemetry context, merged
     # back with ``scope=name`` so counters carry an ``exp=`` label.  The
@@ -204,7 +199,6 @@ def run_all(
     cache_dir: Optional[str] = DEFAULT_CACHE,
     cache_stats: bool = False,
     telemetry_dir: Optional[str] = None,
-    resume: bool = False,
     retries: int = 2,
     cell_timeout: Optional[float] = None,
     check_invariants: bool = False,
@@ -232,22 +226,19 @@ def run_all(
     failing experiment is quarantined instead of killing the run — the
     others complete, then a :class:`~repro.resilience.SweepFailure`
     carrying the per-experiment failures (and the partial results) is
-    raised.  When caching is on, every commit is recorded in the fsync'd
-    ``journal.jsonl`` next to the cache entries; ``resume=True`` replays
-    that journal and serves journal-committed experiments straight from
-    the cache without dispatching a worker, so a run killed mid-sweep
-    (even SIGKILL) continues where it stopped with byte-identical output.
-    ``check_invariants=True`` installs the runtime
-    :class:`~repro.resilience.InvariantChecker` for the run (inherited by
-    forked workers), turning the simulator's conservation laws into hard
-    assertions.
+    raised.  When caching is on, every run is recorded in the fsync'd
+    ``journal.jsonl`` next to the cache entries.  A run killed mid-sweep
+    (even by SIGKILL) resumes by calling ``run_all`` again with the same
+    arguments: every experiment that committed is a cache hit, and the
+    output is byte-identical.  ``check_invariants=True`` installs the
+    runtime :class:`~repro.resilience.InvariantChecker` for the run
+    (inherited by forked workers), turning the simulator's conservation
+    laws into hard assertions.
     """
     selected = list(names) if names else list(ALL_EXPERIMENTS)
     for name in selected:
         if name not in ALL_EXPERIMENTS:
             raise KeyError(f"unknown experiment {name!r}; choose from {list(ALL_EXPERIMENTS)}")
-    if resume and cache_dir is None:
-        raise ValueError("resume=True needs the result cache; drop --no-cache")
     cache = _open_cache(cache_dir)
     telemetry = (
         obs.Telemetry("experiments", {"jobs": jobs, "selected": list(selected)})
@@ -256,7 +247,6 @@ def run_all(
     )
     inner_jobs = jobs if (jobs != 1 and len(selected) == 1) else 1
     outer_jobs = 1 if inner_jobs != 1 else jobs
-    resumed: dict[str, tuple[FigureResult, float, Optional[dict[str, int]]]] = {}
     with contextlib.ExitStack() as stack:
         # installed before the pool forks, so workers inherit every plane
         stack.enter_context(obs.session(
@@ -264,37 +254,13 @@ def run_all(
         ))
         stack.enter_context(obs.span("experiments", count=len(selected)))
         journal: Optional[RunJournal] = None
-        committed: set[str] = set()
         if cache is not None:
-            jpath = journal_path(cache.root)
-            if resume:
-                committed = RunJournal.load_state(jpath).committed & set(selected)
-            journal = stack.enter_context(RunJournal(jpath))
-        run_names: list[str] = []
-        for name in selected:
-            if name in committed:
-                # journal says committed: serve from the content-addressed
-                # cache without dispatching; a stale entry (code moved
-                # underneath the result) degrades to a live recompute
-                t0 = time.perf_counter()
-                hit, result = cache.get(_experiment_key(name, ALL_EXPERIMENTS[name]))
-                if hit:
-                    stats = {k: 0 for k in ("hits", "misses", "invalidations",
-                                            "corrupt", "writes", "uncacheable")}
-                    stats["hits"] = 1
-                    resumed[name] = (result, time.perf_counter() - t0, stats)
-                    continue
-            run_names.append(name)
-        if journal is not None:
-            journal.run_started(
-                "experiments", run_names, resumed=sorted(resumed), jobs=jobs
-            )
-            for name in resumed:
-                journal.cell_committed(name, cached=True)
+            journal = stack.enter_context(RunJournal(journal_path(cache.root)))
+            journal.run_started("experiments", selected, jobs=jobs)
         sup = supervised_map(
             _run_one_cell,
-            [(name, inner_jobs, cache_dir) for name in run_names],
-            keys=run_names,
+            [(name, inner_jobs, cache_dir) for name in selected],
+            keys=selected,
             jobs=outer_jobs,
             deadline=cell_timeout,
             retry=RetryPolicy(max_attempts=max(1, retries)),
@@ -305,23 +271,17 @@ def run_all(
     if telemetry_dir:
         paths = obs.write_run_dir(telemetry.snapshot(), telemetry_dir)
         print(f"telemetry: {paths['run']} (trace: {paths['trace']})")
-    outcomes = dict(resumed)
     failed = {f.key for f in sup.failures}
-    for name, outcome in zip(run_names, sup.results):
-        if name not in failed:
-            outcomes[name] = outcome
     results: dict[str, FigureResult] = {}
     per_experiment: dict[str, Optional[dict[str, int]]] = {}
-    for name in selected:
-        if name not in outcomes:
+    for name, outcome in zip(selected, sup.results):
+        if name in failed:
             continue
-        result, elapsed, stats = outcomes[name]
+        result, elapsed, stats = outcome
         results[name] = result
         per_experiment[name] = stats
         if verbose:
             line = f"  [{name} regenerated in {elapsed:.1f}s"
-            if name in resumed:
-                line = f"  [{name} resumed from journal in {elapsed:.1f}s"
             if stats is not None:
                 line += (
                     f"; cache: {stats['hits']} hits, {stats['misses']} misses"
@@ -393,12 +353,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "under DIR",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay journal.jsonl and skip experiments already committed "
-             "by an earlier (possibly killed) run",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=2,
@@ -420,6 +374,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "task lost, event heap consistent) during the run",
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.experiments if name not in ALL_EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s): {', '.join(unknown)} "
+            f"(choose from {', '.join(ALL_EXPERIMENTS)})"
+        )
     cache_dir = None if args.no_cache else (args.cache_dir or DEFAULT_CACHE)
     try:
         results = run_all(
@@ -429,7 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=cache_dir,
             cache_stats=args.cache_stats,
             telemetry_dir=args.telemetry,
-            resume=args.resume,
             retries=args.retries,
             cell_timeout=args.cell_timeout,
             check_invariants=args.check_invariants,
@@ -439,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("interrupted: progress is journaled; rerun with --resume", file=sys.stderr)
+        print("interrupted: progress is journaled; re-run the same command", file=sys.stderr)
         return 130
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

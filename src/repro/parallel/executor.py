@@ -5,11 +5,11 @@ picklable callable to a sequence of picklable items and returns the
 results *in input order*, so callers (sweep harnesses, ``run_all``) emit
 byte-identical tables whether cells ran sequentially or across a pool.
 
-There is one pool: :func:`map_ordered` is a single-attempt call of
-:func:`repro.resilience.supervised_map`, which forks the workers when
+There is one execution path: :func:`map_ordered` is a single-attempt
+call of :func:`repro.resilience.supervised_map`.  It forks workers when
 ``jobs`` resolves above 1 and the platform can fork, and otherwise runs
-a plain in-process loop — also what keeps nested sweeps from spawning
-pools inside pool workers.
+the cells inline, in this process, under the same supervisor — which is
+also what keeps nested sweeps from spawning pools inside pool workers.
 """
 
 from __future__ import annotations
@@ -54,16 +54,18 @@ def map_ordered(
 ) -> list[_T]:
     """``[fn(item) for item in items]`` — possibly across a process pool.
 
-    Results always come back in input order.  Runs in-process when the
-    effective job count is 1, the platform cannot fork, there are fewer
-    than two items, or we are already inside a worker (no nested pools).
+    Results always come back in input order.  Runs inline, in this
+    process, when the effective job count is 1, the platform cannot fork,
+    there are fewer than two cells to run, or we are already inside a
+    worker (no nested pools).
 
     Every cell gets one attempt, and every cell runs even when another
     fails.  On failure the first failing cell (in input order) decides
-    what is raised: its own exception when it raised one that survives
-    pickling, else a :class:`~repro.resilience.SweepFailure` — a worker
-    that died under its cell leaves no exception to re-raise.  A dying
-    worker therefore fails the map; it never hangs it.
+    what is raised: its own exception — unchanged when the cell ran
+    inline, and when it ran in a worker, provided it survives pickling —
+    else a :class:`~repro.resilience.SweepFailure`: a worker that died
+    under its cell leaves no exception to re-raise.  A dying worker
+    therefore fails the map; it never hangs it.
 
     ``cache`` + ``cache_key`` enable memoization (the sweep-cell result
     cache, :mod:`repro.cache`): ``cache_key(item)`` derives each item's

@@ -2,13 +2,15 @@
 
 The layer that makes long sweeps crash-safe and self-healing:
 
-* :func:`~repro.resilience.supervisor.supervised_map` — the one fork
-  pool (:func:`repro.parallel.map_ordered` is a one-attempt call of it):
+* :func:`~repro.resilience.supervisor.supervised_map` — the one
+  execution path for cells, inline or on a fork pool
+  (:func:`repro.parallel.map_ordered` is a one-attempt call of it):
   per-worker heartbeats, per-cell deadlines, pool replenishment,
   deterministic retry backoff, and poison-cell quarantine,
 * :class:`~repro.resilience.journal.RunJournal` — the fsync'd
-  append-only ``journal.jsonl`` that makes ``run_all --resume`` and
-  ``scenarios run --resume`` safe against SIGKILL,
+  append-only ``journal.jsonl`` recording every run's progress; a run
+  killed even by SIGKILL resumes by running the same command again, as
+  the result cache serves every cell that committed,
 * :mod:`~repro.resilience.invariants` — the null-object-dispatched
   runtime invariant checker behind ``--check-invariants``.
 

@@ -12,16 +12,18 @@ Record kinds (the ``ev`` field):
 * ``run-started`` — a run began; carries the run id and the planned cells,
 * ``cell-started`` — a cell was dispatched (with its attempt number),
 * ``cell-committed`` — a cell's result was persisted to the result cache
-  (or computed live); carries the cell id so ``--resume`` can skip it,
+  (``cached=true`` when it was served from there instead of computed),
 * ``cell-failed`` / ``cell-quarantined`` — one attempt failed / the
   retry budget is spent,
-* ``run-interrupted`` — a drain (SIGINT/SIGTERM) stopped the run early,
+* ``run-interrupted`` — SIGINT/SIGTERM stopped the run early; carries
+  the cells left without a result,
 * ``run-completed`` — the run finished (possibly with quarantined cells).
 
-``--resume`` replays the journal with :meth:`RunJournal.load_state` and
-treats every committed cell as done: its result is served from the
-content-addressed cache byte-identically, and only uncommitted cells
-execute.
+The journal records; it does not steer.  A killed run resumes by running
+the same command again: the content-addressed cache serves every cell
+that committed, byte-identically, and only the rest execute — the
+re-run's own records show which was which.
+:meth:`RunJournal.load_state` replays a journal for inspection.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class RunJournal:
     the file handle stays open for the journal's lifetime so a sweep's
     worth of records costs one open.  Instances are *not* shared across
     processes — only the supervising parent writes (workers report back
-    through the result queue), so there is a single writer per file and
+    through their result pipes), so there is a single writer per file and
     appends never interleave.
     """
 
@@ -127,9 +129,8 @@ class RunJournal:
 
         A missing file is an empty state; a torn trailing line (the one
         write a SIGKILL can interrupt) is skipped.  A cell committed in
-        *any* earlier run counts as committed — the content-addressed
-        cache revalidates the stored result on read, so a stale commit
-        degrades to a recompute, never a wrong answer.
+        *any* earlier run counts as committed, and a later commit clears
+        an earlier quarantine.
         """
         state = JournalState()
         p = Path(path).expanduser()
@@ -163,11 +164,6 @@ class RunJournal:
                 elif ev == "run-completed":
                     state.completed = True
         return state
-
-    def state(self) -> JournalState:
-        """Replay this journal's own file (including past runs)."""
-        self._fh.flush()
-        return self.load_state(self.path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RunJournal({str(self.path)!r})"

@@ -17,7 +17,7 @@ results) instead of dying on the first bad cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..util.rng import derive_seed
 from ..util.validation import require
@@ -71,9 +71,11 @@ class CellFailure:
     deadline and the worker was killed), ``"crash"`` (the worker process
     died underneath it), or ``"interrupted"`` (a drain abandoned it).
     ``error`` is the message the journal and failure table show;
+    ``elapsed`` counts wall-clock seconds from the first attempt's start.
     ``exception`` is the raised object itself, kept for
     :func:`~repro.parallel.map_ordered` to re-raise (``None`` unless the
-    last attempt raised an exception that pickles).
+    last attempt raised one: an inline cell keeps the object as raised, a
+    pool cell's must survive the pickle trip back from its worker).
     """
 
     key: str
@@ -81,7 +83,6 @@ class CellFailure:
     attempts: int
     error: str = ""
     elapsed: float = 0.0
-    context: Dict[str, Any] = field(default_factory=dict)
     exception: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:

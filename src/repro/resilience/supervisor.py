@@ -1,11 +1,15 @@
-"""Supervised fork-pool execution: heartbeats, deadlines, retries,
-quarantine, and graceful drains around an ordered map.
+"""Supervised execution: heartbeats, deadlines, retries, quarantine,
+and graceful drains around an ordered map.
 
-:func:`supervised_map` is the project's one fork pool;
+:func:`supervised_map` is the project's one cell runner;
 :func:`repro.parallel.map_ordered` is a single-attempt call of it.  The
 contract: apply a picklable callable to picklable items and collect
 results in input order, with execution supervised instead of
-fire-and-forget:
+fire-and-forget.  One :class:`_Supervisor` does every map's bookkeeping
+(commits, failed attempts, retries, quarantine, the journal); only where
+a cell runs differs.  *Inline* cells run in this process, one after
+another: ``jobs=1``, no ``fork``, or a map nested inside a pool worker.
+Otherwise the cells run on a fork pool:
 
 * **one task queue and one result pipe per worker** — the supervisor
   always knows which cell each worker holds, so a dead or hung worker
@@ -18,29 +22,33 @@ fire-and-forget:
   is reaped and its cell retried, one past its per-cell ``deadline`` is
   killed and its cell retried, and the pool is replenished either way
   instead of deadlocking;
-* **retry with deterministic backoff** — failed attempts (raise, crash,
-  timeout) are redispatched after :meth:`RetryPolicy.delay`, whose
-  jitter is seeded from the cell key, so retry schedules reproduce;
-* **poison-cell quarantine** — a cell that exhausts its attempts is
-  recorded as a :class:`CellFailure` and the sweep *keeps going*; the
-  caller gets every failure at the end instead of losing the run to the
-  first bad cell;
-* **crash-safe journal** — when a :class:`~repro.resilience.journal.RunJournal`
-  is attached, every dispatch/commit/quarantine is fsync'd before the
-  run proceeds, which is what makes ``--resume`` safe against SIGKILL;
 * **graceful drain** — SIGINT/SIGTERM (first delivery) stops new
-  dispatches, lets in-flight cells finish within a grace window, records
-  the interruption point in the journal, then re-raises as
-  ``KeyboardInterrupt``; a second signal aborts immediately.
+  dispatches, lets in-flight cells finish within :data:`_DRAIN_GRACE`
+  seconds, then re-raises as ``KeyboardInterrupt``; a second signal
+  aborts immediately;
 * **forwarded records in input order** — a worker runs each cell under
   the worker form of the parent's run context (:func:`repro.obs.current`)
   and ships its snapshot back with the result; once the pool drains, the
   committed cells' records are merged into the parent's context in input
   order, so a ``jobs=N`` run records exactly what ``jobs=1`` does.
 
-Platforms without ``fork`` (and nested calls inside pool workers) fall
-back to an in-process loop that keeps the retry/quarantine/journal
-semantics but cannot preempt a hung cell — deadlines need workers.
+Both ways share the rest:
+
+* **retry with deterministic backoff** — a failed attempt (raise, crash,
+  timeout) is retried after :meth:`RetryPolicy.delay`, whose jitter is
+  seeded from the cell key, so retry schedules reproduce; an inline
+  cell's retries finish before the next cell starts;
+* **poison-cell quarantine** — a cell that exhausts its attempts is
+  recorded as a :class:`CellFailure` and the map *keeps going*; the
+  caller gets every failure at the end instead of losing the run to the
+  first bad cell;
+* **crash-safe journal** — when a :class:`~repro.resilience.journal.RunJournal`
+  is attached, every dispatch/commit/failure is fsync'd before the run
+  proceeds, and an interrupted map records which cells it left pending.
+
+Inline cells cannot be preempted, so a deadline needs workers: passing
+``deadline`` runs even one cell on a pool of one.  Inline cells install
+no signal handler: Ctrl-C propagates at once.
 """
 
 from __future__ import annotations
@@ -68,6 +76,9 @@ __all__ = ["SupervisedResult", "supervised_map"]
 #: supervision loop tick (seconds): result-queue poll timeout and the
 #: granularity of liveness/deadline sweeps
 _TICK = 0.02
+
+#: seconds in-flight pool cells get to finish once a drain starts
+_DRAIN_GRACE = 10.0
 
 #: exit code a worker uses when even its error report cannot be sent
 _EXIT_REPORT_FAILED = 81
@@ -129,6 +140,11 @@ def _merge_forwarded(forwarded: Sequence[Optional[Tuple]]) -> None:
             ctx.merge(records)
 
 
+def _describe(exc: BaseException) -> str:
+    """A failed attempt's message for the journal and failure table."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _portable(exc: BaseException) -> Optional[BaseException]:
     """``exc`` when it survives a pickle round trip (the parent can then
     re-raise it), else ``None``."""
@@ -161,8 +177,7 @@ def _worker_loop(worker_id: int, task_q: Any, result_conn: Any, fn: Callable[[An
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             _send_safe(
                 result_conn,
-                ("error", worker_id, idx, attempt,
-                 (f"{type(exc).__name__}: {exc}", _portable(exc))),
+                ("error", worker_id, idx, attempt, (_describe(exc), _portable(exc))),
             )
             continue
         try:
@@ -237,46 +252,63 @@ class _Worker:
 
 
 class _Supervisor:
-    """State machine for one supervised map over the miss set."""
+    """State machine for one supervised map.
+
+    Cache hits are committed on construction; :meth:`run` then executes
+    the misses inline or on a fork pool.  Both ways settle every attempt
+    through :meth:`_commit` and :meth:`_attempt_failed`.
+    """
 
     def __init__(
         self,
         fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        keys: Sequence[str],
+        items: List[Any],
+        keys: List[str],
         *,
-        n_workers: int,
         deadline: Optional[float],
         retry: RetryPolicy,
         journal: Optional[RunJournal],
-        drain_grace: float,
-        on_commit: Optional[Callable[[int, Any], None]] = None,
+        cache: Optional[Any],
+        cache_key: Optional[Callable[[Any], Any]],
     ) -> None:
         self.fn = fn
-        self.items = list(items)
-        self.keys = list(keys)
-        self.n = len(self.items)
-        self.n_workers = n_workers
+        self.items = items
+        self.keys = keys
+        self.n = len(items)
         self.deadline = deadline
         self.retry = retry
         self.journal = journal
-        self.drain_grace = drain_grace
-        self.on_commit = on_commit
+        self.cache = cache
         self.results: List[Any] = [None] * self.n
         #: per-cell worker records, merged in input order once the pool drains
         self.forwarded: List[Optional[Tuple]] = [None] * self.n
         self.done = [False] * self.n
         self.failures: Dict[int, CellFailure] = {}
-        self.first_started: Dict[int, float] = {}
-        self.outstanding = self.n
-        self.ready: deque[Tuple[int, int]] = deque((i, 1) for i in range(self.n))
+        #: when each cell's first attempt started (0.0: not yet)
+        self.first_started = [0.0] * self.n
+        self.cache_keys: List[Any] = []
+        if cache is not None and cache_key is not None:
+            self.cache_keys = [cache_key(item) for item in items]
+            for i, ck in enumerate(self.cache_keys):
+                hit, value = cache.get(ck)
+                if hit:
+                    self.results[i] = value
+                    self.done[i] = True
+                    if journal is not None:
+                        journal.cell_committed(keys[i], cached=True)
+        self.ready: deque[Tuple[int, int]] = deque(
+            (i, 1) for i in range(self.n) if not self.done[i]
+        )
+        self.outstanding = len(self.ready)
         self.retry_heap: List[Tuple[float, int, int]] = []
-        self.ctx = multiprocessing.get_context("fork")
+        # pool state, set up by _run_pool
+        self.n_workers = 0
+        self.ctx: Any = None
         self.workers: Dict[int, _Worker] = {}
         self.idle: deque[int] = deque()
         self._next_worker_id = 0
         self.draining = False
-        self.drain_reason = ""
+        self.drain_reason = "SIGINT"
         self.drain_started = 0.0
 
     # ------------------------------------------------------------------ #
@@ -323,17 +355,27 @@ class _Supervisor:
         return saved
 
     # ------------------------------------------------------------------ #
-    # outcome handling
+    # outcome handling (inline and pool cells alike)
     # ------------------------------------------------------------------ #
-    def _commit(self, idx: int, payload: Tuple[Any, Tuple]) -> None:
+    def _start(self, idx: int, attempt: int) -> None:
+        if attempt == 1:
+            self.first_started[idx] = time.monotonic()
+        if self.journal is not None:
+            self.journal.cell_started(self.keys[idx], attempt)
+
+    def _commit(self, idx: int, value: Any, records: Optional[Tuple] = None) -> None:
         if self.done[idx] or idx in self.failures:
             return  # stale report for an already-settled cell
-        value, self.forwarded[idx] = payload
         self.results[idx] = value
+        self.forwarded[idx] = records
         self.done[idx] = True
         self.outstanding -= 1
-        if self.on_commit is not None:
-            self.on_commit(idx, value)
+        # cache first, journal second: a crash between the two degrades to
+        # a recompute on the next run, never to a committed-but-missing result
+        if self.cache_keys:
+            self.cache.put(self.cache_keys[idx], value)
+        if self.journal is not None:
+            self.journal.cell_committed(self.keys[idx])
 
     def _attempt_failed(
         self, idx: int, attempt: int, kind: str, error: str,
@@ -346,10 +388,11 @@ class _Supervisor:
         if self.journal is not None:
             self.journal.cell_failed(key, kind, attempt, error)
         if kind == "interrupted" or self.retry.exhausted(attempt):
-            elapsed = time.monotonic() - self.first_started.get(idx, time.monotonic())
+            started = self.first_started[idx]
             self.failures[idx] = CellFailure(
                 key=key, kind=kind, attempts=attempt, error=error,
-                elapsed=elapsed, exception=exception,
+                elapsed=time.monotonic() - started if started else 0.0,
+                exception=exception,
             )
             self.outstanding -= 1
             obs.counter("resilience.quarantined")
@@ -360,13 +403,64 @@ class _Supervisor:
             due = time.monotonic() + self.retry.delay(key, attempt)
             heapq.heappush(self.retry_heap, (due, idx, attempt + 1))
 
+    def _pending(self) -> List[str]:
+        """Keys an interruption left without a result."""
+        return [
+            self.keys[i]
+            for i in range(self.n)
+            if not self.done[i] and i not in self.failures
+        ] + [f.key for f in self.failures.values() if f.kind == "interrupted"]
+
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-    def run(self) -> SupervisedResult:
+    def run(self, workers: int) -> SupervisedResult:
+        """Run the outstanding cells: inline when ``workers`` is 0, else
+        on a fork pool of that many workers.
+
+        An interruption is journaled with the cells it left pending, then
+        propagates as ``KeyboardInterrupt``.
+        """
+        try:
+            if workers:
+                self._run_pool(workers)
+            else:
+                self._run_inline()
+        except KeyboardInterrupt:
+            if self.journal is not None:
+                self.journal.run_interrupted(self.drain_reason, self._pending())
+            raise
+        return self.result()
+
+    def result(self) -> SupervisedResult:
+        return SupervisedResult(
+            results=self.results,
+            failures=[self.failures[i] for i in sorted(self.failures)],
+        )
+
+    def _run_inline(self) -> None:
+        """Run the cells here, in order; a failing cell's retries finish
+        before the next cell starts."""
+        while self.ready:
+            idx, attempt = self.ready.popleft()
+            self._start(idx, attempt)
+            try:
+                value = self.fn(self.items[idx])
+            except Exception as exc:  # noqa: BLE001 - quarantine, don't die
+                self._attempt_failed(idx, attempt, "error", _describe(exc), exc)
+                if self.retry_heap:
+                    due, idx, attempt = heapq.heappop(self.retry_heap)
+                    time.sleep(max(0.0, due - time.monotonic()))
+                    self.ready.appendleft((idx, attempt))
+            else:
+                self._commit(idx, value)
+
+    def _run_pool(self, n_workers: int) -> None:
+        self.n_workers = n_workers
+        self.ctx = multiprocessing.get_context("fork")
         saved_signals = self._install_signals()
         try:
-            for _ in range(min(self.n_workers, self.n)):
+            for _ in range(n_workers):
                 self._spawn_worker()
             while self.outstanding > 0:
                 self._promote_due_retries()
@@ -375,25 +469,13 @@ class _Supervisor:
                 self._sweep_workers()
                 if self.draining:
                     self._drain_step()
-            interrupted = self.draining
         finally:
             for sig, old in saved_signals:
                 signal.signal(sig, old)
             self._shutdown_pool()
             _merge_forwarded(self.forwarded)
-        if interrupted:
-            if self.journal is not None:
-                pending = [
-                    self.keys[i]
-                    for i in range(self.n)
-                    if not self.done[i] and i not in self.failures
-                ] + [f.key for f in self.failures.values() if f.kind == "interrupted"]
-                self.journal.run_interrupted(self.drain_reason, pending)
+        if self.draining:
             raise KeyboardInterrupt(f"supervised map drained on {self.drain_reason}")
-        return SupervisedResult(
-            results=self.results,
-            failures=[self.failures[i] for i in sorted(self.failures)],
-        )
 
     def _promote_due_retries(self) -> None:
         now = time.monotonic()
@@ -413,9 +495,7 @@ class _Supervisor:
                     self._replace_worker(w)
                 self.ready.appendleft((idx, attempt))
                 continue
-            self.first_started.setdefault(idx, time.monotonic())
-            if self.journal is not None:
-                self.journal.cell_started(self.keys[idx], attempt)
+            self._start(idx, attempt)
             w.assign(idx, attempt, self.items[idx])
 
     def _harvest(self) -> None:
@@ -457,7 +537,7 @@ class _Supervisor:
             if requeue:
                 self.idle.append(w.id)
         if kind == "done":
-            self._commit(idx, payload)
+            self._commit(idx, *payload)
         else:
             self._attempt_failed(idx, attempt, "error", *payload)
         return True
@@ -506,7 +586,7 @@ class _Supervisor:
         while self.retry_heap:
             _, idx, attempt = heapq.heappop(self.retry_heap)
             self._attempt_failed(idx, attempt, "interrupted", "drained before retry")
-        grace_over = time.monotonic() - self.drain_started > self.drain_grace
+        grace_over = time.monotonic() - self.drain_started > _DRAIN_GRACE
         for w in list(self.workers.values()):
             if w.assignment is None:
                 continue
@@ -532,58 +612,6 @@ class _Supervisor:
 
 
 # --------------------------------------------------------------------------- #
-# in-process fallback (no fork / nested / sequential)
-# --------------------------------------------------------------------------- #
-
-def _supervised_loop(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    keys: Sequence[str],
-    retry: RetryPolicy,
-    journal: Optional[RunJournal],
-    on_commit: Optional[Callable[[int, Any], None]] = None,
-) -> SupervisedResult:
-    results: List[Any] = [None] * len(items)
-    failures: List[CellFailure] = []
-    for idx, item in enumerate(items):
-        attempt = 1
-        t0 = time.monotonic()
-        while True:
-            if journal is not None:
-                journal.cell_started(keys[idx], attempt)
-            try:
-                results[idx] = fn(item)
-                if on_commit is not None:
-                    on_commit(idx, results[idx])
-                break
-            except KeyboardInterrupt:
-                if journal is not None:
-                    journal.run_interrupted("SIGINT", [keys[i] for i in range(idx, len(items))])
-                raise
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't die
-                error = f"{type(exc).__name__}: {exc}"
-                obs.counter("resilience.attempt_failures", kind="error")
-                if journal is not None:
-                    journal.cell_failed(keys[idx], "error", attempt, error)
-                if retry.exhausted(attempt):
-                    failures.append(
-                        CellFailure(
-                            key=keys[idx], kind="error", attempts=attempt,
-                            error=error, elapsed=time.monotonic() - t0,
-                            exception=exc,
-                        )
-                    )
-                    obs.counter("resilience.quarantined")
-                    if journal is not None:
-                        journal.cell_quarantined(keys[idx], "error", attempt, error)
-                    break
-                obs.counter("resilience.retries")
-                time.sleep(retry.delay(keys[idx], attempt))
-                attempt += 1
-    return SupervisedResult(results=results, failures=failures)
-
-
-# --------------------------------------------------------------------------- #
 # public entry point
 # --------------------------------------------------------------------------- #
 
@@ -598,91 +626,54 @@ def supervised_map(
     journal: Optional[RunJournal] = None,
     cache: Optional[Any] = None,
     cache_key: Optional[Callable[[Any], Any]] = None,
-    drain_grace: float = 10.0,
 ) -> SupervisedResult:
-    """Resilient ordered map — the pool behind
+    """Resilient ordered map — the runner behind
     :func:`repro.parallel.map_ordered`, which calls it with one attempt.
 
     ``fn``, ``items`` and ``jobs`` are as for ``map_ordered``.
     ``cache`` + ``cache_key`` memoize: each item's key is computed once,
-    hits are served without dispatch (journalled as cached commits), and
-    each miss is written back from this process as it commits.  The
-    supervision knobs:
+    hits are served without running the cell (journalled as cached
+    commits), and each miss is written back from this process as it
+    commits.  The supervision knobs:
 
     ``keys``
         Stable per-item names for journal records, retry seeding, and
         failure reports; defaults to ``cell0..cellN``.
     ``deadline``
         Per-cell wall-clock budget in seconds.  Enforced only when cells
-        run in supervised workers (a hung in-process cell cannot be
+        run in supervised workers (a hung inline cell cannot be
         preempted); forcing ``deadline`` with ``jobs=None`` still spawns
         a single supervised worker so the timeout bites.
-    ``retry`` / ``journal`` / ``drain_grace``
+    ``retry`` / ``journal``
         See the module docstring.
 
     Returns a :class:`SupervisedResult`; quarantined cells leave ``None``
     holes in ``results`` and one :class:`CellFailure` each in
-    ``failures`` (carrying the cell's exception when it raised one that
+    ``failures`` (carrying the cell's exception: the object itself for an
+    inline cell, for a pool cell the one that crossed the pipe when it
     pickles).  The function only raises for caller errors and
-    ``KeyboardInterrupt`` (after a drain) — cell failures never
-    propagate as exceptions.
+    ``KeyboardInterrupt`` — cell failures never propagate as exceptions.
     """
     items = list(items)
     require(callable(fn), "fn must be callable")
     keys = [str(k) for k in keys] if keys is not None else [f"cell{i}" for i in range(len(items))]
     require(len(keys) == len(items), "keys must match items 1:1")
     require(len(set(keys)) == len(keys), "cell keys must be unique")
-    retry = retry if retry is not None else RetryPolicy()
-
-    results: List[Any] = [None] * len(items)
-    miss_idx = list(range(len(items)))
-    cache_keys: List[Any] = []
-    if cache is not None and cache_key is not None:
-        cache_keys = [cache_key(item) for item in items]
-        miss_idx = []
-        for i, ck in enumerate(cache_keys):
-            hit, value = cache.get(ck)
-            if hit:
-                results[i] = value
-                if journal is not None:
-                    journal.cell_committed(keys[i], cached=True)
-            else:
-                miss_idx.append(i)
-    if not miss_idx:
-        return SupervisedResult(results=results, failures=[])
-
-    miss_items = [items[i] for i in miss_idx]
-    miss_keys = [keys[i] for i in miss_idx]
-
-    def commit_cb(j: int, value: Any) -> None:
-        # cache first, journal second: a crash between the two degrades to
-        # a recompute on resume, never to a committed-but-missing result
-        if cache_keys:
-            cache.put(cache_keys[miss_idx[j]], value)
-        if journal is not None:
-            journal.cell_committed(miss_keys[j])
-
-    n_workers = min(resolve_jobs(jobs), len(miss_items))
+    sup = _Supervisor(
+        fn, items, keys,
+        deadline=deadline,
+        retry=retry if retry is not None else RetryPolicy(),
+        journal=journal, cache=cache, cache_key=cache_key,
+    )
+    if not sup.outstanding:
+        return sup.result()
+    n_workers = min(resolve_jobs(jobs), sup.outstanding)
     use_pool = (
         supports_fork()
         and not _IN_WORKER
         and (n_workers > 1 or deadline is not None)
     )
     with obs.span(
-        "supervised_map", cells=len(items), misses=len(miss_items), workers=n_workers
+        "supervised_map", cells=len(items), misses=sup.outstanding, workers=n_workers
     ):
-        if use_pool:
-            sup = _Supervisor(
-                fn, miss_items, miss_keys,
-                n_workers=max(1, n_workers), deadline=deadline, retry=retry,
-                journal=journal, drain_grace=drain_grace, on_commit=commit_cb,
-            )
-            sub = sup.run()
-        else:
-            sub = _supervised_loop(
-                fn, miss_items, miss_keys, retry, journal, on_commit=commit_cb
-            )
-
-    for i, value in zip(miss_idx, sub.results):
-        results[i] = value  # quarantined cells are None holes already
-    return SupervisedResult(results=results, failures=sub.failures)
+        return sup.run(n_workers if use_pool else 0)

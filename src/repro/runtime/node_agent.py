@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import obs
 from ..core.flags import MemFlag
-from ..core.heatmap import HeatmapConfig, PageHeatmap
+from ..core.heatmap import PageHeatmap
 from ..memory.system import NodeMemorySystem
 from ..memory.tiers import DRAM, NUM_TIERS, TierKind
 from ..metrics.collector import MetricsRegistry
@@ -44,7 +44,6 @@ class NodeAgent:
         cores: int = 32,
         daemon_interval: float = 1.0,
         rate_config: Optional[RateModelConfig] = None,
-        heatmap_config: Optional[HeatmapConfig] = None,
         chunk_size: Optional[int] = None,
         shared_memory=None,
         node_index: int = 0,
@@ -66,7 +65,7 @@ class NodeAgent:
         self.cores_used = 0
         self.daemon_interval = float(daemon_interval)
         self.rate_config = rate_config if rate_config is not None else RateModelConfig()
-        self.heatmap = PageHeatmap(heatmap_config)
+        self.heatmap = PageHeatmap()
         from ..memory.pageset import DEFAULT_CHUNK_SIZE
 
         self.chunk_size = int(chunk_size) if chunk_size else DEFAULT_CHUNK_SIZE

@@ -7,15 +7,19 @@ Subcommands:
 * ``run <name-or-file> [--jobs N]`` — run a registered family/member or a
   ``.toml``/``.json`` spec file and print the outcome table.  Runs are
   supervised (:mod:`repro.resilience`): cached by default, journaled to
-  ``journal.jsonl`` next to the cache, resumable after a kill with
-  ``--resume``, retried/quarantined via ``--retries``/``--cell-timeout``,
-  and checkable with ``--check-invariants``,
+  ``journal.jsonl`` next to the cache, retried/quarantined via
+  ``--retries``/``--cell-timeout``, and checkable with
+  ``--check-invariants``.  A killed run resumes by running the same
+  command again: the cache serves every scenario that committed,
 * ``serve <name-or-file>`` — drive *service* scenarios (those with a
   ``[service]`` section) as open-loop steady-state runs and print their
   windowed reports; ``run --service`` is the same thing.  Shares the
   whole supervised-run machinery with ``run``,
 * ``verify`` — round-trip every registered scenario through both
   interchange forms (the CI gate).
+
+An unknown scenario name exits with status 2 and a usage message naming
+the registered families, before anything runs.
 """
 
 from __future__ import annotations
@@ -41,6 +45,13 @@ def _resolve(ref: str) -> List[ScenarioSpec]:
     return REGISTRY.resolve(ref)
 
 
+def _resolve_one(ref: str) -> List[ScenarioSpec]:
+    """A registry member (or single-member family) or a spec file."""
+    if Path(ref).is_file():
+        return [load_scenario(ref)]
+    return [REGISTRY.scenario(ref)]
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     for fam in REGISTRY:
         print(f"{fam.name}  [{len(fam)} scenario{'s' if len(fam) != 1 else ''}]")
@@ -51,8 +62,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    print(to_toml(REGISTRY.scenario(args.ref) if not Path(args.ref).is_file()
-                  else load_scenario(args.ref)), end="")
+    print(to_toml(args.specs[0]), end="")
     return 0
 
 
@@ -122,7 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     live_root = getattr(args, "live", None)
     if live_root and not service_mode:
         raise SystemExit("--live needs service mode (serve, or run --service)")
-    specs = _resolve(args.ref)
+    specs = args.specs
     if service_mode:
         missing = [s.name for s in specs if s.service is None]
         if missing:
@@ -142,8 +152,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from ..cache.store import ResultCache, default_cache_dir
 
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.resume and cache is None:
-        raise SystemExit("--resume needs the result cache; drop --no-cache")
     telemetry = (
         obs.Telemetry(f"scenarios/{args.ref}", {"jobs": args.jobs})
         if args.telemetry
@@ -163,34 +171,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checker=InvariantChecker() if args.check_invariants else None,
         ))
         journal = None
-        resumed: dict[str, object] = {}
-        run_specs, run_keys = list(specs), list(keys)
         if cache is not None:
-            jpath = journal_path(cache.root)
-            if args.resume:
-                committed = RunJournal.load_state(jpath).committed
-                run_specs, run_keys = [], []
-                for spec, key in zip(specs, keys):
-                    hit, value = (
-                        cache.get(cell_key(spec))
-                        if key in committed
-                        else (False, None)
-                    )
-                    if hit:
-                        resumed[key] = value
-                    else:
-                        run_specs.append(spec)
-                        run_keys.append(key)
-            journal = stack.enter_context(RunJournal(jpath))
-            journal.run_started(
-                f"scenarios/{args.ref}", run_keys, resumed=sorted(resumed)
-            )
-            for key in resumed:
-                journal.cell_committed(key, cached=True)
+            journal = stack.enter_context(RunJournal(journal_path(cache.root)))
+            journal.run_started(f"scenarios/{args.ref}", keys)
         sup = supervised_map(
             cell_fn,
-            run_specs,
-            keys=run_keys,
+            specs,
+            keys=keys,
             jobs=args.jobs,
             deadline=args.cell_timeout,
             retry=RetryPolicy(max_attempts=max(1, args.retries)),
@@ -200,12 +187,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         if journal is not None:
             journal.run_completed(failures=len(sup.failures))
-    by_key = dict(resumed)
     failed = {f.key for f in sup.failures}
-    for key, outcome in zip(run_keys, sup.results):
-        if key not in failed:
-            by_key[key] = outcome
-    outcomes = [by_key[key] for key in keys if key in by_key]
+    outcomes = [
+        outcome for key, outcome in zip(keys, sup.results) if key not in failed
+    ]
     if service_mode:
         _print_service_reports(args, specs, outcomes)
     else:
@@ -318,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_show = sub.add_parser("show", help="print one scenario as TOML")
     p_show.add_argument("ref", help="scenario name (family/member) or spec file")
-    p_show.set_defaults(fn=_cmd_show)
+    p_show.set_defaults(fn=_cmd_show, resolve=_resolve_one)
 
     def _add_run_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("ref", help="family name, family/member, or .toml/.json path")
@@ -341,11 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             help="run every scenario live, without the result cache",
         )
         p.add_argument(
-            "--resume", action="store_true",
-            help="replay journal.jsonl and skip scenarios already committed by "
-                 "an earlier (possibly killed) run",
-        )
-        p.add_argument(
             "--retries", type=int, default=2, metavar="N",
             help="attempts per scenario before quarantine (default 2)",
         )
@@ -365,6 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  "the insight plane is on; view with 'obs tail DIR'). "
                  "Cached cells do not stream — add --no-cache for a full feed",
         )
+        p.set_defaults(resolve=_resolve)
 
     p_run = sub.add_parser("run", help="run a family, member, or spec file")
     _add_run_options(p_run)
@@ -395,6 +376,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     _ensure_catalog()
+    if "resolve" in args:
+        # resolve names before anything runs: a bad one is a usage error
+        try:
+            args.specs = args.resolve(args.ref)
+        except KeyError as exc:
+            parser.error(str(exc.args[0]))
     return int(args.fn(args))
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.parallel import supports_fork
+from repro.parallel import map_ordered, supports_fork
 from repro.resilience import (
     NULL_CHECKER,
     CellFailure,
@@ -37,6 +37,12 @@ from repro.util.errors import ConfigurationError
 from conftest import CHUNK, make_pageset, simple_task, small_specs
 
 needs_fork = pytest.mark.skipif(not supports_fork(), reason="no fork on this platform")
+
+#: the two places a cell runs: in this process, and on a two-worker pool
+WHERE = [
+    pytest.param(None, id="inline"),
+    pytest.param(2, id="forked", marks=needs_fork),
+]
 
 #: fast schedule for tests: millisecond backoffs instead of the defaults
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.005, max_delay=0.01)
@@ -71,6 +77,12 @@ def _hang_on_two(x):
 def _die_on_two(x):
     if x == 2:
         os._exit(13)
+    return x
+
+
+def _interrupt_on_two(x):
+    if x == 2:
+        raise KeyboardInterrupt
     return x
 
 
@@ -187,11 +199,11 @@ class TestSupervisedMap:
         assert sup.ok
         assert sup.results == [0, 1, 2, 3, 4, 5]
 
-    @needs_fork
-    def test_raising_cell_quarantined_others_survive(self):
+    @pytest.mark.parametrize("jobs", WHERE)
+    def test_raising_cell_quarantined_others_survive(self, jobs):
         sup = supervised_map(
             _raise_on_three, [1, 2, 3, 4],
-            keys=["c1", "c2", "c3", "c4"], jobs=2, retry=FAST_RETRY,
+            keys=["c1", "c2", "c3", "c4"], jobs=jobs, retry=FAST_RETRY,
         )
         assert not sup.ok
         assert sup.results == [11, 12, None, 14]
@@ -199,7 +211,10 @@ class TestSupervisedMap:
         assert failure.key == "c3"
         assert failure.kind == "error"
         assert failure.attempts == FAST_RETRY.max_attempts
-        assert "boom three" in failure.error
+        assert failure.error == "ValueError: boom three"
+        assert isinstance(failure.exception, ValueError)
+        # elapsed runs from the first attempt, so it spans the backoff
+        assert failure.elapsed >= FAST_RETRY.delay("c3", 1)
 
     @needs_fork
     def test_hung_cell_times_out(self):
@@ -231,6 +246,57 @@ class TestSupervisedMap:
             _flaky, [(str(marker), 7)], keys=["c"], jobs=2, retry=FAST_RETRY,
         )
         assert sup.ok and sup.results == [7]
+
+    def test_inline_failure_keeps_the_raised_object(self):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        raised = Local("boom")
+
+        def raise_it(_x):
+            raise raised
+
+        sup = supervised_map(raise_it, [7], keys=["c"], retry=ONE_SHOT)
+        (failure,) = sup.failures
+        assert failure.exception is raised
+        assert failure.error == "Local: boom"
+        with pytest.raises(Local) as info:
+            map_ordered(raise_it, [7, 8])
+        assert info.value is raised
+
+    def test_inline_retries_finish_before_the_next_cell(self, tmp_path):
+        jpath = tmp_path / "journal.jsonl"
+        with RunJournal(jpath) as journal:
+            supervised_map(
+                _raise_on_three, [3, 1], keys=["c3", "c1"], jobs=None,
+                retry=FAST_RETRY, journal=journal,
+            )
+        records = RunJournal.load_state(jpath).records
+        assert [(r["ev"], r["cell"]) for r in records] == [
+            ("cell-started", "c3"), ("cell-failed", "c3"),
+            ("cell-started", "c3"), ("cell-failed", "c3"),
+            ("cell-quarantined", "c3"),
+            ("cell-started", "c1"), ("cell-committed", "c1"),
+        ]
+
+    def test_inline_interrupt_propagates_and_is_journaled(self, tmp_path):
+        jpath = tmp_path / "journal.jsonl"
+        with RunJournal(jpath) as journal:
+            with pytest.raises(KeyboardInterrupt):
+                supervised_map(
+                    _interrupt_on_two, [1, 2, 3, 4],
+                    keys=["c1", "c2", "c3", "c4"], jobs=None,
+                    retry=FAST_RETRY, journal=journal,
+                )
+        records = RunJournal.load_state(jpath).records
+        assert [(r["ev"], r.get("cell")) for r in records] == [
+            ("cell-started", "c1"),
+            ("cell-committed", "c1"),
+            ("cell-started", "c2"),
+            ("run-interrupted", None),
+        ]
+        assert records[-1]["pending"] == ["c2", "c3", "c4"]
+        assert records[-1]["reason"] == "SIGINT"
 
     def test_in_process_fallback_retries_and_quarantines(self, tmp_path):
         marker = tmp_path / "attempted"
@@ -290,13 +356,13 @@ class TestSupervisedMapJournalAndCache:
         assert cached == ["c2"]
         assert sorted(live) == ["c1", "c3"]
 
-    @needs_fork
-    def test_journal_records_full_lifecycle(self, tmp_path):
+    @pytest.mark.parametrize("jobs", WHERE)
+    def test_journal_records_full_lifecycle(self, tmp_path, jobs):
         jpath = tmp_path / "journal.jsonl"
         with RunJournal(jpath) as journal:
             journal.run_started("demo", ["c1", "c3"])
             sup = supervised_map(
-                _raise_on_three, [1, 3], keys=["c1", "c3"], jobs=2,
+                _raise_on_three, [1, 3], keys=["c1", "c3"], jobs=jobs,
                 retry=FAST_RETRY, journal=journal,
             )
             journal.run_completed(failures=len(sup.failures))
@@ -307,6 +373,25 @@ class TestSupervisedMapJournalAndCache:
         events = [r["ev"] for r in state.records]
         assert events.count("cell-failed") == FAST_RETRY.max_attempts
         assert events[0] == "run-started" and events[-1] == "run-completed"
+        # the same records wherever the cells ran (pool order may differ)
+        assert sorted(
+            (r["ev"], r.get("cell", ""), r.get("attempt", r.get("attempts", 0)))
+            for r in state.records
+        ) == sorted([
+            ("run-started", "", 0),
+            ("cell-started", "c1", 1),
+            ("cell-committed", "c1", 0),
+            ("cell-started", "c3", 1),
+            ("cell-failed", "c3", 1),
+            ("cell-started", "c3", 2),
+            ("cell-failed", "c3", 2),
+            ("cell-quarantined", "c3", 2),
+            ("run-completed", "", 0),
+        ])
+        (failure,) = sup.failures
+        assert (failure.key, failure.kind, failure.attempts, failure.error) == (
+            "c3", "error", 2, "ValueError: boom three"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -330,19 +415,8 @@ class TestFailureReporting:
         assert "bad" in str(exc)
         assert exc.results == {"good": 1.0}
 
-    def test_sweep_with_retry_raises_sweep_failure(self):
-        from repro.experiments.common import SweepSpec, sweep
-
-        spec = SweepSpec("mixed", base_seed=3)
-        spec.add("ok", _square, x=4)
-        spec.add("bad", _raise_on_three, x=3)
-        with pytest.raises(SweepFailure) as info:
-            sweep(spec, retry=FAST_RETRY)
-        assert info.value.results == {"ok": 16}
-        assert [f.key for f in info.value.failures] == ["bad"]
-
     def test_sweep_without_knobs_still_raises_plainly(self):
-        # the default path is unsupervised: first error propagates as-is
+        # one attempt per cell: the first error propagates as-is
         from repro.experiments.common import SweepSpec, sweep
 
         spec = SweepSpec("plain", base_seed=3)
@@ -488,7 +562,7 @@ class TestFaultEdgeCases:
 
 
 # --------------------------------------------------------------------------- #
-# SIGKILL + resume (end-to-end, out of process)
+# SIGKILL, then the same command again (end-to-end, out of process)
 # --------------------------------------------------------------------------- #
 _KILL_SCRIPT = """\
 import os, sys, time
@@ -498,7 +572,7 @@ from repro.cache.store import ResultCache
 from repro.resilience import RetryPolicy, RunJournal, journal_path, supervised_map
 
 ROOT = sys.argv[1]
-FAST = os.path.join(ROOT, "fast")  # present on the resume run
+FAST = os.path.join(ROOT, "fast")  # present on the re-run
 
 
 def cell(x):

@@ -265,6 +265,25 @@ class TestCli:
         assert cli_main(["verify"]) == 0
         assert "verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "nosuch"], ["serve", "nosuch"], ["show", "nosuch"],
+        ["show", "fig05"],  # a family of four: show needs one member
+    ])
+    def test_bad_name_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "registered families" in err or "pick a member" in err
+        assert "fig05" in err
+
+    def test_resume_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", "cold-pages", "--resume"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
     def test_run_spec_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.toml"
         path.write_text(_TINY_TOML, encoding="utf-8")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Chaos smoke test: SIGKILL a sweep mid-run, resume it, compare bytes;
-then SIGKILL one pool worker and require the run to heal itself.
+"""Chaos smoke test: SIGKILL a sweep mid-run, re-run the same command,
+compare bytes; then SIGKILL one pool worker and require the run to heal
+itself.
 
-The end-to-end proof behind ``run_all --resume``:
+The end-to-end proof that a killed run resumes by running it again:
 
 1. run a small experiment subset to completion in a pristine cache and
    keep its markdown report as the reference,
@@ -10,9 +11,11 @@ The end-to-end proof behind ``run_all --resume``:
    journal shows at least one committed cell, and SIGKILL the whole
    process group (supervisor and workers alike — no cleanup handlers
    get to run),
-3. rerun with ``--resume``: committed cells must be served from the
-   cache without re-executing, the rest must compute, and the resumed
-   report must be byte-identical to the reference.
+3. re-run the same command with ``--cache-stats``: every experiment the
+   journal showed committed before the kill must report at least one
+   cache hit and no miss (served from the cache, not re-executed), the
+   rest must compute, every experiment must end up journaled as
+   committed, and the report must be byte-identical to the reference.
 
 The worker-kill phase then runs ``fig10 --jobs 2 --no-cache`` (a single
 experiment, so ``jobs`` fans out its inner sweep) once as a reference,
@@ -64,6 +67,22 @@ def journal_committed(path):
             if entry.get("ev") == "cell-committed":
                 cells.add(entry["cell"])
     return cells
+
+
+def cache_stats(stdout):
+    """``{experiment: (hits, misses)}`` from a ``--cache-stats`` table."""
+    stats = {}
+    lines = stdout.splitlines()
+    start = next(
+        (i for i, line in enumerate(lines) if line.startswith("result cache (")),
+        len(lines),
+    )
+    for line in lines[start + 1:]:
+        fields = line.split()
+        if len(fields) != 10 or fields[0] == "total":
+            break
+        stats[fields[0]] = (int(fields[1]), int(fields[3]))
+    return stats
 
 
 def child_pids(pid):
@@ -142,7 +161,7 @@ def worker_kill_phase(tmp, env):
 def main():
     with tempfile.TemporaryDirectory(prefix="chaos-smoke-") as tmp:
         ref_report = os.path.join(tmp, "reference.md")
-        res_report = os.path.join(tmp, "resumed.md")
+        rerun_report = os.path.join(tmp, "rerun.md")
 
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = os.path.join(tmp, "cache-reference")
@@ -176,34 +195,47 @@ def main():
         finally:
             os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
+        # read after the kill: the journal may have gained commits since
+        committed = journal_committed(journal)
         if victim.returncode == 0:
             log("WARN: the run finished before the kill landed; "
-                "resume will be a pure cache replay")
+                "the re-run will be a pure cache replay")
         elif not committed:
             log("FAIL: nothing committed before the kill")
             return 1
         log(f"killed with {sorted(committed)} committed")
 
-        log("resume run")
+        log("re-run: the same command")
+        t0 = time.monotonic()
         proc = run_cmd(
-            [*SUBSET, "--quiet", "--jobs", "2", "--resume",
-             "--out", res_report],
-            env, timeout=RESUME_TIMEOUT_S,
+            [*SUBSET, "--quiet", "--jobs", "2", "--cache-stats",
+             "--out", rerun_report],
+            env, timeout=RESUME_TIMEOUT_S, capture_output=True, text=True,
         )
+        log(f"re-run took {time.monotonic() - t0:.1f}s")
         if proc.returncode != 0:
-            log(f"FAIL: resume exited {proc.returncode}")
+            log(f"FAIL: re-run exited {proc.returncode}")
+            sys.stderr.write(proc.stderr)
             return 1
-        resumed_committed = journal_committed(journal)
-        if not set(SUBSET) <= resumed_committed:
+        stats = cache_stats(proc.stdout)
+        for name in sorted(committed):
+            hits, misses = stats.get(name, (0, -1))
+            if hits < 1 or misses != 0:
+                log(f"FAIL: {name} committed before the kill but re-ran "
+                    f"({hits} hits, {misses} misses)")
+                return 1
+        rerun_committed = journal_committed(journal)
+        if not set(SUBSET) <= rerun_committed:
             log(f"FAIL: journal missing commits: "
-                f"{set(SUBSET) - resumed_committed}")
+                f"{set(SUBSET) - rerun_committed}")
             return 1
 
-        with open(ref_report, "rb") as a, open(res_report, "rb") as b:
+        with open(ref_report, "rb") as a, open(rerun_report, "rb") as b:
             if a.read() != b.read():
-                log("FAIL: resumed report differs from the reference")
+                log("FAIL: re-run report differs from the reference")
                 return 1
-        log("OK: resumed run is byte-identical to the reference")
+        log(f"OK: {sorted(committed)} served from the cache; the re-run "
+            "is byte-identical to the reference")
         return worker_kill_phase(tmp, env)
 
 
