@@ -325,18 +325,6 @@ class NodeArena:
         broadcast (idle slices gain 0, and x+0.0f == x for the
         non-negative temperatures the heatmap maintains).
         """
-        if not obs.enabled():
-            return self._advance_kernel(dt, decay, rates)
-        # telemetry-on path: per-node kernel time as a span, cells as a
-        # counter — one emission pair per daemon tick, never per cell
-        with obs.span("arena.advance", node=self.node_id):
-            n = self._advance_kernel(dt, decay, rates)
-        obs.counter("arena.cells_advanced", n, node=self.node_id)
-        return n
-
-    def _advance_kernel(
-        self, dt: float, decay: float, rates: Optional[dict[str, float]]
-    ) -> int:
         hi = self.hi
         if hi == 0:
             return 0

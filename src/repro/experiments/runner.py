@@ -217,8 +217,8 @@ def run_all(
     per-experiment hit/miss/invalidation summary.
 
     ``telemetry_dir`` turns on the :mod:`repro.obs` layer for the run and
-    writes the merged record (run.json, events.jsonl, trace.json,
-    metrics.csv) under that directory.
+    writes the merged record (run.json, plus trace.json for Perfetto)
+    under that directory.
 
     Execution is *supervised* (:mod:`repro.resilience`): each experiment
     gets up to ``retries`` attempts (deterministic backoff between them),
@@ -349,8 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="DIR",
         default=None,
         help="record spans/counters/events for the whole run and write "
-             "run.json, events.jsonl, trace.json (Perfetto), metrics.csv "
-             "under DIR",
+             "run.json and trace.json (Perfetto) under DIR",
     )
     parser.add_argument(
         "--retries",

@@ -3,8 +3,12 @@
 Emission points across the stack call the module-level dispatchers
 (:func:`counter`, :func:`span`, :func:`event`, ...), which are no-ops
 unless a run installs a :class:`Telemetry` through :func:`session`
-(``run_all --telemetry DIR``, ``scenarios run --telemetry DIR``).  See
-``docs/observability.md`` for the span taxonomy and exporter formats.
+(``run_all --telemetry DIR``, ``scenarios run --telemetry DIR``).
+:func:`write_run_dir` records a run as one file per plane — ``run.json``
+(telemetry) and ``insight.json`` (insight plane) — plus ``trace.json``
+for Perfetto; :func:`load_run_dir` and :func:`load_insight_record` read
+them back.  See ``docs/observability.md`` for the span taxonomy and the
+run directory.
 
 :func:`session` scopes one :class:`RunContext`: telemetry, the
 memory-introspection plane (:mod:`repro.obs.insight` — migration ledger,
@@ -16,13 +20,10 @@ aliased for convenience (:class:`Insight`, :class:`InsightRecord`,
 
 from . import insight
 from .exporters import (
-    ledger_ndjson,
     load_insight_record,
     load_run_dir,
-    metrics_table,
     percentile,
     to_chrome_trace,
-    to_jsonl,
     validate_chrome_trace,
     write_run_dir,
 )
@@ -70,16 +71,13 @@ __all__ = [
     "event",
     "gauge",
     "insight",
-    "ledger_ndjson",
     "load_insight_record",
     "load_run_dir",
-    "metrics_table",
     "observe",
     "percentile",
     "session",
     "span",
     "to_chrome_trace",
-    "to_jsonl",
     "validate_chrome_trace",
     "write_run_dir",
 ]

@@ -3,8 +3,10 @@
 Subcommands:
 
 ``summary DIR``
-    Per-experiment span/counter rollups: total wall time per span name,
-    counter totals grouped by experiment scope, drop accounting.
+    Per-experiment rollups of ``run.json``: total wall time per span
+    name, counter and gauge values grouped by experiment scope,
+    histogram count/p50/p95/p99, drop accounting, and the migration
+    ledger totals from ``insight.json`` when present.
 ``trace DIR [--out FILE] [--check]``
     (Re-)emit the Chrome trace_event JSON from ``run.json``; ``--check``
     validates the document structurally and exits non-zero on problems.
@@ -16,8 +18,9 @@ Subcommands:
     occupancy and the stall proxy.
 
 ``summary`` and ``top`` take ``--json`` to emit their rollups as one
-machine-readable JSON document instead of tables; ``tail --json`` echoes
-the raw NDJSON payloads.
+machine-readable JSON document instead of tables (the text summary is
+printed from that same document); ``tail --json`` echoes the raw NDJSON
+payloads.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .exporters import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from .insight import LIVE_FILE, format_live_window
+from .insight import LIVE_FILE, format_live_window, tier_label
 from .telemetry import TelemetryRecord, split_label
 
 __all__ = ["main"]
@@ -64,20 +67,21 @@ def _span_rollup(record: TelemetryRecord) -> List[List[object]]:
     return rows
 
 
-def _counter_rollup(record: TelemetryRecord) -> List[List[object]]:
-    """Counter totals grouped by the ``exp`` scope label."""
+def _keyed_rollup(values: Dict[str, float]) -> List[List[object]]:
+    """Counter or gauge values grouped by the ``exp`` scope label."""
     rows = []
-    for key in sorted(record.counters):
+    for key in sorted(values):
         name, labels = split_label(key)
         exp = labels.pop("exp", "-")
         label_str = ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
-        rows.append([exp, name, label_str, record.counters[key]])
+        rows.append([exp, name, label_str, values[key]])
     rows.sort(key=lambda r: (str(r[0]), str(r[1]), str(r[2])))
     return rows
 
 
 def _summary_doc(run_dir: str, record: TelemetryRecord) -> dict:
-    """One run's rollups as a JSON-ready document (``summary --json``)."""
+    """One run's rollups as a JSON-ready document: ``summary --json``
+    emits it and the text summary prints it."""
     doc: dict = {
         "dir": run_dir,
         "run_id": record.run_id,
@@ -89,7 +93,19 @@ def _summary_doc(run_dir: str, record: TelemetryRecord) -> dict:
         ],
         "counters": [
             {"experiment": exp, "counter": name, "labels": labels, "total": total}
-            for exp, name, labels, total in _counter_rollup(record)
+            for exp, name, labels, total in _keyed_rollup(record.counters)
+        ],
+        "gauges": [
+            {"experiment": exp, "gauge": name, "labels": labels, "value": value}
+            for exp, name, labels, value in _keyed_rollup(record.gauges)
+        ],
+        "histograms": [
+            {
+                "histogram": name,
+                "count": len(values),
+                **{f"p{q}": percentile(values, q) for q in (50, 95, 99)},
+            }
+            for name, values in sorted(record.histograms.items())
         ],
         "events": len(record.events),
         "dropped": {
@@ -100,123 +116,92 @@ def _summary_doc(run_dir: str, record: TelemetryRecord) -> dict:
     }
     insight = load_insight_record(run_dir)
     if insight is not None:
-        counts, nbytes = _ledger_by_kind(insight)
         doc["insight"] = {
             "ledger_entries": len(insight.entries),
             "ledger_dropped": insight.dropped,
-            "counts_by_kind": counts,
-            "bytes_by_kind": nbytes,
+            # the drop-proof totals, one row per (kind, cause, src, dst)
+            "ledger": [
+                {
+                    "kind": kind, "cause": cause,
+                    "src": tier_label(src), "dst": tier_label(dst),
+                    "entries": n, "chunks": chunks, "bytes": nbytes,
+                }
+                for (kind, cause, src, dst), (n, chunks, nbytes)
+                in sorted(insight.totals.items())
+            ],
             "nodes": sorted(insight.series, key=str),
             "samples_seen": dict(insight.samples_seen),
         }
     return doc
 
 
-def _ledger_by_kind(insight) -> "tuple[Dict[str, int], Dict[str, int]]":
-    """Entry and byte totals per ledger kind, from the drop-proof totals."""
-    counts: Dict[str, int] = {}
-    nbytes: Dict[str, int] = {}
-    for (kind, _cause, _src, _dst), (n, _chunks, b) in insight.totals.items():
-        counts[kind] = counts.get(kind, 0) + int(n)
-        nbytes[kind] = nbytes.get(kind, 0) + int(b)
-    return counts, nbytes
+#: the text summary's tables: document key, (field, header) columns, and
+#: the float format of its cells
+_TABLES = (
+    ("spans", (("span", "span"), ("count", "count"), ("total", "total s"),
+               ("p50", "p50 s"), ("max", "max s")), "{:.4f}"),
+    ("counters", (("experiment", "experiment"), ("counter", "counter"),
+                  ("labels", "labels"), ("total", "total")), "{:.0f}"),
+    ("gauges", (("experiment", "experiment"), ("gauge", "gauge"),
+                ("labels", "labels"), ("value", "value")), "{:.4f}"),
+    ("histograms", (("histogram", "histogram"), ("count", "n"), ("p50", "p50"),
+                    ("p95", "p95"), ("p99", "p99")), "{:.3f}"),
+)
 
-
-def _print_insight_summary(run_dir: str) -> None:
-    """Append the insight-plane rollup to a text summary, when present."""
-    insight = load_insight_record(run_dir)
-    if insight is None:
-        return
-    counts, nbytes = _ledger_by_kind(insight)
-    if counts:
-        print()
-        rows = [
-            [kind, float(counts[kind]), float(nbytes.get(kind, 0))]
-            for kind in sorted(counts)
-        ]
-        print(
-            format_table(
-                ["kind", "entries", "bytes"],
-                rows,
-                title="migration ledger",
-                float_fmt="{:.0f}",
-            )
+def _print_table(title: str, columns, rows: List[dict], float_fmt: str) -> None:
+    print()
+    print(
+        format_table(
+            [header for _field, header in columns],
+            [[row[field] for field, _header in columns] for row in rows],
+            title=title,
+            float_fmt=float_fmt,
         )
-    if insight.series:
-        nodes = ", ".join(sorted(insight.series, key=str))
-        total = sum(insight.samples_seen.values())
-        print()
-        print(f"  tier series: {len(insight.series)} node(s) [{nodes}], "
-              f"{total} samples")
+    )
+
+
+def _print_summary(doc: dict) -> None:
+    print(f"run {doc['run_id']!r}  ({doc['dir']})")
+    if doc["meta"]:
+        meta = ", ".join(f"{k}={v}" for k, v in sorted(doc["meta"].items()))
+        print(f"  meta: {meta}")
+    if doc["workers"]:
+        print(f"  workers: {', '.join(doc['workers'])}")
+    for key, columns, float_fmt in _TABLES:
+        if doc[key]:
+            _print_table(key, columns, doc[key], float_fmt)
+    dropped = doc["dropped"]
+    spans = sum(row["count"] for row in doc["spans"])
+    print()
+    print(
+        f"  events: {doc['events']}  spans: {spans}  "
+        f"dropped: {sum(dropped.values())} "
+        f"(spans={dropped['spans']}, events={dropped['events']}, "
+        f"obs={dropped['observations']})"
+    )
+    insight = doc.get("insight")
+    if insight is not None:
+        if insight["ledger"]:
+            fields = ("kind", "cause", "src", "dst", "entries", "chunks", "bytes")
+            columns = [(field, field) for field in fields]
+            _print_table("migration ledger", columns, insight["ledger"], "{:.0f}")
+        if insight["nodes"]:
+            total = sum(insight["samples_seen"].values())
+            print()
+            print(f"  tier series: {len(insight['nodes'])} node(s) "
+                  f"[{', '.join(insight['nodes'])}], {total} samples")
+    print()
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
     dirs = find_run_dirs(args.dir) or [args.dir]
+    docs = [_summary_doc(run_dir, _load(run_dir)) for run_dir in dirs]
     if getattr(args, "json", False):
-        docs = [_summary_doc(run_dir, _load(run_dir)) for run_dir in dirs]
         json.dump(docs, sys.stdout, indent=2, sort_keys=True, default=str)
         print()
         return 0
-    for run_dir in dirs:
-        record = _load(run_dir)
-        print(f"run {record.run_id!r}  ({run_dir})")
-        if record.meta:
-            meta = ", ".join(f"{k}={v}" for k, v in sorted(record.meta.items()))
-            print(f"  meta: {meta}")
-        if record.workers:
-            print(f"  workers: {', '.join(record.workers)}")
-        span_rows = _span_rollup(record)
-        if span_rows:
-            print()
-            print(
-                format_table(
-                    ["span", "count", "total s", "p50 s", "max s"],
-                    span_rows,
-                    title="spans",
-                    float_fmt="{:.4f}",
-                )
-            )
-        counter_rows = _counter_rollup(record)
-        if counter_rows:
-            print()
-            print(
-                format_table(
-                    ["experiment", "counter", "labels", "total"],
-                    counter_rows,
-                    title="counters",
-                    float_fmt="{:.0f}",
-                )
-            )
-        if record.histograms:
-            print()
-            hist_rows = [
-                [
-                    name,
-                    len(vals),
-                    percentile(vals, 50),
-                    percentile(vals, 95),
-                    percentile(vals, 99),
-                ]
-                for name, vals in sorted(record.histograms.items())
-            ]
-            print(
-                format_table(
-                    ["histogram", "n", "p50", "p95", "p99"],
-                    hist_rows,
-                    title="histograms",
-                    float_fmt="{:.3f}",
-                )
-            )
-        dropped = record.dropped_spans + record.dropped_events + record.dropped_observations
-        print()
-        print(
-            f"  events: {len(record.events)}  spans: {len(record.spans)}  "
-            f"dropped: {dropped} "
-            f"(spans={record.dropped_spans}, events={record.dropped_events}, "
-            f"obs={record.dropped_observations})"
-        )
-        _print_insight_summary(run_dir)
-        print()
+    for doc in docs:
+        _print_summary(doc)
     return 0
 
 
@@ -295,7 +280,9 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_summary = sub.add_parser("summary", help="span/counter rollups for a run dir tree")
+    p_summary = sub.add_parser(
+        "summary", help="span/counter/gauge/histogram rollups for a run dir tree"
+    )
     p_summary.add_argument("dir", help="telemetry directory (searched recursively)")
     p_summary.add_argument(
         "--json", action="store_true", help="emit the rollups as a JSON document"

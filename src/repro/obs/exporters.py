@@ -1,21 +1,21 @@
-"""Export a :class:`~repro.obs.telemetry.TelemetryRecord` to files.
+"""Write a run's records to a telemetry directory, and read them back.
 
-Three formats, one directory layout (``write_run_dir``):
+One file per recording plane, plus the one view an outside tool needs
+(``write_run_dir``):
 
 ``run.json``
-    The canonical record — everything the other exports are derived
-    from, and what ``python -m repro obs`` reads back.
-``events.jsonl``
-    One JSON object per line: every sim-time event, then every closed
-    span (``{"kind": "span", ...}``).  Greppable, streamable.
+    The :class:`~repro.obs.telemetry.TelemetryRecord`: spans, counters,
+    gauges, histograms and sim-time events.  ``python -m repro obs``
+    reads it back (``summary`` rolls up every counter, gauge and
+    histogram; ``trace`` re-emits the Chrome trace from it).
+``insight.json``
+    The :class:`~repro.obs.insight.InsightRecord` (migration ledger and
+    tier time-series), when the insight plane ran.
 ``trace.json``
     Chrome ``trace_event`` JSON — open it in Perfetto
     (https://ui.perfetto.dev) or ``chrome://tracing``.  Wall-clock spans
     land on pid 1 with one thread per worker; simulated-time events land
     on pid 2 so the two timebases never share an axis.
-``metrics.csv``
-    Flat ``kind,name,labels,value`` table of counters and gauges plus
-    histogram summary rows.
 """
 
 from __future__ import annotations
@@ -24,36 +24,21 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from .insight import (
-    TEMP_QUANTILES,
-    TIER_LABELS,
-    InsightRecord,
-    entry_dict,
-    tier_label,
-)
+from .insight import TEMP_QUANTILES, TIER_LABELS, InsightRecord
 from .telemetry import TelemetryRecord, split_label
 
 __all__ = [
-    "ledger_ndjson",
     "load_insight_record",
     "load_run_dir",
-    "metrics_table",
     "percentile",
     "to_chrome_trace",
-    "to_jsonl",
     "validate_chrome_trace",
     "write_run_dir",
 ]
 
 RUN_FILE = "run.json"
-EVENTS_FILE = "events.jsonl"
 TRACE_FILE = "trace.json"
-METRICS_FILE = "metrics.csv"
-LEDGER_FILE = "ledger.ndjson"
 INSIGHT_FILE = "insight.json"
-
-#: first line of ledger.ndjson; bump on layout changes
-LEDGER_SCHEMA = "repro.insight.ledger/1"
 
 _MAIN_PID = 1       # wall-clock span track
 _SIM_PID = 2        # simulated-time event track
@@ -64,42 +49,14 @@ def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile on a sorted copy (no numpy dependency).
 
     Empty input reads 0.0; a singleton reads its only element for any
-    ``q`` — the shared implementation behind the CLI summary and the
-    metrics table.
+    ``q`` — the implementation behind the CLI's span and histogram
+    rollups.
     """
     if not values:
         return 0.0
     ordered = sorted(values)
     idx = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
     return ordered[idx]
-
-
-# --------------------------------------------------------------------------- #
-# JSONL
-# --------------------------------------------------------------------------- #
-
-def to_jsonl(record: TelemetryRecord) -> str:
-    lines = []
-    for ev in record.events:
-        lines.append(json.dumps({"kind": "event", **ev}, default=str))
-    for s in record.spans:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "span",
-                    "name": s.name,
-                    "start": s.start,
-                    "end": s.end,
-                    "duration": s.duration,
-                    "span_id": s.span_id,
-                    "parent_id": s.parent_id,
-                    "worker": s.worker,
-                    **({"attrs": s.attrs} if s.attrs else {}),
-                },
-                default=str,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --------------------------------------------------------------------------- #
@@ -328,128 +285,30 @@ def validate_chrome_trace(doc: Any) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# flat metrics table
-# --------------------------------------------------------------------------- #
-
-def metrics_table(record: TelemetryRecord, insight: Optional[InsightRecord] = None) -> str:
-    rows = ["kind,name,labels,value"]
-
-    def fmt(kind: str, key: str, value: float) -> str:
-        name, labels = split_label(key)
-        label_str = ";".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        return f'{kind},{name},"{label_str}",{value!r}'
-
-    for key in sorted(record.counters):
-        rows.append(fmt("counter", key, record.counters[key]))
-    for key in sorted(record.gauges):
-        rows.append(fmt("gauge", key, record.gauges[key]))
-    for name in sorted(record.histograms):
-        values = record.histograms[name]
-        rows.append(fmt("histogram_count", name, float(len(values))))
-        for q in (50, 95, 99):
-            rows.append(fmt(f"histogram_p{q}", name, percentile(values, q)))
-    if insight is not None:
-        rows.extend(_insight_rows(insight, fmt))
-    return "\n".join(rows) + "\n"
-
-
-def _insight_rows(insight: InsightRecord, fmt) -> List[str]:
-    """Migration-ledger totals and tier time-series summaries as metric
-    rows (the ``metrics.csv`` face of the introspection plane)."""
-    rows: List[str] = []
-    for (kind, cause, src, dst) in sorted(insight.totals):
-        n, chunks, nbytes = insight.totals[(kind, cause, src, dst)]
-        key = (
-            f"insight.ledger{{cause={cause},dst={tier_label(dst)},"
-            f"kind={kind},src={tier_label(src)}}}"
-        )
-        rows.append(fmt("ledger_entries", key, float(n)))
-        rows.append(fmt("ledger_chunks", key, float(chunks)))
-        rows.append(fmt("ledger_bytes", key, float(nbytes)))
-    for node in sorted(insight.series):
-        s = insight.series[node]
-        count = len(s["t"])
-        rows.append(fmt("series_count", f"insight.samples{{node={node}}}", float(count)))
-        if not count:
-            continue
-        occ = s["occupancy"]
-        stall = s["stall"]
-        for t, label in enumerate(TIER_LABELS):
-            rows.append(
-                fmt(
-                    "series_last",
-                    f"insight.tier_occupancy_bytes{{node={node},tier={label}}}",
-                    float(occ[-1][t]),
-                )
-            )
-        rows.append(fmt("series_last", f"insight.stall{{node={node}}}", float(stall[-1])))
-        rows.append(
-            fmt("series_max", f"insight.stall{{node={node}}}", float(max(stall)))
-        )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
 # run directory
 # --------------------------------------------------------------------------- #
-
-def ledger_ndjson(insight: InsightRecord) -> str:
-    """The migration ledger as NDJSON: a schema header line (entry
-    layout, drop count, drop-proof totals), then one line per entry."""
-    header = {
-        "schema": LEDGER_SCHEMA,
-        "fields": list(entry_dict(tuple([0.0, "", "", "", "", -1, -1, 0, 0])).keys()),
-        "entries": len(insight.entries),
-        "dropped": insight.dropped,
-        "totals": {
-            f"{kind}|{cause}|{tier_label(src)}|{tier_label(dst)}": list(v)
-            for (kind, cause, src, dst), v in sorted(insight.totals.items())
-        },
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    for entry in insight.entries:
-        lines.append(json.dumps(entry_dict(entry), sort_keys=True))
-    return "\n".join(lines) + "\n"
-
 
 def write_run_dir(
     record: TelemetryRecord,
     out_dir: str,
     insight: Optional[InsightRecord] = None,
 ) -> Dict[str, str]:
-    """Write all exports under ``out_dir``; returns name -> path.
-
-    With an :class:`InsightRecord` the directory additionally gains
-    ``ledger.ndjson`` and ``insight.json``, the trace gains counter
-    tracks, and the metrics table gains ledger/series rows.
-    """
+    """Write ``run.json`` and ``trace.json`` under ``out_dir``, plus
+    ``insight.json`` and the trace's tier counter tracks when an
+    :class:`InsightRecord` is given; returns name -> path."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    run_path = os.path.join(out_dir, RUN_FILE)
-    with open(run_path, "w") as fh:
+    paths = {
+        "run": os.path.join(out_dir, RUN_FILE),
+        "trace": os.path.join(out_dir, TRACE_FILE),
+    }
+    with open(paths["run"], "w") as fh:
         json.dump(record.to_dict(), fh, indent=1, default=str)
-    paths["run"] = run_path
-    events_path = os.path.join(out_dir, EVENTS_FILE)
-    with open(events_path, "w") as fh:
-        fh.write(to_jsonl(record))
-    paths["events"] = events_path
-    trace_path = os.path.join(out_dir, TRACE_FILE)
-    with open(trace_path, "w") as fh:
+    with open(paths["trace"], "w") as fh:
         json.dump(to_chrome_trace(record, insight), fh, default=str)
-    paths["trace"] = trace_path
-    metrics_path = os.path.join(out_dir, METRICS_FILE)
-    with open(metrics_path, "w") as fh:
-        fh.write(metrics_table(record, insight))
-    paths["metrics"] = metrics_path
     if insight is not None:
-        ledger_path = os.path.join(out_dir, LEDGER_FILE)
-        with open(ledger_path, "w") as fh:
-            fh.write(ledger_ndjson(insight))
-        paths["ledger"] = ledger_path
-        insight_path = os.path.join(out_dir, INSIGHT_FILE)
-        with open(insight_path, "w") as fh:
+        paths["insight"] = os.path.join(out_dir, INSIGHT_FILE)
+        with open(paths["insight"], "w") as fh:
             json.dump(insight.to_dict(), fh, default=str)
-        paths["insight"] = insight_path
     return paths
 
 

@@ -22,7 +22,7 @@ from ..metrics.collector import MetricsRegistry
 from ..policies.base import MemoryPolicy, PolicyContext
 from ..resilience import invariants as inv
 from ..sim.engine import SimulationEngine
-from ..sim.process import PeriodicProcess, TickGroup
+from ..sim.process import TickGroup
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
 from .execution import TaskExecution, TaskState
@@ -82,22 +82,17 @@ class NodeAgent:
         self._bw_capacities = np.array(
             [memory.specs[TierKind(t)].bandwidth for t in range(NUM_TIERS)], dtype=np.float64
         )
-        # Daemon scheduling: with a shared ticker (one coalesced engine
-        # event per cluster-wide tick) the agent just joins the group;
-        # standalone agents keep their own PeriodicProcess.
-        self._ticker = ticker
+        # Daemon scheduling: the agent joins a TickGroup — the
+        # environment's shared one (one coalesced engine event per
+        # cluster-wide tick), or a one-member group of its own.
+        if ticker is None:
+            ticker = TickGroup(engine, self.daemon_interval, f"daemon.{memory.node_id}")
+        require(
+            abs(ticker.interval - self.daemon_interval) < 1e-12,
+            f"ticker interval {ticker.interval} != daemon interval {self.daemon_interval}",
+        )
+        self.ticker = ticker
         self._ticker_handle: Optional[int] = None
-        if ticker is not None:
-            require(
-                abs(ticker.interval - self.daemon_interval) < 1e-12,
-                f"ticker interval {ticker.interval} != daemon interval {self.daemon_interval}",
-            )
-            self._daemon: Optional[PeriodicProcess] = None
-        else:
-            self._daemon = PeriodicProcess(
-                engine, self.daemon_interval, self._daemon_tick, f"daemon.{memory.node_id}"
-            )
-        self._daemon_started = False
         self._last_penalty_sample = 0.0
         self._traced_migrated_bytes = 0
         #: callbacks fired when a task releases its cores (scheduler pump)
@@ -134,13 +129,8 @@ class NodeAgent:
         """Admit and immediately start ``spec`` on this node."""
         require(self.can_host(spec), f"node {self.memory.node_id}: no cores for {spec.name}")
         require(spec.name not in self.running, f"duplicate task name {spec.name!r}")
-        if not self._daemon_started:
-            if self._ticker is not None:
-                self._ticker_handle = self._ticker.add(self._daemon_tick)
-            else:
-                assert self._daemon is not None
-                self._daemon.start()
-            self._daemon_started = True
+        if self._ticker_handle is None:
+            self._ticker_handle = self.ticker.add(self._daemon_tick)
         tm = self.metrics.task(spec.name, spec.wclass.name)
         te = TaskExecution(spec, self, tm, flags=flags, on_finish=on_finish)
         self.cores_used += spec.cores
@@ -292,15 +282,9 @@ class NodeAgent:
         self.recompute_rates()
 
     def stop(self) -> None:
-        if self._daemon_started:
-            if self._ticker is not None:
-                if self._ticker_handle is not None:
-                    self._ticker.remove(self._ticker_handle)
-                    self._ticker_handle = None
-            else:
-                assert self._daemon is not None
-                self._daemon.stop()
-            self._daemon_started = False
+        if self._ticker_handle is not None:
+            self.ticker.remove(self._ticker_handle)
+            self._ticker_handle = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -18,6 +18,7 @@ is what ``python -m repro scenarios run`` prints and caches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -270,12 +271,12 @@ class ScenarioOutcome:
         return [self.makespan, float(self.completed), float(self.failed)]
 
     def percentile(self, metric: str, q: int) -> float:
-        """Look up one recorded percentile (q in {50, 95, 99}); 0 when the
+        """Look up one recorded percentile (q in {50, 95, 99}); NaN when the
         outcome predates percentile recording or nothing completed."""
         for name, p50, p95, p99 in self.latency_percentiles:
             if name == metric:
                 return {50: p50, 95: p95, 99: p99}[q]
-        return 0.0
+        return math.nan
 
 
 def run_service(spec: ScenarioSpec, *, live: Optional[str] = None) -> ServiceReport:
@@ -304,6 +305,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         if done:
             per_class.append((cls.name, float(np.mean(done))))
     completed = len(metrics.completed())
+    # a run where no task completes has no makespan, startup or tail:
+    # NaN, never a fake 0.0 (and no percentiles, which read as NaN)
     percentiles = tuple(
         (metric, *metrics.percentiles(metric))
         for metric in MetricsRegistry.LATENCY_METRICS
@@ -312,10 +315,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         scenario=spec.name,
         digest=spec.digest(),
         seed=spec.seed,
-        makespan=metrics.makespan() if completed else 0.0,
+        makespan=metrics.makespan() if completed else math.nan,
         completed=completed,
         failed=len(metrics.failed()),
-        mean_startup=metrics.mean_startup_time(),
+        mean_startup=metrics.mean_startup_time() if completed else math.nan,
         mean_exec=tuple(per_class),
         latency_percentiles=percentiles,
     )

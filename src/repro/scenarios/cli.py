@@ -218,8 +218,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             telemetry.snapshot(), args.telemetry, ins.snapshot()
         )
         print(f"telemetry: {paths['run']} (trace: {paths['trace']})")
-        if "ledger" in paths:
-            print(f"insight: {paths['ledger']} (record: {paths['insight']})")
+        if "insight" in paths:
+            print(f"insight: {paths['insight']}")
     if sup.failures:
         print(failure_table(sup.failures))
         print(f"error: {len(sup.failures)} scenario(s) quarantined")
@@ -313,8 +313,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         p.add_argument(
             "--telemetry", metavar="DIR", default=None,
-            help="record spans/counters/events and write run.json, events.jsonl, "
-                 "trace.json (Perfetto), metrics.csv under DIR",
+            help="record spans/counters/events and the insight plane and write "
+                 "run.json, insight.json and trace.json (Perfetto) under DIR",
         )
         p.add_argument(
             "--cache-dir", metavar="DIR", default=None,

@@ -14,15 +14,15 @@ fires, from per-index RNG streams, so:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..util.rng import derive_seed
 from ..util.validation import check_positive, require
+from ..workflows.ensembles import jittered_member
 from ..workflows.library import paper_workload_suite
-from ..workflows.task import TaskPhase, TaskSpec, WorkloadClass
+from ..workflows.task import TaskSpec, WorkloadClass
 
 __all__ = ["TaskStream"]
 
@@ -83,22 +83,17 @@ class TaskStream:
         return self._names[int(np.searchsorted(self._cum, float(rng.uniform())))]
 
     def task(self, index: int, override: Optional[str] = None) -> TaskSpec:
-        """Build arrival ``index``'s task: class draw + the same ±jitter
-        :func:`~repro.workflows.ensembles.make_ensemble` applies."""
+        """Build arrival ``index``'s task: class draw + the ±jitter of
+        :func:`~repro.workflows.ensembles.jittered_member`."""
         name = self.wclass(index, override)
         base = self._bases.get(name)
         if base is None:  # a trace named a class outside the mix
             base = paper_workload_suite(self.scale)[WorkloadClass[name]]
             self._bases[name] = base
-        rng = np.random.default_rng(derive_seed(self.seed, f"svc.{name}.{index}"))
-        tf = 1.0 + self.time_jitter * float(rng.uniform(-1.0, 1.0))
-        sf = 1.0 + self.size_jitter * float(rng.uniform(-1.0, 1.0))
-        member = base.scaled(sf)
-        return replace(
-            member,
-            name=f"svc-{index:07d}-{name.lower()}",
-            phases=tuple(_jitter_phase(p, tf) for p in member.phases),
+        return jittered_member(
+            base,
+            f"svc-{index:07d}-{name.lower()}",
+            np.random.default_rng(derive_seed(self.seed, f"svc.{name}.{index}")),
+            self.time_jitter,
+            self.size_jitter,
         )
-
-def _jitter_phase(phase: TaskPhase, factor: float) -> TaskPhase:
-    return replace(phase, base_time=phase.base_time * factor)

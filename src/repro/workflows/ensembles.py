@@ -12,16 +12,36 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..util.rng import RngFactory
 from ..util.validation import check_fraction, check_positive, require
 from .library import _BUILDERS, PAPER_MIX_FIG10
-from .task import TaskPhase, TaskSpec, WorkloadClass
+from .task import TaskSpec, WorkloadClass
 
-__all__ = ["make_ensemble", "paper_batch", "scaled_mix"]
+__all__ = ["jittered_member", "make_ensemble", "paper_batch", "scaled_mix"]
 
 
-def _jitter_phase(phase: TaskPhase, factor: float) -> TaskPhase:
-    return replace(phase, base_time=phase.base_time * factor)
+def jittered_member(
+    base: TaskSpec,
+    name: str,
+    rng: np.random.Generator,
+    time_jitter: float,
+    size_jitter: float,
+) -> TaskSpec:
+    """``base`` renamed to ``name``, its phase durations scaled by
+    ``1 + time_jitter * u`` and its footprint by ``1 + size_jitter * v``,
+    where ``u`` then ``v`` are the next two uniform draws in ``[-1, 1]``
+    from ``rng`` — the one jitter behind ensemble members and service
+    stream tasks."""
+    tf = 1.0 + time_jitter * float(rng.uniform(-1.0, 1.0))
+    sf = 1.0 + size_jitter * float(rng.uniform(-1.0, 1.0))
+    member = base.scaled(sf)
+    return replace(
+        member,
+        name=name,
+        phases=tuple(replace(p, base_time=p.base_time * tf) for p in member.phases),
+    )
 
 
 def make_ensemble(
@@ -41,19 +61,13 @@ def make_ensemble(
     check_fraction(time_jitter, "time_jitter")
     check_fraction(size_jitter, "size_jitter")
     factory = rng_factory if rng_factory is not None else RngFactory(0)
-    members: list[TaskSpec] = []
-    for i in range(n):
-        rng = factory.stream(f"ensemble.{base.name}.{i}")
-        tf = 1.0 + time_jitter * float(rng.uniform(-1.0, 1.0))
-        sf = 1.0 + size_jitter * float(rng.uniform(-1.0, 1.0))
-        member = base.scaled(sf)
-        member = replace(
-            member,
-            name=f"{base.name}-{i}",
-            phases=tuple(_jitter_phase(p, tf) for p in member.phases),
+    return [
+        jittered_member(
+            base, f"{base.name}-{i}", factory.stream(f"ensemble.{base.name}.{i}"),
+            time_jitter, size_jitter,
         )
-        members.append(member)
-    return members
+        for i in range(n)
+    ]
 
 
 def scaled_mix(mix: Mapping[WorkloadClass, int], total: int) -> dict[WorkloadClass, int]:

@@ -180,9 +180,9 @@ class TestAgentBookkeeping:
         agent.start_task(simple_task("t", footprint=MiB(1), base_time=1.0))
         engine.run(until=5.0)
         agent.stop()
-        pending_before = agent._daemon.ticks
+        pending_before = agent.ticker.ticks
         engine.run(until=50.0)
-        assert agent._daemon.ticks == pending_before
+        assert agent.ticker.ticks == pending_before
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 """The declarative scenario layer: round-trip identity, digest stability,
 registry resolution, cache-key sensitivity, CLI, and warm-cache replay."""
 
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,31 @@ class TestRunScenario:
         assert out.makespan > 0.0
         assert out.digest == spec.digest()
         assert out.seed == 3
+
+    def test_no_completed_task_reads_nan(self, monkeypatch, tmp_path, capsys):
+        # a scenario whose every task fails prints a row of NaN, not a
+        # crash that is retried and quarantined
+        from repro.metrics.collector import MetricsRegistry
+        from repro.scenarios.build import RealizedScenario
+
+        def all_failed(self):
+            reg = MetricsRegistry()
+            for i in range(2):
+                reg.task(f"t{i}", "DM").failed = True
+            return reg
+
+        monkeypatch.setattr(RealizedScenario, "execute", all_failed)
+        out = run_scenario(from_toml(_TINY_TOML))
+        assert (out.completed, out.failed) == (0, 2)
+        assert math.isnan(out.makespan) and math.isnan(out.mean_startup)
+        assert all(math.isnan(out.percentile("execution_time", q)) for q in (50, 95, 99))
+
+        path = tmp_path / "tiny.toml"
+        path.write_text(_TINY_TOML, encoding="utf-8")
+        assert cli_main(["run", str(path), "--no-cache"]) == 0
+        row = next(ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("t/tiny"))
+        assert row.split()[1:] == ["nan", "0.00", "2.00", "nan", "nan", "nan", "nan"]
 
 
 class TestCli:

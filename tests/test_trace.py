@@ -1,11 +1,9 @@
 """Sim-time event tracing through the obs event sink and its filtered view."""
 
-import json
 from collections import deque
 
 from repro import obs
 from repro.memory.system import NodeMemorySystem
-from repro.obs.exporters import to_jsonl, write_run_dir
 from repro.policies.linux import LinuxSwapPolicy
 from repro.runtime.node_agent import NodeAgent
 from repro.util.units import MiB
@@ -58,25 +56,6 @@ class TestTracer:
         assert tel.events()[0]["subj"] == f"s{2 * cap}"
         assert tel.events()[-1]["subj"] == f"s{3 * cap - 1}"
         assert isinstance(tel._events, deque) and tel._events.maxlen == cap
-
-    def test_jsonl_roundtrip(self):
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            obs.event(1.5, "task", "a", event="started", node="n0")
-        payload = json.loads(to_jsonl(tel.snapshot()))
-        assert payload == {
-            "kind": "event", "t": 1.5, "cat": "task", "subj": "a",
-            "event": "started", "node": "n0",
-        }
-
-    def test_write_jsonl(self, tmp_path):
-        tel = obs.Telemetry()
-        with obs.session(tel):
-            obs.event(1.0, "a", "b")
-            obs.event(2.0, "a", "c")
-        paths = write_run_dir(tel.snapshot(), str(tmp_path))
-        lines = open(paths["events"]).read().strip().splitlines()
-        assert [json.loads(ln)["subj"] for ln in lines] == ["b", "c"]
 
     def test_clear(self):
         # a run's events live in its own context: once its session exits,

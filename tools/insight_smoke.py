@@ -2,10 +2,10 @@
 """Insight-plane smoke check for CI.
 
 Validates the artifacts of the memory-introspection plane — the
-migration ledger (``ledger.ndjson``), the live service stream
-(``live.ndjson`` + ``metrics.prom``), and the insight record
-(``insight.json``) — against their schemas, line by line.  Exit 0 on
-success, 1 with a diagnostic otherwise.
+insight record (``insight.json``: migration ledger and tier series) and
+the live service stream (``live.ndjson`` + ``metrics.prom``) — against
+their schemas, entry by entry and line by line.  Exit 0 on success, 1
+with a diagnostic otherwise.
 
 Two modes::
 
@@ -24,16 +24,11 @@ import os
 import sys
 
 from repro.obs import insight as _insight
-from repro.obs.exporters import (
-    INSIGHT_FILE,
-    LEDGER_FILE,
-    LEDGER_SCHEMA,
-    load_insight_record,
-)
+from repro.obs.exporters import INSIGHT_FILE, load_insight_record
 
 DEFAULT = "ext-steady-state/IMME:0.10"
 
-#: per-entry fields every ledger line must carry, with their types
+#: per-entry fields every ledger entry must carry, with their types
 ENTRY_FIELDS = {
     "t": (int, float),
     "node": str,
@@ -54,48 +49,35 @@ def check(cond: bool, what: str, failures: list) -> None:
         failures.append(what)
 
 
-def validate_ledger(path: str, failures: list) -> None:
-    """Header schema, per-line fields/types, totals reconciliation."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    check(len(lines) >= 1, f"{path}: has a header line", failures)
-    if not lines:
-        return
-    header = json.loads(lines[0])
-    check(header.get("schema") == LEDGER_SCHEMA,
-          f"ledger schema tag is {LEDGER_SCHEMA} (got {header.get('schema')!r})",
-          failures)
-    check(header.get("entries") == len(lines) - 1,
-          f"header entry count matches body "
-          f"({header.get('entries')} vs {len(lines) - 1})", failures)
-    check(isinstance(header.get("dropped"), int) and header["dropped"] >= 0,
-          "header carries a non-negative drop count", failures)
-    check(list(header.get("fields", [])) == list(ENTRY_FIELDS),
-          f"header field list matches the entry schema "
-          f"(got {header.get('fields')})", failures)
+def validate_ledger(record: "_insight.InsightRecord", failures: list) -> None:
+    """Per-entry fields/types and values, drop count, totals reconciliation."""
+    check(isinstance(record.dropped, int) and record.dropped >= 0,
+          "record carries a non-negative drop count", failures)
     by_kind: dict = {}
-    for i, ln in enumerate(lines[1:], start=2):
-        entry = json.loads(ln)
+    for i, raw in enumerate(record.entries):
+        entry = _insight.entry_dict(raw)
+        check(set(entry) == set(ENTRY_FIELDS),
+              f"ledger entry {i}: field set matches the entry schema "
+              f"(got {sorted(entry)})", failures)
         for field, types in ENTRY_FIELDS.items():
             ok = isinstance(entry.get(field), types) and not isinstance(
                 entry.get(field), bool
             )
             if not ok:
                 failures.append(
-                    f"ledger line {i}: field {field!r} missing or mistyped "
+                    f"ledger entry {i}: field {field!r} missing or mistyped "
                     f"({entry.get(field)!r})"
                 )
                 break
         else:
             check(entry["kind"] in _insight.LEDGER_KINDS,
-                  f"ledger line {i}: known kind (got {entry['kind']!r})", failures)
+                  f"ledger entry {i}: known kind (got {entry['kind']!r})", failures)
             check(entry["bytes"] >= 0 and entry["chunks"] >= 0,
-                  f"ledger line {i}: non-negative bytes/chunks", failures)
+                  f"ledger entry {i}: non-negative bytes/chunks", failures)
             by_kind[entry["kind"]] = by_kind.get(entry["kind"], 0) + 1
-    # the header's drop-proof totals must cover at least the listed entries
+    # the drop-proof totals must cover at least the listed entries
     total_counts: dict = {}
-    for key, (n, _chunks, _b) in header.get("totals", {}).items():
-        kind = key.split("|")[0]
+    for (kind, _cause, _src, _dst), (n, _chunks, _b) in record.totals.items():
         total_counts[kind] = total_counts.get(kind, 0) + int(n)
     for kind, n in by_kind.items():
         check(total_counts.get(kind, 0) >= n,
@@ -154,20 +136,14 @@ def validate_live(directory: str, failures: list) -> None:
 
 
 def validate_record(run_dir: str, failures: list) -> None:
-    """insight.json loads, round-trips, and agrees with ledger.ndjson."""
+    """insight.json loads, round-trips, and its ledger is well formed."""
     record = load_insight_record(run_dir)
     check(record is not None, f"{run_dir}/{INSIGHT_FILE} loads", failures)
     if record is None:
         return
     roundtrip = _insight.InsightRecord.from_dict(record.to_dict())
     check(roundtrip == record, "insight record dict round-trip identity", failures)
-    ledger_path = os.path.join(run_dir, LEDGER_FILE)
-    if os.path.isfile(ledger_path):
-        with open(ledger_path, encoding="utf-8") as fh:
-            body = sum(1 for ln in fh if ln.strip()) - 1
-        check(body == len(record.entries),
-              f"ledger body matches record entries ({body} vs "
-              f"{len(record.entries)})", failures)
+    validate_ledger(record, failures)
 
 
 def _self_contained(tmp: str) -> "tuple[str, str]":
@@ -199,10 +175,6 @@ def main(argv: list) -> int:
 
         tmp = tempfile.mkdtemp(prefix="insight-smoke-")
         tel_dir, live_dir = _self_contained(tmp)
-    ledger_path = os.path.join(tel_dir, LEDGER_FILE)
-    check(os.path.isfile(ledger_path), f"{ledger_path} exists", failures)
-    if os.path.isfile(ledger_path):
-        validate_ledger(ledger_path, failures)
     validate_record(tel_dir, failures)
     if live_dir is not None:
         validate_live(live_dir, failures)
