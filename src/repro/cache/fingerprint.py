@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from importlib import util as importlib_util
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "ROOT_PACKAGE",
@@ -41,9 +41,10 @@ __all__ = [
 #: component of the cache key instead.
 ROOT_PACKAGE = "repro"
 
-#: module name -> (origin path, source bytes sha256), or None when the
-#: module has no readable .py source (namespace pkg, extension, missing).
-_SOURCE_CACHE: dict[str, Optional[tuple[str, str]]] = {}
+#: module name -> (origin path, source bytes sha256, source bytes), or None
+#: when the module has no readable .py source (namespace pkg, extension,
+#: missing).
+_SOURCE_CACHE: dict[str, Optional[tuple[str, str, bytes]]] = {}
 #: (module name, root package) -> transitive in-package import closure
 _CLOSURE_CACHE: dict[tuple[str, str], frozenset[str]] = {}
 
@@ -70,14 +71,14 @@ def _find_source(modname: str) -> Optional[tuple[str, bytes]]:
         return None
 
 
-def _source_entry(modname: str) -> Optional[tuple[str, str]]:
+def _source_entry(modname: str) -> Optional[tuple[str, str, bytes]]:
     if modname not in _SOURCE_CACHE:
         found = _find_source(modname)
         if found is None:
             _SOURCE_CACHE[modname] = None
         else:
             path, source = found
-            _SOURCE_CACHE[modname] = (path, hashlib.sha256(source).hexdigest())
+            _SOURCE_CACHE[modname] = (path, hashlib.sha256(source).hexdigest(), source)
     return _SOURCE_CACHE[modname]
 
 
@@ -92,16 +93,28 @@ def _is_package(modname: str) -> bool:
     return entry is not None and entry[0].endswith("__init__.py")
 
 
+def _statements(body: list) -> Iterator[ast.AST]:
+    """Every statement in ``body`` and in the blocks nested in it.
+
+    Imports are statements, so this finds every one ``ast.walk`` would,
+    without visiting a single expression node."""
+    for node in body:
+        yield node
+        for block in ("body", "orelse", "finalbody", "handlers", "cases"):
+            nested = getattr(node, block, None)
+            if nested:
+                yield from _statements(nested)
+
+
 def _direct_imports(modname: str, root: str) -> set[str]:
     """Modules under ``root`` imported directly by ``modname``'s source."""
     entry = _source_entry(modname)
     if entry is None:
         return set()
-    path = entry[0]
+    path, _, source = entry
     try:
-        with open(path, "rb") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-    except (OSError, SyntaxError):
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
         return set()
     prefix = root + "."
     out: set[str] = set()
@@ -113,7 +126,7 @@ def _direct_imports(modname: str, root: str) -> set[str]:
 
     # the package anchor relative imports resolve against
     package = modname if _is_package(modname) else modname.rpartition(".")[0]
-    for node in ast.walk(tree):
+    for node in _statements(tree.body):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 keep(alias.name)

@@ -6,10 +6,15 @@ resident :class:`~repro.memory.pageset.PageSet` objects, and the DRAM page
 cache that holds shadow copies of proactively-swapped pages (§III-C4).
 
 Policies never mutate placement directly — they call :meth:`place`,
-:meth:`migrate` and :meth:`swap_out` so the accounting (and the migration
-counters the experiments report) can never drift from the metadata.
-:meth:`validate` asserts exactly that invariant and is exercised heavily by
-the property-based tests.
+:meth:`migrate`, :meth:`swap_out` and :meth:`release` so the accounting
+(and the migration counters the experiments report) can never drift from
+the metadata.  :meth:`validate` asserts exactly that invariant and is
+exercised heavily by the property-based tests.
+
+Every change the node's rate kernel reads — a chunk's tier or shadow bit,
+a pageset's access weights, tier health, the running set — bumps one
+integer :attr:`~NodeMemorySystem.epoch`; a daemon tick that finds it
+unchanged has nothing to re-rate.
 """
 
 from __future__ import annotations
@@ -98,6 +103,9 @@ class NodeMemorySystem:
         #: system has no engine, so it reads zero until the node agent
         #: wires in its engine's clock.
         self.now = lambda: 0.0
+        #: bumped by every change the rate kernel reads (tiers, shadows,
+        #: access weights, tier health; the node agent adds its running set)
+        self.epoch: int = 0
 
     # ------------------------------------------------------------------ #
     # capacity queries
@@ -152,6 +160,16 @@ class NodeMemorySystem:
         # copy the (now unmapped) state back out and zero the segment
         self.arena.release(ps)
         del self._pagesets[ps.owner]
+        self.epoch += 1
+
+    def set_access_weights(self, ps: PageSet, weights: Optional[np.ndarray] = None) -> None:
+        """Install the running phase's access distribution on ``ps``
+        (``None`` clears it: the task no longer touches its memory)."""
+        if weights is None:
+            ps.clear_access_weights()
+        else:
+            ps.set_access_weights(weights)
+        self.epoch += 1
 
     def pagesets(self) -> Iterable[PageSet]:
         return self._pagesets.values()
@@ -190,6 +208,7 @@ class NodeMemorySystem:
         before = int(self._used.sum()) if checker.enabled else 0
         ps.assign(idx, tier)
         self._used[t] += nbytes
+        self.epoch += 1
         if checker.enabled:
             checker.conservation(
                 self.node_id, before, int(self._used.sum()),
@@ -255,6 +274,7 @@ class NodeMemorySystem:
             # the authoritative copy is DRAM again; shadows are redundant
             self._drop_shadows(ps, moving)
         ps.assign(moving, dst)
+        self.epoch += 1
         if checker.enabled:
             # migrations move bytes between tiers; they never mint them
             checker.conservation(
@@ -267,6 +287,27 @@ class NodeMemorySystem:
         """Demote chunks to disk-based swap (always has room by policy;
         raises if even swap is exhausted, the paper's failure mode)."""
         return self.migrate(ps, idx, SWAP)
+
+    def release(self, ps: PageSet, idx: np.ndarray) -> int:
+        """Unmap chunks ``idx`` (``free_TM``), dropping their shadows.
+        Already-unmapped chunks are skipped.  Returns bytes released."""
+        idx = np.asarray(idx, dtype=np.int64)
+        mapped = idx[ps.tier[idx] != UNMAPPED]
+        if mapped.size == 0:
+            return 0
+        checker = inv.active()
+        before = int(self._used.sum()) if checker.enabled else 0
+        counts = np.bincount(ps.tier[mapped].astype(np.int64), minlength=NUM_TIERS)
+        self._used -= counts * ps.chunk_size
+        self._drop_shadows(ps, mapped)
+        ps.unmap(mapped)
+        self.epoch += 1
+        nbytes = int(mapped.size) * ps.chunk_size
+        if checker.enabled:
+            checker.conservation(
+                self.node_id, before, int(self._used.sum()), op="release", delta=-nbytes,
+            )
+        return nbytes
 
     # ------------------------------------------------------------------ #
     # page cache (shadow copies of proactively-swapped pages)
@@ -294,6 +335,7 @@ class NodeMemorySystem:
             return 0
         ps.in_page_cache[take] = True
         self._page_cache_used += int(take.size) * ps.chunk_size
+        self.epoch += 1
         self.stats.page_cache_inserts += int(take.size)
         ins = _insight.active()
         if ins.enabled:
@@ -309,6 +351,7 @@ class NodeMemorySystem:
         if shadowed.size:
             ps.in_page_cache[shadowed] = False
             self._page_cache_used -= int(shadowed.size) * ps.chunk_size
+            self.epoch += 1
             self.stats.page_cache_drops += int(shadowed.size)
             ins = _insight.active()
             if ins.enabled:
@@ -380,6 +423,7 @@ class NodeMemorySystem:
         checker = inv.active()
         before = int(self._used.sum()) if checker.enabled else 0
         self._offline[t] = True
+        self.epoch += 1
         if tier == DRAM:
             # shadows live in DRAM; the cache dies with the device
             for ps in self._pagesets.values():
@@ -428,14 +472,17 @@ class NodeMemorySystem:
     def online_tier(self, tier: TierKind) -> None:
         """Bring a failed tier back (empty — pages are not moved back)."""
         self._offline[int(tier)] = False
+        self.epoch += 1
 
     def set_tier_degraded(self, tier: TierKind, scale: float) -> None:
         """Throttle ``tier``'s bandwidth to ``scale`` of its rated value."""
         check_fraction(scale, "scale")
         self._bw_scale[int(tier)] = scale
+        self.epoch += 1
 
     def clear_tier_degradation(self, tier: TierKind) -> None:
         self._bw_scale[int(tier)] = 1.0
+        self.epoch += 1
 
     def tier_health(self) -> np.ndarray:
         """Per-tier bandwidth multiplier: 0 when offline, else ``_bw_scale``."""

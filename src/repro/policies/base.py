@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..core.flags import MemFlag
-from ..memory.pageset import UNMAPPED, PageSet
+from ..memory.pageset import PageSet
 from ..memory.system import NodeMemorySystem
 from ..memory.tiers import DRAM, MEMORY_TIERS, SWAP, TierKind
 from ..util.errors import OutOfMemoryError
@@ -170,19 +170,7 @@ class MemoryPolicy(ABC):
 
     def release(self, ctx: PolicyContext, ps: PageSet, idx: np.ndarray) -> None:
         """Free backing for chunks ``idx`` (``free_TM`` / task teardown)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        mapped = idx[ps.tier[idx] != UNMAPPED]
-        if mapped.size == 0:
-            return
-        mem = ctx.memory
-        counts = np.bincount(ps.tier[mapped].astype(np.int64), minlength=len(TierKind))
-        # NodeMemorySystem has no public "unmap with accounting" beyond
-        # unregister; go through its internals deliberately kept here:
-        mem._used -= counts * ps.chunk_size  # noqa: SLF001 - policy/system contract
-        shadowed = mapped[ps.in_page_cache[mapped]]
-        if shadowed.size:
-            mem._drop_shadows(ps, shadowed)  # noqa: SLF001
-        ps.unmap(mapped)
+        ctx.memory.release(ps, idx)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.name!r}>"

@@ -10,7 +10,10 @@ never break:
   running, awaiting a requeue, or terminal; the scheduler's queue holds
   only pending jobs and holds each at most once,
 * **the event heap is consistent** — the engine's O(1) live counter
-  always matches a recount of the heap.
+  always matches a recount of the heap,
+* **a skipped re-rating skips nothing** — when a daemon tick skips its
+  rate recompute, every running task already runs at the rate the rate
+  kernel gives it.
 
 Checks are wired through the same null-object dispatch trick as
 :mod:`repro.obs`: every call site asks the *active* checker, which is a
@@ -66,6 +69,9 @@ class NullInvariantChecker:
         pass
 
     def engine(self, engine: Any) -> None:
+        pass
+
+    def rates(self, where: str, rated: Any) -> None:
         pass
 
     def scheduler(self, sched: Any) -> None:
@@ -141,6 +147,17 @@ class InvariantChecker(NullInvariantChecker):
                 f"event-heap drift: live counter says {live}, "
                 f"heap recount says {recount}"
             )
+
+    def rates(self, where: str, rated: Any) -> None:
+        """Every ``(task, current rate, kernel rate)`` of a tick that
+        skipped its re-rating must agree exactly."""
+        self.checks += 1
+        for task, have, want in rated:
+            if have != want:
+                self._fail(
+                    f"stale rate on {where}: {task} runs at {have!r}, "
+                    f"the rate kernel gives {want!r}"
+                )
 
     # ------------------------------------------------------------------ #
     # task accounting

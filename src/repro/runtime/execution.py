@@ -201,7 +201,7 @@ class TaskExecution:
                 if total > 0:
                     w = w / total
             weights[mapped] = w.astype(np.float32)
-        ps.set_access_weights(weights)
+        self.agent.memory.set_access_weights(ps, weights)
 
     def _fault_in_touched(self, phase) -> None:
         """Touching the phase's working set faults in swap-resident chunks."""
@@ -226,7 +226,7 @@ class TaskExecution:
         self.state = TaskState.DONE
         obs.counter("task.completed", 1, wclass=self.spec.wclass.name)
         self.metrics.finished_at = now
-        self.pageset.clear_access_weights()
+        agent.memory.set_access_weights(self.pageset, None)
         self._cancel_completion()
         policy = agent.policy
         if hasattr(policy, "finish_workflow"):

@@ -5,6 +5,11 @@ node's memory system, the environment's memory policy, the running task
 set, the memory-management daemon (heatmap advance + policy tick), and
 the contention-aware rate recomputation that keeps every running task's
 completion event consistent with current placement.
+
+A daemon tick re-rates the node only when something the rate kernel reads
+may have changed: the memory system's placement epoch, the migration
+penalty of the last re-rating, or the bytes moved since.  Otherwise a
+re-rating would install the rates every task already has.
 """
 
 from __future__ import annotations
@@ -93,7 +98,9 @@ class NodeAgent:
         )
         self.ticker = ticker
         self._ticker_handle: Optional[int] = None
-        self._last_penalty_sample = 0.0
+        #: the placement epoch and migration penalty the last re-rating used
+        self._rated_epoch = -1
+        self._rated_penalty = 0.0
         self._traced_migrated_bytes = 0
         #: callbacks fired when a task releases its cores (scheduler pump)
         self.on_capacity_freed: list[Callable[[], None]] = []
@@ -135,6 +142,7 @@ class NodeAgent:
         te = TaskExecution(spec, self, tm, flags=flags, on_finish=on_finish)
         self.cores_used += spec.cores
         self.running[spec.name] = te
+        self.memory.epoch += 1
         self.context.active_owners.add(spec.name)
         self.trace("task", spec.name, event="started", node=self.memory.node_id)
         te.start()
@@ -148,6 +156,7 @@ class NodeAgent:
         if te.spec.name in self.running:
             del self.running[te.spec.name]
             self.cores_used -= te.spec.cores
+            self.memory.epoch += 1
             self.context.active_owners.discard(te.spec.name)
             self.trace(
                 "task",
@@ -228,21 +237,29 @@ class NodeAgent:
     # rate model
     # ------------------------------------------------------------------ #
     def recompute_rates(self) -> None:
-        tasks = [te for te in self.running.values() if te.state is TaskState.RUNNING]
+        self._rated_epoch = self.memory.epoch
+        tasks = self._rated_tasks()
         if not tasks:
             self.memory.migration_bytes_window = 0
+            self._rated_penalty = 0.0
             return
-        slowdowns = node_slowdowns(
+        self._rated_penalty = penalty = self._migration_penalty()
+        for te, slowdown in zip(tasks, self._slowdowns(tasks, penalty)):
+            te.update_rate(1.0 / slowdown)
+
+    def _rated_tasks(self) -> list[TaskExecution]:
+        return [te for te in self.running.values() if te.state is TaskState.RUNNING]
+
+    def _slowdowns(self, tasks: list[TaskExecution], penalty: float) -> list[float]:
+        return node_slowdowns(
             [te.phase for te in tasks],
             [te.pageset for te in tasks],
             self.memory.specs,
             # offline tiers deliver no bandwidth; degraded links a fraction
             self._bw_capacities * self.memory.tier_health(),
-            migration_penalty=self._migration_penalty(),
+            migration_penalty=penalty,
             config=self.rate_config,
-        )
-        for te, slowdown in zip(tasks, slowdowns.tolist()):
-            te.update_rate(1.0 / slowdown)
+        ).tolist()
 
     def _migration_penalty(self) -> float:
         """Charge recent daemon data movement against task progress."""
@@ -279,7 +296,18 @@ class NodeAgent:
         checker = inv.active()
         if checker.enabled:
             checker.memory(self.memory)
-        self.recompute_rates()
+        memory = self.memory
+        if memory.epoch != self._rated_epoch or self._rated_penalty or memory.migration_bytes_window:
+            self.recompute_rates()
+            return
+        tasks = self._rated_tasks() if checker.enabled else []
+        if tasks:
+            # skipped: the kernel's inputs are the last re-rating's, so every
+            # task must already run at the rate a re-rating would install
+            checker.rates(memory.node_id, [
+                (te.spec.name, te.current_rate, (1.0 / slowdown) * te.rate_scale)
+                for te, slowdown in zip(tasks, self._slowdowns(tasks, 0.0))
+            ])
 
     def stop(self) -> None:
         if self._ticker_handle is not None:

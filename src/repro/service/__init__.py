@@ -42,7 +42,7 @@ from .spec import (
     WARMUP_METRICS,
     ServiceSpec,
 )
-from .stream import TaskStream
+from .stream import Arrival, TaskStream
 from .warmup import detect_warmup, mser5, sliding_cv
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "WARMUP_METRICS",
     "AcceptAll",
     "AdmissionPolicy",
+    "Arrival",
     "ClassLatency",
     "ClusterView",
     "MemoryHeadroomGate",

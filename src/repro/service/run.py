@@ -10,7 +10,9 @@ experiment: it owns the drive loop.  The moving parts:
 * a :class:`~repro.sim.process.ReportPeriod` boundary event sampling the
   live state (queue depth, running cores) once per window;
 * the scheduler's attached admission policy
-  (:mod:`repro.service.admission`) deciding accept/shed per arrival;
+  (:mod:`repro.service.admission`) deciding accept/shed per lazy
+  :class:`~repro.service.stream.Arrival`, whose task is built only once
+  admitted;
 * a custom drain condition: the run is over when the stream is exhausted
   *and* the scheduler is idle (``run_to_completion`` alone would exit in
   any momentary gap between arrivals).
@@ -131,11 +133,11 @@ class ServiceRun:
         )
 
     def _on_arrival(self, index: int, override: Optional[str]) -> None:
-        task = self.stream.task(index, override)
         self.offered += 1
-        job = self.scheduler.try_submit(task)
+        job = self.scheduler.try_submit(self.stream.arrival(index, override))
         admitted = job is not None
         if admitted:
+            task = job.spec
             self.admitted += 1
             self._submitted.add(task.name)
             self.accumulator.cores_of[task.name] = task.cores

@@ -19,28 +19,27 @@ from ..util.validation import check_fraction, check_positive, require
 from .library import _BUILDERS, PAPER_MIX_FIG10
 from .task import TaskSpec, WorkloadClass
 
-__all__ = ["jittered_member", "make_ensemble", "paper_batch", "scaled_mix"]
+__all__ = ["jitter_factors", "jittered_member", "make_ensemble", "paper_batch", "scaled_mix"]
 
 
-def jittered_member(
-    base: TaskSpec,
-    name: str,
-    rng: np.random.Generator,
-    time_jitter: float,
-    size_jitter: float,
-) -> TaskSpec:
-    """``base`` renamed to ``name``, its phase durations scaled by
-    ``1 + time_jitter * u`` and its footprint by ``1 + size_jitter * v``,
-    where ``u`` then ``v`` are the next two uniform draws in ``[-1, 1]``
-    from ``rng`` — the one jitter behind ensemble members and service
-    stream tasks."""
+def jitter_factors(
+    rng: np.random.Generator, time_jitter: float, size_jitter: float
+) -> tuple[float, float]:
+    """``(1 + time_jitter * u, 1 + size_jitter * v)``, where ``u`` then
+    ``v`` are the next two uniform draws in ``[-1, 1]`` from ``rng`` — the
+    one jitter behind ensemble members and service stream tasks."""
     tf = 1.0 + time_jitter * float(rng.uniform(-1.0, 1.0))
     sf = 1.0 + size_jitter * float(rng.uniform(-1.0, 1.0))
-    member = base.scaled(sf)
+    return tf, sf
+
+
+def jittered_member(sized: TaskSpec, name: str, time_factor: float) -> TaskSpec:
+    """``sized`` (a base already ``scaled`` by its size factor) renamed to
+    ``name``, its phase durations scaled by ``time_factor``."""
     return replace(
-        member,
+        sized,
         name=name,
-        phases=tuple(replace(p, base_time=p.base_time * tf) for p in member.phases),
+        phases=tuple(replace(p, base_time=p.base_time * time_factor) for p in sized.phases),
     )
 
 
@@ -61,13 +60,13 @@ def make_ensemble(
     check_fraction(time_jitter, "time_jitter")
     check_fraction(size_jitter, "size_jitter")
     factory = rng_factory if rng_factory is not None else RngFactory(0)
-    return [
-        jittered_member(
-            base, f"{base.name}-{i}", factory.stream(f"ensemble.{base.name}.{i}"),
-            time_jitter, size_jitter,
+    members = []
+    for i in range(n):
+        tf, sf = jitter_factors(
+            factory.stream(f"ensemble.{base.name}.{i}"), time_jitter, size_jitter
         )
-        for i in range(n)
-    ]
+        members.append(jittered_member(base.scaled(sf), f"{base.name}-{i}", tf))
+    return members
 
 
 def scaled_mix(mix: Mapping[WorkloadClass, int], total: int) -> dict[WorkloadClass, int]:

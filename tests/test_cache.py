@@ -153,6 +153,41 @@ class TestFingerprint:
         assert "repro.policies.linux" in closure
         assert "repro.memory.pageset" in closure
 
+    def test_statement_walk_finds_every_import_ast_walk_finds(self, monkeypatch):
+        """Imports are statements, so scanning statement bodies alone gives
+        every repro module the same direct imports and closure as a full
+        ``ast.walk``."""
+        import ast
+        import pkgutil
+
+        from repro.cache import fingerprint
+
+        modules = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+
+        def closures():
+            clear_fingerprint_caches()
+            direct = {m: fingerprint._direct_imports(m, "repro") for m in modules}
+            out = {}
+            for m in modules:
+                seen, frontier = set(), [m]
+                while frontier:
+                    mod = frontier.pop()
+                    if mod not in seen:
+                        seen.add(mod)
+                        frontier.extend(direct[mod])
+                out[m] = seen
+            return direct, out
+
+        statements = closures()
+        monkeypatch.setattr(
+            fingerprint, "_statements", lambda body: ast.walk(ast.Module(body, []))
+        )
+        assert statements == closures()
+        clear_fingerprint_caches()
+        assert import_closure("repro.experiments.fig10_scalability") == frozenset(
+            statements[1]["repro.experiments.fig10_scalability"]
+        )
+
     def test_source_edit_invalidates_only_dependent_cells(self, fake_pkg, tmp_path):
         """The acceptance shape: editing one module misses exactly the
         cells whose import closure contains it."""

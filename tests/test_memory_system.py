@@ -156,6 +156,69 @@ class TestPageCache:
         assert node.page_cache_used == before
 
 
+class TestRelease:
+    def test_release_unmaps_and_drops_shadows(self, node):
+        ps = make_pageset(node, "a", MiB(1))
+        node.place(ps, np.arange(4), CXL)
+        node.place(ps, np.arange(4, 8), DRAM)
+        node.add_page_cache_shadow(ps, np.arange(4))
+        assert node.release(ps, np.arange(2, 12)) == 6 * CHUNK  # 8..11 unmapped
+        assert node.used(CXL) == 2 * CHUNK and node.rss(DRAM) == 0
+        assert node.page_cache_used == 2 * CHUNK
+        assert node.stats.page_cache_drops == 2
+        node.validate()
+
+    def test_releasing_unmapped_chunks_is_a_no_op(self, node):
+        ps = make_pageset(node, "a", MiB(1))
+        epoch = node.epoch
+        assert node.release(ps, np.arange(4)) == 0
+        assert node.epoch == epoch
+
+
+#: every change the node's rate kernel reads, applied to a pageset whose
+#: chunks 0-3 sit in CXL with DRAM shadows, 4-7 in DRAM and 8-9 in PMem
+EPOCH_MUTATORS = {
+    "place": lambda node, ps: node.place(ps, np.arange(10, 12), PMEM),
+    "migrate": lambda node, ps: node.migrate(ps, np.arange(4, 6), PMEM),
+    "swap_out": lambda node, ps: node.swap_out(ps, np.arange(4, 6)),
+    "unregister": lambda node, ps: node.unregister(ps),
+    "release": lambda node, ps: node.release(ps, np.arange(4, 6)),
+    "add_page_cache_shadow": lambda node, ps: node.add_page_cache_shadow(ps, np.arange(8, 10)),
+    "_drop_shadows": lambda node, ps: node._drop_shadows(ps, np.arange(2)),
+    "offline_tier": lambda node, ps: node.offline_tier(PMEM),
+    "online_tier": lambda node, ps: node.online_tier(PMEM),
+    "set_tier_degraded": lambda node, ps: node.set_tier_degraded(CXL, 0.5),
+    "clear_tier_degradation": lambda node, ps: node.clear_tier_degradation(CXL),
+    "set_access_weights": lambda node, ps: node.set_access_weights(
+        ps, np.full(ps.n_chunks, 1.0 / ps.n_chunks, dtype=np.float32)
+    ),
+    "clear_access_weights": lambda node, ps: node.set_access_weights(ps, None),
+}
+
+
+class TestPlacementEpoch:
+    @pytest.mark.parametrize("mutator", sorted(EPOCH_MUTATORS))
+    def test_each_mutator_bumps_the_epoch(self, node, mutator):
+        ps = make_pageset(node, "a", MiB(1))
+        node.place(ps, np.arange(4), CXL)
+        node.place(ps, np.arange(4, 8), DRAM)
+        node.place(ps, np.arange(8, 10), PMEM)
+        node.add_page_cache_shadow(ps, np.arange(4))
+        epoch = node.epoch
+        EPOCH_MUTATORS[mutator](node, ps)
+        assert node.epoch > epoch
+        node.validate()
+
+    def test_reads_and_no_op_moves_leave_it(self, node):
+        ps = make_pageset(node, "a", MiB(1))
+        node.place(ps, np.arange(4), DRAM)
+        epoch = node.epoch
+        node.migrate(ps, np.arange(4), DRAM)  # already there
+        node.add_page_cache_shadow(ps, np.arange(0))
+        node.meminfo(), node.tier_health(), node.validate(), node.compact()
+        assert node.epoch == epoch
+
+
 class TestRssAndUtilization:
     def test_rss_excludes_page_cache(self, node):
         ps = make_pageset(node, "a", MiB(1))

@@ -1,27 +1,36 @@
 """Direct NodeAgent tests: rate math, migration penalty, heatmap coupling,
-and the workload profile helper."""
+the daemon tick's re-rating skip, and the workload profile helper."""
 
 import numpy as np
 import pytest
 
+from repro.envs.environments import EnvKind, make_environment
+from repro.experiments.common import build_env
+from repro.faults import FaultKind, FaultSchedule, FaultSpec
 from repro.memory.system import NodeMemorySystem
+from repro.memory.tiers import CXL, DRAM, PMEM
 from repro.metrics.collector import MetricsRegistry
+from repro.policies.interleave import UniformInterleavePolicy
 from repro.policies.linux import LinuxSwapPolicy
+from repro.resilience import InvariantViolation
 from repro.runtime.execution import TaskExecution, TaskState
 from repro.runtime.node_agent import NodeAgent
 from repro.runtime.rates import RateModelConfig
+from repro.service import ServiceSpec, serve
 from repro.sim.engine import SimulationEngine
-from repro.util.units import GBps, MiB
+from repro.util.rng import RngFactory
+from repro.util.units import GBps, KiB, MiB
+from repro.workflows.ensembles import paper_batch
 from repro.workflows.profiles import describe, expected_touched_bytes
 
 from conftest import CHUNK, simple_task, small_specs
 
 
-def make_agent(engine, metrics, **kw):
+def make_agent(engine, metrics, policy=None, **kw):
     node = NodeMemorySystem(small_specs(dram=MiB(16), cxl=MiB(64)), "n0")
     return NodeAgent(
-        engine, node, LinuxSwapPolicy(scan_noise=0.0), metrics,
-        cores=8, chunk_size=CHUNK, **kw,
+        engine, node, policy if policy is not None else LinuxSwapPolicy(scan_noise=0.0),
+        metrics, cores=8, chunk_size=CHUNK, **kw,
     )
 
 
@@ -127,8 +136,9 @@ class TestUnchangedRate:
         agent.on_task_change(te)
         assert te._completion is None and te.current_rate == 0.0
         left = te.tracker.progress_to(engine.now)
-        engine.run(until=20.5)  # daemon ticks keep re-rating it at zero
-        assert te.tracker._last_update == 20.0  # the last tick ran the full update
+        engine.run(until=20.5)  # daemon ticks that move nothing re-rate nothing
+        agent.recompute_rates()  # a re-rating at zero still runs the full update
+        assert te.tracker._last_update == 20.5
         assert te.tracker.progress_to(engine.now) == left and te._completion is None
         te.rate_scale = 1.0
         agent.on_task_change(te)
@@ -157,6 +167,124 @@ class TestUnchangedRate:
         assert makespan == pytest.approx(ref_makespan, rel=1e-9)
         for got, want in zip(durations, ref_durations):
             assert got == pytest.approx(want, rel=1e-9)
+
+
+def always_recompute(self, now):
+    """``NodeAgent._daemon_tick`` without the unchanged-epoch skip."""
+    rates = {
+        owner: te.current_rate
+        for owner, te in self.running.items()
+        if te.state is TaskState.RUNNING
+    }
+    self.heatmap.advance_node(self.memory, self.daemon_interval, rates)
+    self.policy.tick(self.context)
+    self.recompute_rates()
+
+
+def counting_rerates(monkeypatch, run, tick=None):
+    """``run()``'s result and how many times it re-rated a node."""
+    calls = []
+    recompute = NodeAgent.recompute_rates
+
+    def counted(self):
+        calls.append(self)
+        recompute(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NodeAgent, "recompute_rates", counted)
+        if tick is not None:
+            patch.setattr(NodeAgent, "_daemon_tick", tick)
+        result = run()
+    return result, len(calls)
+
+
+def simulated(engine, metrics):
+    """Everything a skipped re-rating could have moved."""
+    return engine.events_fired, [
+        (t.owner, tuple(t.phase_durations), t.finished_at)
+        for t in sorted(metrics.tasks(), key=lambda t: t.owner)
+    ]
+
+
+def fault_heavy_run():
+    """A straggler, a degraded tier, a tier taken offline and brought
+    back, and a CXL link flap, on a two-node IMME cluster."""
+    specs = paper_batch(12, scale=1 / 128, rng_factory=RngFactory(5))
+    env = build_env(EnvKind.IMME, specs, dram_fraction=0.3, n_nodes=2)
+    env.inject_faults(FaultSchedule([
+        FaultSpec(FaultKind.TASK_STRAGGLER, time=2.0, node=0, duration=20.0, severity=0.3),
+        FaultSpec(FaultKind.TIER_DEGRADED, time=4.0, node=1, tier=CXL, duration=15.0,
+                  severity=0.5),
+        FaultSpec(FaultKind.TIER_OFFLINE, time=6.0, node=0, tier=PMEM, duration=10.0),
+        FaultSpec(FaultKind.CXL_LINK_FLAP, time=9.0, node=1, duration=5.0),
+    ]), seed=3)
+    metrics = env.run_batch(specs, max_time=1e7)
+    env.stop()
+    assert set(metrics.faults.injected) == {
+        "task-straggler", "tier-degraded", "tier-offline", "cxl-link-flap",
+    }
+    return simulated(env.engine, metrics)
+
+
+def headroom_service_run():
+    env = make_environment(EnvKind.CBE, n_nodes=1, dram_capacity=MiB(4), chunk_size=KiB(256))
+    spec = ServiceSpec(rate=30.0, max_arrivals=40, window=5.0, warmup="none",
+                       admission="memory-headroom", headroom=1.0)
+    report = serve(env, spec, scale=1.0 / 2048.0, seed=6)
+    env.stop()
+    assert 0 < report.admitted < report.offered
+    return simulated(env.engine, env.metrics)
+
+
+@pytest.mark.usefixtures("checked")
+class TestSkippedTick:
+    """A daemon tick whose placement epoch, migration penalty and moved
+    bytes are all unchanged skips its re-rating — and changes nothing."""
+
+    @pytest.mark.parametrize("run", [fault_heavy_run, headroom_service_run])
+    def test_skipping_matches_always_recomputing(self, monkeypatch, run):
+        got, rerates = counting_rerates(monkeypatch, run)
+        want, oracle_rerates = counting_rerates(monkeypatch, run, always_recompute)
+        assert got == want
+        assert rerates < oracle_rerates
+
+    def test_running_set_bumps_the_epoch(self, engine, metrics, monkeypatch):
+        monkeypatch.setattr(TaskExecution, "start", lambda self: None)  # touch no memory
+        agent = make_agent(engine, metrics)
+        epoch = agent.memory.epoch
+        te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=1.0))
+        assert agent.memory.epoch == epoch + 1
+        agent.task_finished(te)
+        assert agent.memory.epoch == epoch + 2
+
+    def test_a_moved_byte_forces_the_rerating(self, engine, metrics):
+        agent = make_agent(engine, metrics)
+        agent.start_task(simple_task("t", footprint=MiB(1), base_time=50.0))
+        engine.run(until=1.5)
+        calls = []
+        agent.recompute_rates = lambda: calls.append(engine.now)
+        engine.run(until=2.5)
+        assert calls == []  # nothing moved, nothing re-rated
+        agent.memory.migration_bytes_window = 1
+        engine.run(until=3.5)
+        assert calls == [3.0]
+
+    def test_checker_reports_a_change_the_epoch_missed(self, engine, metrics):
+        agent = make_agent(engine, metrics, UniformInterleavePolicy())
+        te = agent.start_task(simple_task(
+            "t", footprint=MiB(1), base_time=50.0, lat_frac=0.8, bw_frac=0.0))
+        engine.run(until=2.5)  # skipped ticks whose rates check out
+        ps = te.pageset
+        weight = ps.access_weight
+        hot = np.flatnonzero(ps.tier == int(DRAM))[np.argmax(weight[ps.tier == int(DRAM)])]
+        cold = np.flatnonzero(ps.tier == int(CXL))[np.argmin(weight[ps.tier == int(CXL)])]
+        assert weight[hot] > weight[cold]
+        # swap two chunks' tiers behind the memory system's back: per-tier
+        # accounting still holds, but the epoch missed the change
+        ps.tier[[hot, cold]] = ps.tier[[cold, hot]]
+        agent.memory.validate()
+        with pytest.raises(InvariantViolation, match="stale rate"):
+            engine.run(until=3.5)
 
 
 class TestAgentBookkeeping:

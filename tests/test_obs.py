@@ -590,6 +590,25 @@ class TestInsightExport:
         assert sorted(os.listdir(tmp_path)) == ["insight.json", "run.json", "trace.json"]
         assert load_insight_record(str(tmp_path)) == ins.snapshot()
 
+    def test_run_dir_holds_what_the_stream_encoder_wrote(self, tmp_path):
+        """``write_run_dir`` encodes in C, and ``to_dict`` builds no deep
+        copy; the bytes are still what ``json.dump`` writes for the same
+        documents (``dataclasses.asdict`` for the run record)."""
+        import dataclasses
+        import io
+
+        rec, ins = _sample_record(), _insight_record().snapshot()
+        paths = write_run_dir(rec, str(tmp_path), ins)
+        for name, doc in (
+            ("run", dataclasses.asdict(rec)),
+            ("trace", obs.to_chrome_trace(rec, ins)),
+            ("insight", ins.to_dict()),
+        ):
+            want = io.StringIO()
+            json.dump(doc, want, default=str)
+            with open(paths[name]) as fh:
+                assert fh.read() == want.getvalue(), name
+
     def test_counter_tracks_are_valid_and_monotonic(self):
         doc = obs.to_chrome_trace(_sample_record(), _insight_record().snapshot())
         assert obs.validate_chrome_trace(doc) == []

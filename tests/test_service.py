@@ -6,6 +6,7 @@ single partial window at the horizon, warm-up longer than the run, and
 determinism of window boundaries under a fixed seed with jobs=1 vs
 jobs=N."""
 
+import hashlib
 import itertools
 import math
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cache.codec import decode, encode
+from repro.cache.keys import canonicalize
 from repro.envs.environments import EnvKind, make_environment
 from repro.experiments.ext_steady_state import run_steady_state
 from repro.metrics.collector import MetricsRegistry
@@ -47,6 +49,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.process import ReportPeriod
 from repro.util.rng import RngFactory
 from repro.util.units import GiB, KiB, MiB
+from repro.workflows.ensembles import paper_batch
 
 TINY = 1.0 / 2048.0
 CHUNK = KiB(256)
@@ -226,10 +229,40 @@ class TestTaskStream:
         assert t.wclass.name == "SC"
         with pytest.raises(Exception, match="unknown stream class"):
             stream.wclass(0, "NOPE")
+        with pytest.raises(Exception, match="unknown stream class"):
+            stream.arrival(0, "NOPE")  # before admission could shed it
 
     def test_bases_order_matches_declaration(self):
         stream = TaskStream((("SC", 1), ("DM", 2)), TINY, 0)
         assert [b.wclass.name for b in stream.bases()] == ["SC", "DM"]
+
+    def test_tasks_are_the_ones_jittered_before_the_split(self):
+        """Digests of the tasks the undivided draw-and-build jitter made."""
+        def digest(tasks):
+            return hashlib.sha256(canonicalize(list(tasks)).encode()).hexdigest()
+
+        stream = TaskStream((("DM", 5), ("SC", 3), ("DL", 1), ("DC", 1)), TINY, 11)
+        assert digest(stream.task(i) for i in range(3000)) == (
+            "34a5fd8b9867fa10a38cc11034079c02f50752dd609913bd9cfa58a344c1b3b9"
+        )
+        assert digest(paper_batch(40)) == (
+            "18c82266291d69be534f6df5d947a9e63b83d2b8f97a3d5956e362098f9c3f5d"
+        )
+
+    def test_arrival_draws_once_and_builds_the_same_task(self, monkeypatch):
+        stream = TaskStream((("DM", 3), ("SC", 1)), TINY, 5)
+        draws = []
+        real = TaskStream.draws
+        monkeypatch.setattr(
+            TaskStream, "draws", lambda self, *a: draws.append(a) or real(self, *a)
+        )
+        arrival = stream.arrival(7)
+        assert draws == []  # nothing drawn until asked
+        footprint = arrival.max_footprint
+        task = arrival.task()
+        assert len(draws) == 1
+        assert task == stream.task(7) and footprint == task.max_footprint
+        assert stream.arrival(2, "DL").task() == stream.task(2, "DL")
 
 
 # --------------------------------------------------------------------------- #
@@ -529,6 +562,25 @@ class TestServiceRun:
         assert rep.admitted + rep.rejected == rep.offered == 60
         assert rep.completed == rep.admitted
         assert sum(w.rejected for w in rep.windows) == rep.rejected
+
+    @pytest.mark.parametrize("admission", [
+        {"admission": "queue-cap", "queue_cap": 3},
+        {"admission": "memory-headroom", "headroom": 1.0},
+    ])
+    def test_shed_arrivals_build_no_task(self, monkeypatch, admission):
+        builds = []
+        build = TaskStream.task
+        monkeypatch.setattr(
+            TaskStream, "task", lambda self, *a, **kw: builds.append(a) or build(self, *a, **kw)
+        )
+        env = make_environment(EnvKind.CBE, n_nodes=1, dram_capacity=MiB(4), chunk_size=CHUNK)
+        try:
+            spec = ServiceSpec(rate=30.0, max_arrivals=40, window=5.0, warmup="none", **admission)
+            rep = serve(env, spec, scale=TINY, seed=6)
+        finally:
+            env.stop()
+        assert 0 < rep.admitted < rep.offered
+        assert len(builds) == rep.admitted
 
     def test_memory_headroom_differs_by_environment(self):
         spec = ServiceSpec(rate=30.0, max_arrivals=40, window=5.0, warmup="none",
