@@ -155,3 +155,68 @@ def test_rate_recompute_cost(benchmark):
 
     slowdowns = benchmark(lambda: node_slowdowns(phases, pagesets, specs, caps))
     assert len(slowdowns) == 64
+
+
+#: the CI gate on :func:`test_rate_table_rerating_cost`: re-rating a
+#: 64-task node after one task's pages changed must cost under this share
+#: of a from-scratch kernel pass (about 0.1 on a 2-vCPU VM; a node that
+#: re-bins every row reads 1.0 or more)
+RERATING_SHARE_BOUND = 0.35
+
+
+def test_rate_table_rerating_cost(benchmark):
+    """A ``NodeAgent`` running 64 tasks re-rates after one task's access
+    weights are reinstalled: its rate table re-bins that one row, where a
+    from-scratch :func:`node_slowdowns` bins all 64.  Both legs run on the
+    same node in this test, so the gate is a same-machine ratio."""
+    import time
+
+    from repro.metrics.collector import MetricsRegistry
+    from repro.runtime.node_agent import NodeAgent
+    from repro.runtime.rates import node_slowdowns
+    from repro.sim.engine import SimulationEngine
+    from repro.util.units import GBps
+    from repro.workflows.patterns import UniformPattern
+    from repro.workflows.task import TaskPhase, TaskSpec, WorkloadClass
+
+    specs = default_tier_specs(dram_capacity=GiB(512))
+    node = NodeMemorySystem(specs, "bench")
+    agent = NodeAgent(
+        SimulationEngine(), node, LinuxSwapPolicy(scan_noise=0.0), MetricsRegistry(),
+        cores=64, chunk_size=MiB(4),
+    )
+    phase = TaskPhase(
+        "p", base_time=1e6, compute_frac=0.4, lat_frac=0.4, bw_frac=0.2,
+        demand_bandwidth=GBps(5.0), pattern=UniformPattern(),
+    )
+    tasks = [
+        agent.start_task(TaskSpec(
+            name=f"t{i}", wclass=WorkloadClass.GENERIC, footprint=GiB(7),
+            wss=GiB(7), phases=(phase,),
+        ))
+        for i in range(64)
+    ]
+    assert all(te.current_rate > 0 for te in tasks)
+    ps = tasks[0].pageset
+    weights = ps.access_weight.copy()
+    phases, pagesets = [te.phase for te in tasks], [te.pageset for te in tasks]
+    caps = np.array([specs[t].bandwidth for t in sorted(specs, key=int)]) * node.tier_health()
+
+    def rerate():
+        node.set_access_weights(ps, weights)
+        agent.recompute_rates()
+
+    def from_scratch():
+        return node_slowdowns(phases, pagesets, specs, caps)
+
+    def best(fn, n=20):
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fn()
+        return (time.perf_counter() - t0) / n
+
+    benchmark(rerate)
+    share = min(best(rerate) / best(from_scratch) for _ in range(5))
+    benchmark.extra_info["share_of_from_scratch"] = round(share, 4)
+    print(f"\nre-rating after one task's weights changed: {share:.3f}x a from-scratch pass")
+    assert share < RERATING_SHARE_BOUND

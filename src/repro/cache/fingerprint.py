@@ -16,6 +16,12 @@ never imports leaves it untouched.  Resolution is static (AST, not
 toward the closure; that errs on the side of invalidating, never on the
 side of serving stale results.
 
+Parsing whole modules is most of a cold closure's cost, so one compiled
+lexer finds every ``import`` keyword outside strings and comments and only
+the statements holding one are parsed.  A module where such a statement
+does not stand alone on its own lines (a backslash-continued head, a
+one-line ``try:``) is parsed whole instead.
+
 Fingerprints are memoized per process (source files do not change under a
 running sweep); tests that rewrite modules on disk call
 :func:`clear_fingerprint_caches` between edits.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 from importlib import util as importlib_util
 from typing import Iterator, Optional
 
@@ -106,23 +113,94 @@ def _statements(body: list) -> Iterator[ast.AST]:
                 yield from _statements(nested)
 
 
+#: one pass over a module's source.  Strings and comments are matched
+#: whole, so an ``import`` inside one is never seen (a string's prefix
+#: letters do not change where it ends); ``statement`` is an import
+#: statement alone on its line, whose parenthesized names may span lines;
+#: ``keyword`` is any other ``import`` keyword.
+_LEXER = re.compile(
+    rb"""
+    (?P<string>\'\'\'[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*\'\'\'
+      |\"\"\"[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*\"\"\"
+      |'[^'\\\n]*(?:\\.[^'\\\n]*)*'
+      |"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+    |(?P<comment>\#[^\n]*)
+    |(?P<statement>^[ \t]*(?:from[ \t]+[\w.]+[ \t]+)?import\b
+        (?:[^\n\#;\\()'"]|\((?:[^()'"\#]|\#[^\n]*\n)*\))*
+        (?=[ \t]*(?:\#[^\n]*)?$))
+    |(?P<keyword>\bimport\b)
+    """,
+    re.MULTILINE | re.VERBOSE | re.DOTALL,
+)
+
+
+def _continued(source: bytes, line_start: int) -> bool:
+    """Whether the physical line before ``line_start`` ends in a backslash."""
+    return source[max(0, line_start - 3):line_start].rstrip(b"\r\n").endswith(b"\\")
+
+
+def _import_statements(source: bytes) -> Optional[bytes]:
+    """The statements of ``source`` that hold an ``import``, one per line,
+    or ``None`` when one of them does not stand alone."""
+    lines: list[bytes] = []
+    string_end = line_start = line_end = -1
+    for match in _LEXER.finditer(source):
+        kind = match.lastgroup
+        if kind == "string":
+            if match.start() < line_end < match.end():
+                return None  # a string opened on a kept line runs past it
+            string_end = match.end()
+        elif kind == "statement":
+            if _continued(source, match.start()):
+                return None
+            lines.append(match.group().lstrip())
+        elif kind == "keyword":
+            # ``x = 1; import y``, ``if TYPE_CHECKING: import x``: keep the
+            # physical line, which must parse alone
+            start = source.rfind(b"\n", 0, match.start()) + 1
+            if start == line_start:
+                continue
+            if start < string_end or _continued(source, start):
+                return None
+            end = source.find(b"\n", match.end())
+            line_start, line_end = start, len(source) if end < 0 else end
+            lines.append(source[start:line_end].lstrip())
+    return b"\n".join(lines)
+
+
+def _parse_imports(source: bytes, path: str) -> Optional[ast.Module]:
+    """A module holding every import statement of ``source`` (None when the
+    source does not parse)."""
+    statements = _import_statements(source)
+    if statements is not None:
+        try:
+            return ast.parse(statements, filename=path)
+        except SyntaxError:
+            pass
+    try:
+        return ast.parse(source, filename=path)
+    except SyntaxError:
+        return None
+
+
 def _direct_imports(modname: str, root: str) -> set[str]:
     """Modules under ``root`` imported directly by ``modname``'s source."""
     entry = _source_entry(modname)
     if entry is None:
         return set()
     path, _, source = entry
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
+    tree = _parse_imports(source, path)
+    if tree is None:
         return set()
     prefix = root + "."
     out: set[str] = set()
 
-    def keep(name: str) -> None:
+    def keep(name: str) -> bool:
         if name == root or name.startswith(prefix):
             if _source_entry(name) is not None:
                 out.add(name)
+                return True
+        return False
 
     # the package anchor relative imports resolve against
     package = modname if _is_package(modname) else modname.rpartition(".")[0]
@@ -144,7 +222,8 @@ def _direct_imports(modname: str, root: str) -> set[str]:
                 base = node.module or ""
             if not base:
                 continue
-            keep(base)
+            if keep(base) and not _is_package(base):
+                continue  # a plain module has no submodules
             # ``from pkg import sub`` pulls in submodules, not just names
             for alias in node.names:
                 if alias.name != "*":

@@ -105,6 +105,11 @@ class PageSet:
         ``int16[n]`` — allocation-region id; maps to the
         :class:`~repro.core.flags.MemFlag` the region was requested with.
 
+    ``version`` counts the changes the rate kernel reads (tiers, shadows,
+    access weights): :class:`~repro.memory.system.NodeMemorySystem` bumps
+    it next to its node-wide ``epoch``, so the node agent re-bins only the
+    pagesets whose version moved since it last binned them.
+
     A standalone pageset owns these arrays.  Once registered with a
     :class:`~repro.memory.system.NodeMemorySystem` they are views of its
     node-level :class:`~repro.core.arena.NodeArena`; every method works
@@ -123,6 +128,7 @@ class PageSet:
         "_in_page_cache",
         "_region",
         "region_flags",
+        "version",
         "_arena",
         "_arena_start",
     )
@@ -151,6 +157,7 @@ class PageSet:
         self._region = np.full(n, NO_REGION, dtype=np.int16)
         #: region id -> flag metadata (opaque to this module).
         self.region_flags: dict[int, object] = {}
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # node arena binding (see repro.core.arena)

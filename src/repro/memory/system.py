@@ -14,7 +14,9 @@ exercised heavily by the property-based tests.
 Every change the node's rate kernel reads — a chunk's tier or shadow bit,
 a pageset's access weights, tier health, the running set — bumps one
 integer :attr:`~NodeMemorySystem.epoch`; a daemon tick that finds it
-unchanged has nothing to re-rate.
+unchanged has nothing to re-rate.  A change to one pageset also bumps that
+pageset's :attr:`~repro.memory.pageset.PageSet.version`, so a re-rating
+re-bins only the pagesets that changed.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class NodeMemorySystem:
         #: wires in its engine's clock.
         self.now = lambda: 0.0
         #: bumped by every change the rate kernel reads (tiers, shadows,
-        #: access weights, tier health; the node agent adds its running set)
+        #: access weights, tier health; the node agent adds its running set);
+        #: a change to one pageset also bumps its ``PageSet.version``
         self.epoch: int = 0
 
     # ------------------------------------------------------------------ #
@@ -161,6 +164,7 @@ class NodeMemorySystem:
         self.arena.release(ps)
         del self._pagesets[ps.owner]
         self.epoch += 1
+        ps.version += 1
 
     def set_access_weights(self, ps: PageSet, weights: Optional[np.ndarray] = None) -> None:
         """Install the running phase's access distribution on ``ps``
@@ -170,6 +174,7 @@ class NodeMemorySystem:
         else:
             ps.set_access_weights(weights)
         self.epoch += 1
+        ps.version += 1
 
     def pagesets(self) -> Iterable[PageSet]:
         return self._pagesets.values()
@@ -209,6 +214,7 @@ class NodeMemorySystem:
         ps.assign(idx, tier)
         self._used[t] += nbytes
         self.epoch += 1
+        ps.version += 1
         if checker.enabled:
             checker.conservation(
                 self.node_id, before, int(self._used.sum()),
@@ -275,6 +281,7 @@ class NodeMemorySystem:
             self._drop_shadows(ps, moving)
         ps.assign(moving, dst)
         self.epoch += 1
+        ps.version += 1
         if checker.enabled:
             # migrations move bytes between tiers; they never mint them
             checker.conservation(
@@ -302,6 +309,7 @@ class NodeMemorySystem:
         self._drop_shadows(ps, mapped)
         ps.unmap(mapped)
         self.epoch += 1
+        ps.version += 1
         nbytes = int(mapped.size) * ps.chunk_size
         if checker.enabled:
             checker.conservation(
@@ -336,6 +344,7 @@ class NodeMemorySystem:
         ps.in_page_cache[take] = True
         self._page_cache_used += int(take.size) * ps.chunk_size
         self.epoch += 1
+        ps.version += 1
         self.stats.page_cache_inserts += int(take.size)
         ins = _insight.active()
         if ins.enabled:
@@ -352,6 +361,7 @@ class NodeMemorySystem:
             ps.in_page_cache[shadowed] = False
             self._page_cache_used -= int(shadowed.size) * ps.chunk_size
             self.epoch += 1
+            ps.version += 1
             self.stats.page_cache_drops += int(shadowed.size)
             ins = _insight.active()
             if ins.enabled:

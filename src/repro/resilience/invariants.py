@@ -11,9 +11,10 @@ never break:
   only pending jobs and holds each at most once,
 * **the event heap is consistent** — the engine's O(1) live counter
   always matches a recount of the heap,
-* **a skipped re-rating skips nothing** — when a daemon tick skips its
-  rate recompute, every running task already runs at the rate the rate
-  kernel gives it.
+* **the rate table is the kernel** — after every re-rating, and on every
+  daemon tick that skips one, each running task runs at the rate the rate
+  kernel derives from scratch, and the node's one completion event sits
+  at its earliest pending projected finish.
 
 Checks are wired through the same null-object dispatch trick as
 :mod:`repro.obs`: every call site asks the *active* checker, which is a
@@ -72,6 +73,9 @@ class NullInvariantChecker:
         pass
 
     def rates(self, where: str, rated: Any) -> None:
+        pass
+
+    def completion(self, where: str, event: Any, earliest: Any) -> None:
         pass
 
     def scheduler(self, sched: Any) -> None:
@@ -149,8 +153,8 @@ class InvariantChecker(NullInvariantChecker):
             )
 
     def rates(self, where: str, rated: Any) -> None:
-        """Every ``(task, current rate, kernel rate)`` of a tick that
-        skipped its re-rating must agree exactly."""
+        """Every ``(task, table rate, rate derived from scratch)`` of a
+        node must agree exactly."""
         self.checks += 1
         for task, have, want in rated:
             if have != want:
@@ -158,6 +162,16 @@ class InvariantChecker(NullInvariantChecker):
                     f"stale rate on {where}: {task} runs at {have!r}, "
                     f"the rate kernel gives {want!r}"
                 )
+
+    def completion(self, where: str, event: Any, earliest: Any) -> None:
+        """A node's one completion event, as ``(time, seq)`` or ``None``,
+        must sit at its earliest pending ``(projection, stamp)``."""
+        self.checks += 1
+        if event != earliest:
+            self._fail(
+                f"completion event on {where} at {event!r}, "
+                f"earliest pending projection {earliest!r}"
+            )
 
     # ------------------------------------------------------------------ #
     # task accounting

@@ -2,9 +2,11 @@
 
 A :class:`TaskExecution` owns the task's :class:`PageSet`, issues its
 allocation requests through the Table-I client, installs each phase's
-access distribution, triggers fault-in of touched swap pages, and tracks
-progress with a :class:`~repro.sim.process.RateTracker` whose rate the
-node agent updates on every contention/placement change.
+access distribution and triggers fault-in of touched swap pages.  Its
+progress is a row of the node agent's
+:class:`~repro.runtime.node_agent.RateTable`, re-rated on every
+contention/placement change; the agent calls :meth:`complete_phase`
+when the row's phase is done.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from ..core.flags import MemFlag
 from ..memory.pageset import PageSet
 from ..memory.tiers import CXL, SWAP
 from ..metrics.collector import TaskMetrics
-from ..sim.events import Event
-from ..sim.process import RateTracker
 from ..util.errors import AllocationError
 from ..util.validation import require
 from ..workflows.task import TaskSpec
@@ -72,9 +72,8 @@ class TaskExecution:
         self.client: Optional[TieredMemoryClient] = None
         self.state = TaskState.PENDING
         self.phase_index = -1
-        self.tracker: Optional[RateTracker] = None
+        #: progress rate the node agent last installed (work-seconds per second)
         self.current_rate = 0.0
-        self._completion: Optional[Event] = None
         self._phase_started_at = 0.0
         self._attached_shared: list[str] = []
         #: cgroup memory.max enforcement (None limit = uncapped)
@@ -177,12 +176,11 @@ class TaskExecution:
                 return
         self._install_access_weights(phase, index)
         self._fault_in_touched(phase)
-        self.tracker = RateTracker(phase.base_time)
         obs.counter("task.phases", 1, wclass=spec.wclass.name)
         self.agent.trace(
             "phase", spec.name, event="begin", phase=phase.name, index=index
         )
-        self.agent.on_task_change(self)
+        self.agent.begin_phase(self)
 
     def _install_access_weights(self, phase, index: int) -> None:
         ps = self.pageset
@@ -211,7 +209,8 @@ class TaskExecution:
         if swapped.size:
             self.agent.policy.fault_in(self.agent.context, ps, swapped)
 
-    def _on_phase_complete(self) -> None:
+    def complete_phase(self) -> None:
+        """The current phase's work is done: begin the next, or finish."""
         now = self.agent.engine.now
         self.metrics.phase_durations.append(now - self._phase_started_at)
         nxt = self.phase_index + 1
@@ -227,7 +226,6 @@ class TaskExecution:
         obs.counter("task.completed", 1, wclass=self.spec.wclass.name)
         self.metrics.finished_at = now
         agent.memory.set_access_weights(self.pageset, None)
-        self._cancel_completion()
         policy = agent.policy
         if hasattr(policy, "finish_workflow"):
             policy.finish_workflow(self.spec.name, self.pageset, self.metrics.execution_time)
@@ -268,40 +266,12 @@ class TaskExecution:
                 limit=self.cgroup.limit,
                 node=agent.memory.node_id,
             )
-        self._cancel_completion()
         self._release_shared_inputs()
         if agent.memory.get_pageset(self.pageset.owner) is not None:
             agent.memory.unregister(self.pageset)
         agent.task_finished(self)
         if self.on_finish is not None:
             self.on_finish(self)
-
-    # ------------------------------------------------------------------ #
-    # rate control (called by the node agent)
-    # ------------------------------------------------------------------ #
-    def update_rate(self, rate: float) -> None:
-        """Install a new progress rate and reschedule phase completion.
-
-        An unchanged rate keeps a still-pending completion event: its time is right."""
-        if self.state is not TaskState.RUNNING or self.tracker is None:
-            return
-        rate *= self.rate_scale
-        ev = self._completion
-        if rate == self.current_rate and ev is not None and not (ev.fired or ev.cancelled):
-            return
-        engine = self.agent.engine
-        self.tracker.set_rate(engine.now, rate)
-        self.current_rate = rate
-        self._cancel_completion()
-        eta = self.tracker.projected_finish(engine.now)
-        if eta is not None:
-            self._completion = engine.schedule_at(
-                eta, self._on_phase_complete, f"{self.spec.name}.phase{self.phase_index}"
-            )
-
-    def _cancel_completion(self) -> None:
-        self.agent.engine.cancel(self._completion)
-        self._completion = None
 
     # ------------------------------------------------------------------ #
     # queries for the agent's contention model

@@ -4,7 +4,12 @@ One :class:`NodeAgent` per cluster node ties everything together: the
 node's memory system, the environment's memory policy, the running task
 set, the memory-management daemon (heatmap advance + policy tick), and
 the contention-aware rate recomputation that keeps every running task's
-completion event consistent with current placement.
+progress consistent with current placement.
+
+The running tasks are the rows of one :class:`RateTable`.  A re-rating
+re-bins only the rows whose pages changed, advances only the rows whose
+rate changed, and the node keeps one completion event, at its earliest
+projected finish.
 
 A daemon tick re-rates the node only when something the rate kernel reads
 may have changed: the memory system's placement epoch, the migration
@@ -27,13 +32,143 @@ from ..metrics.collector import MetricsRegistry
 from ..policies.base import MemoryPolicy, PolicyContext
 from ..resilience import invariants as inv
 from ..sim.engine import SimulationEngine
+from ..sim.events import Event
 from ..sim.process import TickGroup
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
 from .execution import TaskExecution, TaskState
-from .rates import RateModelConfig, node_slowdowns
+from .rates import (
+    SHADOW,
+    RateModelConfig,
+    access_profiles,
+    kernel_slowdowns,
+    node_slowdowns,
+    phase_terms,
+)
 
-__all__ = ["NodeAgent"]
+__all__ = ["NodeAgent", "RateTable"]
+
+#: a row's projected finish when none is pending (stalled, or just fired)
+NO_FINISH = np.inf
+
+
+class RateTable:
+    """A node's rated (RUNNING) tasks as rows, in ``running`` order.
+
+    Row ``i`` is ``tasks[i]``.  It holds the kernel's inputs — the phase's
+    ``terms`` (compute, latency and bandwidth fractions, demanded bandwidth;
+    written when the phase begins), the task's ``scale`` (its straggler
+    ``rate_scale``) and its access ``profile`` with the ``PageSet.version``
+    that profile was binned at — and the phase's fluid progress account:
+    work ``left``, ``rate``, time of the ``last`` update (NaN before the
+    first), projected finish ``due`` (:data:`NO_FINISH` when none is
+    pending) and the engine ``stamp`` that orders it among same-time events.
+
+    The arithmetic is :class:`~repro.sim.process.RateTracker`'s, one row
+    per task, applied to every row at once.
+    """
+
+    #: each per-row array's value in a row that has nothing binned or rated
+    EMPTY_ROW = {
+        "terms": np.zeros((1, 4)),
+        "scale": np.ones(1),
+        "profile": np.zeros((1, SHADOW + 1)),
+        "version": np.full(1, -1, dtype=np.int64),
+        "left": np.zeros(1),
+        "rate": np.zeros(1),
+        "last": np.full(1, np.nan),
+        "due": np.full(1, NO_FINISH),
+        "stamp": np.zeros(1, dtype=np.int64),
+    }
+
+    def __init__(self) -> None:
+        self.tasks: list[TaskExecution] = []
+        self.pagesets: list = []
+        self.index: dict[str, int] = {}
+        for name, empty in self.EMPTY_ROW.items():
+            setattr(self, name, empty[:0].copy())
+
+    def rebuild(self, tasks: list[TaskExecution]) -> None:
+        """Make ``tasks`` the rows, carrying every surviving row's values;
+        a new row has nothing binned and its phase's work left."""
+        empty = len(self.tasks)  # past the last row: the appended empty one
+        take = [self.index.get(te.spec.name, empty) for te in tasks]
+        for name, row in self.EMPTY_ROW.items():
+            setattr(self, name, np.concatenate((getattr(self, name), row))[take])
+        self.tasks = list(tasks)
+        self.pagesets = [te.pageset for te in tasks]
+        self.index = {te.spec.name: i for i, te in enumerate(tasks)}
+        for i, j in enumerate(take):
+            if j == empty:
+                te = tasks[i]
+                self.terms[i] = phase_terms([te.phase])[0]
+                self.scale[i] = te.rate_scale
+                self.left[i] = te.phase.base_time
+
+    def begin_phase(self, te: TaskExecution) -> None:
+        """``te`` began a phase: new terms, all its work left, no projection."""
+        i = self.index.get(te.spec.name)
+        if i is not None:
+            self.terms[i] = phase_terms([te.phase])[0]
+            self.left[i] = te.phase.base_time
+            self.last[i] = np.nan
+            self.due[i] = NO_FINISH
+
+    def rescale(self, te: TaskExecution) -> None:
+        """``te``'s straggler scale changed."""
+        i = self.index.get(te.spec.name)
+        if i is not None:
+            self.scale[i] = te.rate_scale
+
+    def rebin(self) -> None:
+        """Re-bin the access profiles of the rows whose pageset changed."""
+        pagesets = self.pagesets
+        versions = np.fromiter((ps.version for ps in pagesets), np.int64, len(pagesets))
+        dirty = np.flatnonzero(versions != self.version)
+        if dirty.size:
+            self.profile[dirty] = access_profiles([pagesets[i] for i in dirty.tolist()])
+            self.version[dirty] = versions[dirty]
+
+    def advance(self, rates: np.ndarray, now: float, stamps) -> np.ndarray:
+        """Install ``rates``; returns the rows that took a new rate.
+
+        A row whose rate is unchanged and whose projection is still pending
+        is left alone: its projection is right.  Every other row accounts
+        its progress at the old rate, takes the new one and re-projects;
+        ``stamps(k)`` gives the first of ``k`` engine stamps, one per new
+        projection in row order."""
+        moved = np.flatnonzero((rates != self.rate) | (self.due == NO_FINISH))
+        if not moved.size:
+            return moved
+        left, rate = self.left[moved], self.rate[moved]
+        dt = now - self.last[moved]
+        drain = (dt > 0) & (rate > 0)
+        if drain.any():
+            left = np.where(drain, np.maximum(0.0, left - dt * rate), left)
+            self.left[moved] = left
+        rate = rates[moved]
+        self.rate[moved] = rate
+        self.last[moved] = now
+        due = np.divide(left, rate, out=np.full(moved.size, NO_FINISH), where=rate > 0) + now
+        due[left <= 0] = now
+        self.due[moved] = due
+        projected = moved[due != NO_FINISH]
+        if projected.size:
+            self.stamp[projected] = stamps(projected.size) + np.arange(projected.size)
+        return moved
+
+    def earliest(self) -> Optional[int]:
+        """The row with the smallest pending ``(due, stamp)``, if any."""
+        due = self.due
+        if not due.size:
+            return None
+        i = int(due.argmin())
+        if due[i] == NO_FINISH:
+            return None
+        ties = np.flatnonzero(due == due[i])
+        if ties.size > 1:
+            i = int(ties[self.stamp[ties].argmin()])
+        return i
 
 
 class NodeAgent:
@@ -98,6 +233,10 @@ class NodeAgent:
         )
         self.ticker = ticker
         self._ticker_handle: Optional[int] = None
+        #: the running tasks' rates and progress, and the node's one
+        #: completion event at the earliest row's projected finish
+        self.table = RateTable()
+        self._completion: Optional[Event] = None
         #: the placement epoch and migration penalty the last re-rating used
         self._rated_epoch = -1
         self._rated_penalty = 0.0
@@ -168,8 +307,14 @@ class NodeAgent:
             for cb in list(self.on_capacity_freed):
                 cb()
 
+    def begin_phase(self, te: TaskExecution) -> None:
+        """``te`` began a phase: reset its row, then refresh everyone's rates."""
+        self.table.begin_phase(te)
+        self.recompute_rates()
+
     def on_task_change(self, te: TaskExecution) -> None:
-        """A task changed phase/placement — refresh everyone's rates."""
+        """``te``'s rate scale changed (a straggler) — refresh everyone's rates."""
+        self.table.rescale(te)
         self.recompute_rates()
 
     # ------------------------------------------------------------------ #
@@ -237,29 +382,97 @@ class NodeAgent:
     # rate model
     # ------------------------------------------------------------------ #
     def recompute_rates(self) -> None:
+        """Re-rate the node's running tasks: rebuild the table's rows if the
+        running set changed, re-bin the changed rows, run the kernel over
+        every row, advance the rows whose rate changed, re-arm the event."""
         self._rated_epoch = self.memory.epoch
+        table = self.table
         tasks = self._rated_tasks()
-        if not tasks:
+        if tasks != table.tasks:
+            table.rebuild(tasks)
+        if tasks:
+            self._rated_penalty = penalty = self._migration_penalty()
+            table.rebin()
+            rates = (1.0 / self._slowdowns(table, penalty)) * table.scale
+            moved = table.advance(rates, self.engine.now, self.engine.stamps)
+            for i, rate in zip(moved.tolist(), table.rate[moved].tolist()):
+                tasks[i].current_rate = rate
+        else:
             self.memory.migration_bytes_window = 0
             self._rated_penalty = 0.0
-            return
-        self._rated_penalty = penalty = self._migration_penalty()
-        for te, slowdown in zip(tasks, self._slowdowns(tasks, penalty)):
-            te.update_rate(1.0 / slowdown)
+        self._arm()
+        checker = inv.active()
+        if checker.enabled:
+            self._check_table(checker)
 
     def _rated_tasks(self) -> list[TaskExecution]:
         return [te for te in self.running.values() if te.state is TaskState.RUNNING]
 
-    def _slowdowns(self, tasks: list[TaskExecution], penalty: float) -> list[float]:
-        return node_slowdowns(
-            [te.phase for te in tasks],
-            [te.pageset for te in tasks],
-            self.memory.specs,
-            # offline tiers deliver no bandwidth; degraded links a fraction
-            self._bw_capacities * self.memory.tier_health(),
-            migration_penalty=penalty,
-            config=self.rate_config,
-        ).tolist()
+    def _capacities(self) -> np.ndarray:
+        # offline tiers deliver no bandwidth; degraded links a fraction
+        return self._bw_capacities * self.memory.tier_health()
+
+    def _slowdowns(self, table: RateTable, penalty: float) -> np.ndarray:
+        return kernel_slowdowns(
+            table.terms, table.profile, self.memory.specs, self._capacities(),
+            migration_penalty=penalty, config=self.rate_config,
+        )
+
+    def _arm(self) -> None:
+        """Keep the node's one completion event at its earliest projection
+        (re-pushed only when that projection or its stamp changes)."""
+        table, event = self.table, self._completion
+        i = table.earliest()
+        if i is None:
+            if event is not None:
+                self.engine.cancel(event)
+                self._completion = None
+            return
+        due, stamp = float(table.due[i]), int(table.stamp[i])
+        if event is not None:
+            if event.time == due and event.seq == stamp:
+                return
+            self.engine.cancel(event)
+        self._completion = self.engine.schedule_at(
+            due, self._complete, f"{self.memory.node_id}.completion", seq=stamp
+        )
+
+    def _complete(self) -> None:
+        """The earliest row's phase is done: one fired event per phase."""
+        self._completion = None
+        table = self.table
+        i = table.earliest()
+        assert i is not None, "a completion event fired on a node with no projection"
+        table.due[i] = NO_FINISH
+        table.tasks[i].complete_phase()
+
+    def _check_table(self, checker) -> None:
+        """Re-derive every running task's rate from scratch (fresh profiles,
+        terms from its phase, the penalty the last re-rating applied) and
+        check the table's rate against it, and the completion event against
+        the earliest projection."""
+        table = self.table
+        tasks = self._rated_tasks()
+        node = self.memory.node_id
+        if tasks:
+            slowdowns = node_slowdowns(
+                [te.phase for te in tasks], [te.pageset for te in tasks],
+                self.memory.specs, self._capacities(),
+                migration_penalty=self._rated_penalty, config=self.rate_config,
+            )
+            rows = [table.index.get(te.spec.name) for te in tasks]
+            checker.rates(node, [
+                (te.spec.name, None if i is None else float(table.rate[i]),
+                 (1.0 / slowdown) * te.rate_scale)
+                for te, i, slowdown in zip(tasks, rows, slowdowns.tolist())
+            ])
+        i = table.earliest()
+        event = self._completion
+        checker.completion(
+            node,
+            None if event is None else (event.time, event.seq),
+            None if i is None else (float(table.due[i]), int(table.stamp[i])),
+        )
 
     def _migration_penalty(self) -> float:
         """Charge recent daemon data movement against task progress."""
@@ -299,15 +512,9 @@ class NodeAgent:
         memory = self.memory
         if memory.epoch != self._rated_epoch or self._rated_penalty or memory.migration_bytes_window:
             self.recompute_rates()
-            return
-        tasks = self._rated_tasks() if checker.enabled else []
-        if tasks:
-            # skipped: the kernel's inputs are the last re-rating's, so every
-            # task must already run at the rate a re-rating would install
-            checker.rates(memory.node_id, [
-                (te.spec.name, te.current_rate, (1.0 / slowdown) * te.rate_scale)
-                for te, slowdown in zip(tasks, self._slowdowns(tasks, 0.0))
-            ])
+        elif checker.enabled:
+            # skipped: the kernel's inputs are the last re-rating's
+            self._check_table(checker)
 
     def stop(self) -> None:
         if self._ticker_handle is not None:

@@ -12,11 +12,15 @@ three placement-dependent terms using the phase's sensitivity mix:
 * a **migration overhead** term charges for daemon data movement
   (the ≈4 % runtime overhead reported in §IV-D4).
 
-:func:`node_slowdowns` is the node agent's kernel: one weighted
-``np.bincount`` splits every running task's accesses by service point
-(:func:`access_profiles`), then demand, fair-share bandwidth and slowdown
-are array math over all tasks at once.  :func:`tier_access_profile`,
-:func:`tier_demand` and :func:`phase_slowdown` are one-row calls of it.
+:func:`kernel_slowdowns` is the node agent's kernel: demand, fair-share
+bandwidth and slowdown are array math over every running task at once,
+from each task's phase terms (:func:`phase_terms`) and access profile.
+One weighted ``np.bincount`` splits a set of pagesets' accesses by service
+point (:func:`access_profiles`); each row sums only its own chunks, so the
+agent re-bins only the pagesets whose placement or weights changed.
+:func:`node_slowdowns` is the from-scratch form of the kernel, and
+:func:`tier_access_profile`, :func:`tier_demand` and :func:`phase_slowdown`
+are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ __all__ = [
     "RateModelConfig",
     "SHADOW",
     "access_profiles",
+    "kernel_slowdowns",
     "node_slowdowns",
+    "phase_terms",
     "tier_access_profile",
     "tier_demand",
     "phase_slowdown",
@@ -116,10 +122,16 @@ def _demands(profiles: np.ndarray, demand_bandwidth: np.ndarray) -> np.ndarray:
     return demand
 
 
-def _slowdowns(phases, profiles, specs, achieved, penalty, config, utilization) -> np.ndarray:
-    """Each row's slowdown from its access profile and achieved bandwidth."""
+def phase_terms(phases: Sequence[TaskPhase]) -> np.ndarray:
+    """``float64[n, 4]``: each phase's ``(compute_frac, lat_frac, bw_frac,
+    demand_bandwidth)``, the kernel's per-row inputs besides the profile."""
     terms = [(p.compute_frac, p.lat_frac, p.bw_frac, p.demand_bandwidth) for p in phases]
-    c, l, b, d = np.array(terms).T
+    return np.array(terms, dtype=np.float64).reshape(len(terms), 4)
+
+
+def _slowdowns(terms, profiles, specs, achieved, penalty, config, utilization) -> np.ndarray:
+    """Each row's slowdown from its terms, access profile and achieved bandwidth."""
+    c, l, b, d = terms.T
     latency = [specs[t].latency for t in MEMORY_TIERS]
     latency = np.array(latency + [config.swap_access_latency, config.shadow_access_latency])
     if config.loaded_latency and utilization is not None:
@@ -134,6 +146,32 @@ def _slowdowns(phases, profiles, specs, achieved, penalty, config, utilization) 
     return np.minimum(np.maximum(slowdown, c), config.max_slowdown)
 
 
+def kernel_slowdowns(
+    terms: np.ndarray,
+    profiles: np.ndarray,
+    specs: Mapping[TierKind, TierSpec],
+    capacities: np.ndarray,
+    *,
+    migration_penalty: float = 0.0,
+    config: RateModelConfig = RateModelConfig(),
+) -> np.ndarray:
+    """Slowdown of every row on a node: ``terms`` from :func:`phase_terms`,
+    ``profiles`` from :func:`access_profiles`, one row per task.
+
+    ``capacities`` is each tier's attainable bandwidth now (0 when offline),
+    shared by per-tier max-min fairness; utilisation drives loaded latency.
+    A row's result depends on the other rows only through that sharing."""
+    achieved = allocate_bandwidth(capacities, _demands(profiles, terms[:, 3]))
+    utilization = None
+    if config.loaded_latency:
+        utilization = np.divide(
+            achieved.sum(axis=0), capacities, out=np.zeros_like(capacities), where=capacities > 0
+        )
+    return _slowdowns(
+        terms, profiles, specs, achieved.sum(axis=1), migration_penalty, config, utilization
+    )
+
+
 def node_slowdowns(
     phases: Sequence[TaskPhase],
     pagesets: Sequence[PageSet],
@@ -143,18 +181,12 @@ def node_slowdowns(
     migration_penalty: float = 0.0,
     config: RateModelConfig = RateModelConfig(),
 ) -> np.ndarray:
-    """Slowdown of every task on a node (``phases[i]`` over ``pagesets[i]``).
-
-    ``capacities`` is each tier's attainable bandwidth now (0 when offline),
-    shared by per-tier max-min fairness; utilisation drives loaded latency."""
-    profiles = access_profiles(pagesets)
-    demand = np.array([p.demand_bandwidth for p in phases], dtype=np.float64)
-    achieved = allocate_bandwidth(capacities, _demands(profiles, demand))
-    utilization = np.divide(
-        achieved.sum(axis=0), capacities, out=np.zeros_like(capacities), where=capacities > 0
-    )
-    return _slowdowns(
-        phases, profiles, specs, achieved.sum(axis=1), migration_penalty, config, utilization
+    """Slowdown of every task on a node (``phases[i]`` over ``pagesets[i]``),
+    derived from scratch: :func:`kernel_slowdowns` over fresh terms and
+    profiles."""
+    return kernel_slowdowns(
+        phase_terms(phases), access_profiles(pagesets), specs, capacities,
+        migration_penalty=migration_penalty, config=config,
     )
 
 
@@ -192,6 +224,7 @@ def phase_slowdown(
     """
     profiles, achieved = access_profiles([ps]), np.array([float(achieved_bandwidth)])
     slowdown = _slowdowns(
-        [phase], profiles, specs, achieved, migration_penalty, config, tier_bw_utilization
+        phase_terms([phase]), profiles, specs, achieved, migration_penalty, config,
+        tier_bw_utilization,
     )
     return float(slowdown[0])

@@ -41,6 +41,7 @@ class SimulationEngine:
         self.now: float = float(start_time)
         self._heap: list[Event] = []
         self._seq: int = 0
+        self._scheduled: int = 0
         self._live: int = 0
         self._running: bool = False
         self.events_fired: int = 0
@@ -53,8 +54,13 @@ class SimulationEngine:
         """Schedule ``fn`` to fire ``delay`` seconds from now."""
         return self.schedule_at(self.now + delay, fn, label)
 
-    def schedule_at(self, time: float, fn: Callable[[], Any], label: str = "") -> Event:
+    def schedule_at(
+        self, time: float, fn: Callable[[], Any], label: str = "", *, seq: Optional[int] = None
+    ) -> Event:
         """Schedule ``fn`` at absolute simulated time ``time``.
+
+        ``seq`` is a place in the same-time firing order taken earlier with
+        :meth:`stamps`; without it the event takes the next place.
 
         Raises
         ------
@@ -68,11 +74,28 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now} ({label!r})"
             )
-        self._seq += 1
-        ev = Event(max(time, self.now), self._seq, fn, label)
+        if seq is None:
+            self._seq += 1
+            seq = self._seq
+        ev = Event(max(time, self.now), seq, fn, label)
         heapq.heappush(self._heap, ev)
+        self._scheduled += 1
         self._live += 1
         return ev
+
+    def stamps(self, n: int = 1) -> int:
+        """Take the next ``n`` places in the same-time firing order without
+        scheduling anything; returns the first.
+
+        An event scheduled later with ``seq=`` one of them fires among
+        same-time events exactly where an event scheduled now would.  A
+        caller that keeps many possible firings but queues only the
+        earliest (the node agent's one completion event) stamps each
+        firing when it is set, so the order stays that of one event each.
+        """
+        first = self._seq + 1
+        self._seq += n
+        return first
 
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel ``event`` if it is pending; a ``None`` argument is a no-op.
@@ -167,7 +190,7 @@ class SimulationEngine:
     @property
     def events_scheduled(self) -> int:
         """Events ever scheduled: fired, cancelled or still pending."""
-        return self._seq
+        return self._scheduled
 
     # ------------------------------------------------------------------ #
     # internals

@@ -209,6 +209,156 @@ class TestFingerprint:
         assert hit and value == 0.5
 
 
+#: modules of a throwaway package, each holding one form of import text;
+#: ``ghost*`` modules exist, but only strings and comments name them
+SCAN_MODULES = {
+    "docs": '''
+        """Module docstring: import fakepkg_scan_test.ghost1
+        from fakepkg_scan_test import ghost2
+        """
+        TEXT = 'import fakepkg_scan_test.ghost3'
+        OTHER = "from fakepkg_scan_test import ghost4"  # import fakepkg_scan_test.ghost5
+        RAW = r"""
+        import fakepkg_scan_test.ghost6 \\
+        """
+        # from fakepkg_scan_test import ghost7
+        from . import real_a
+    ''',
+    "typing_only": """
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING: import fakepkg_scan_test.real_a
+        if TYPE_CHECKING:
+            from . import real_b
+    """,
+    "semicolon": "x = 1; import fakepkg_scan_test.real_a\n",
+    "parenthesized": """
+        from . import (
+            real_a,  # the first (of two)
+            real_b,
+        )
+        from .real_c import (thing,
+                             other)
+    """,
+    "local": """
+        def f():
+            from .real_a import thing
+            return thing
+
+
+        class C:
+            def g(self):
+                import fakepkg_scan_test.real_b
+    """,
+    "try_one_line": """
+        try: import fakepkg_scan_test.real_a
+        except ImportError: real_a = None
+    """,
+    "string_after_import": (
+        'import fakepkg_scan_test.real_a; TEXT = """\n'
+        "import fakepkg_scan_test.ghost1\n"
+        '"""\n'
+        'import fakepkg_scan_test.real_b; MORE = """\n"""\n'
+    ),
+    "continued_head": "from fakepkg_scan_test \\\n    import real_a\n",
+    "continued_tail": "from .real_c import \\\n    thing\n",
+}
+#: the modules whose import statements do not stand alone: parsed whole
+SCAN_FALLBACK = {"try_one_line", "string_after_import", "continued_head", "continued_tail"}
+
+
+@pytest.fixture
+def scan_pkg(tmp_path, monkeypatch):
+    root = tmp_path / "fakepkg_scan_test"
+    root.mkdir()
+    (root / "__init__.py").write_text("")
+    for name in ("real_a", "real_b", *(f"ghost{i}" for i in range(1, 8))):
+        (root / f"{name}.py").write_text("VALUE = 1\n")
+    (root / "real_c.py").write_text("thing = other = 1\n")
+    for name, source in SCAN_MODULES.items():
+        (root / f"{name}.py").write_text(textwrap.dedent(source))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    clear_fingerprint_caches()
+    yield "fakepkg_scan_test"
+    clear_fingerprint_caches()
+    for mod in [m for m in sys.modules if m.startswith("fakepkg_scan_test")]:
+        del sys.modules[mod]
+
+
+def parsed_whole(monkeypatch, modules, root):
+    """Each module's direct imports from a full ``ast.parse`` + ``ast.walk``."""
+    import ast
+
+    from repro.cache import fingerprint
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fingerprint, "_import_statements", lambda source: None)
+        patch.setattr(fingerprint, "_statements", lambda body: ast.walk(ast.Module(body, [])))
+        clear_fingerprint_caches()
+        return {m: fingerprint._direct_imports(m, root) for m in modules}
+
+
+class TestImportScan:
+    """The lexer parses only the statements holding an ``import``, and
+    finds exactly the imports a full parse does."""
+
+    def test_every_repro_module_matches_a_full_parse(self, monkeypatch):
+        import pkgutil
+
+        from repro.cache import fingerprint
+
+        modules = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+        clear_fingerprint_caches()
+        scanned = {m: fingerprint._direct_imports(m, "repro") for m in modules}
+        assert scanned == parsed_whole(monkeypatch, modules, "repro")
+        assert sum(map(len, scanned.values())) > 300
+
+    def test_fixtures_match_a_full_parse(self, monkeypatch, scan_pkg):
+        from repro.cache import fingerprint
+
+        modules = [f"{scan_pkg}.{name}" for name in SCAN_MODULES]
+        scanned = {m: fingerprint._direct_imports(m, scan_pkg) for m in modules}
+        want = parsed_whole(monkeypatch, modules, scan_pkg)
+        assert scanned == want
+        assert not any(".ghost" in m for found in scanned.values() for m in found)
+        pkg = lambda *names: {scan_pkg} | {f"{scan_pkg}.{m}" for m in names}  # noqa: E731
+        assert want[f"{scan_pkg}.docs"] == pkg("real_a")
+        assert want[f"{scan_pkg}.parenthesized"] == pkg("real_a", "real_b", "real_c")
+        assert want[f"{scan_pkg}.local"] == pkg("real_a", "real_b") - {scan_pkg}
+        assert want[f"{scan_pkg}.try_one_line"] == pkg("real_a") - {scan_pkg}
+        assert want[f"{scan_pkg}.string_after_import"] == pkg("real_a", "real_b") - {scan_pkg}
+
+    def test_statements_that_do_not_stand_alone_parse_the_module(self, scan_pkg):
+        import ast
+
+        from repro.cache import fingerprint
+
+        for name in SCAN_MODULES:
+            source = fingerprint._source_entry(f"{scan_pkg}.{name}")[2]
+            lexed = fingerprint._import_statements(source)
+            try:
+                alone = lexed is not None and ast.parse(lexed) is not None
+            except SyntaxError:
+                alone = False
+            assert alone == (name not in SCAN_FALLBACK), name
+            assert lexed is None or b"ghost" not in lexed
+
+    def test_a_plain_module_is_not_probed_for_submodules(self, monkeypatch, scan_pkg):
+        from repro.cache import fingerprint
+
+        probed = []
+        find_source = fingerprint._find_source
+
+        def recording(modname):
+            probed.append(modname)
+            return find_source(modname)
+
+        monkeypatch.setattr(fingerprint, "_find_source", recording)
+        found = fingerprint._direct_imports(f"{scan_pkg}.parenthesized", scan_pkg)
+        assert f"{scan_pkg}.real_c" in found
+        assert f"{scan_pkg}.real_a" in probed  # a package's names are probed
+        assert not any(m.startswith(f"{scan_pkg}.real_c.") for m in probed)
+
+
 class TestStore:
     def test_miss_then_hit_roundtrip_is_exact(self, tmp_path):
         cache = ResultCache(tmp_path)

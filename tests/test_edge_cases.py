@@ -140,8 +140,12 @@ class TestExecutorEdges:
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=1.0))
         engine.run(until=50.0)
         assert te.state is TaskState.DONE
-        te.update_rate(0.5)  # must not resurrect the task
-        assert engine.pending() >= 0
+        te.rate_scale = 0.5
+        agent.on_task_change(te)  # must not resurrect the task
+        agent.recompute_rates()
+        assert agent.table.tasks == [] and agent._completion is None
+        engine.run(until=100.0)
+        assert te.state is TaskState.DONE and len(te.metrics.phase_durations) == 1
 
 
 class TestContainerEdges:

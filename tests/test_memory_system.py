@@ -219,6 +219,49 @@ class TestPlacementEpoch:
         assert node.epoch == epoch
 
 
+#: epoch mutators that change no pageset: tier health only
+NODE_MUTATORS = {"online_tier", "set_tier_degraded", "clear_tier_degradation"}
+
+
+class TestPageSetVersion:
+    """``PageSet.version`` moves with every change to that pageset the rate
+    kernel reads (``offline_tier`` reaches it through its evacuation)."""
+
+    @staticmethod
+    def placed(node):
+        ps = make_pageset(node, "a", MiB(1))
+        node.place(ps, np.arange(4), CXL)
+        node.place(ps, np.arange(4, 8), DRAM)
+        node.place(ps, np.arange(8, 10), PMEM)
+        node.add_page_cache_shadow(ps, np.arange(4))
+        return ps
+
+    @pytest.mark.parametrize("mutator", sorted(set(EPOCH_MUTATORS) - NODE_MUTATORS))
+    def test_each_pageset_mutator_bumps_its_version(self, node, mutator):
+        ps, other = self.placed(node), make_pageset(node, "b", MiB(1))
+        version, others = ps.version, other.version
+        EPOCH_MUTATORS[mutator](node, ps)
+        assert ps.version > version
+        assert other.version == others  # other pagesets keep theirs
+
+    @pytest.mark.parametrize("mutator", sorted(NODE_MUTATORS))
+    def test_tier_health_leaves_it(self, node, mutator):
+        ps = self.placed(node)
+        version = ps.version
+        EPOCH_MUTATORS[mutator](node, ps)
+        assert ps.version == version
+
+    def test_reads_and_no_op_moves_leave_it(self, node):
+        ps = make_pageset(node, "a", MiB(1))
+        node.place(ps, np.arange(4), DRAM)
+        version = ps.version
+        node.migrate(ps, np.arange(4), DRAM)  # already there
+        node.add_page_cache_shadow(ps, np.arange(0))
+        node.release(ps, np.arange(4, 6))  # never mapped
+        node.meminfo(), node.tier_health(), node.validate(), ps.counts_by_tier()
+        assert ps.version == version
+
+
 class TestRssAndUtilization:
     def test_rss_excludes_page_cache(self, node):
         ps = make_pageset(node, "a", MiB(1))

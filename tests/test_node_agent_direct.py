@@ -1,5 +1,6 @@
 """Direct NodeAgent tests: rate math, migration penalty, heatmap coupling,
-the daemon tick's re-rating skip, and the workload profile helper."""
+the rate table and its one completion event per node, the daemon tick's
+re-rating skip, and the workload profile helper."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from repro.policies.interleave import UniformInterleavePolicy
 from repro.policies.linux import LinuxSwapPolicy
 from repro.resilience import InvariantViolation
 from repro.runtime.execution import TaskExecution, TaskState
-from repro.runtime.node_agent import NodeAgent
-from repro.runtime.rates import RateModelConfig
+from repro.runtime.node_agent import NO_FINISH, NodeAgent, RateTable
+from repro.runtime.rates import RateModelConfig, access_profiles
 from repro.service import ServiceSpec, serve
 from repro.sim.engine import SimulationEngine
 from repro.util.rng import RngFactory
@@ -80,73 +81,88 @@ class TestRecomputeRates:
         agent.trace("task", "x", event="whatever")  # no session: a no-op
 
 
-def always_reschedule(self, rate):
-    """``TaskExecution.update_rate`` without the unchanged-rate early return."""
-    if self.state is not TaskState.RUNNING or self.tracker is None:
-        return
-    rate *= self.rate_scale
-    engine = self.agent.engine
-    self.tracker.set_rate(engine.now, rate)
-    self.current_rate = rate
-    self._cancel_completion()
-    eta = self.tracker.projected_finish(engine.now)
-    if eta is not None:
-        self._completion = engine.schedule_at(eta, self._on_phase_complete)
+def rebin_every_row(self):
+    """``RateTable.rebin`` that re-bins every row, changed or not."""
+    if self.pagesets:
+        self.profile[:] = access_profiles(self.pagesets)
+        self.version[:] = [ps.version for ps in self.pagesets]
+
+
+advance = RateTable.advance
+
+
+def advance_every_row(self, rates, now, stamps):
+    """``RateTable.advance`` without the unchanged-rate rule: every row
+    accounts its progress and re-projects on every re-rating."""
+    self.due[:] = NO_FINISH
+    return advance(self, rates, now, stamps)
 
 
 def pending(event):
     return event is not None and not (event.fired or event.cancelled)
 
 
+def completion_events(engine, agent):
+    """The agent's completion events still queued in the engine."""
+    return [
+        ev for ev in engine._heap
+        if pending(ev) and getattr(ev.fn, "__self__", None) is agent
+    ]
+
+
 class TestUnchangedRate:
     def test_equal_rate_after_phase_change_still_schedules(self, engine, metrics):
         agent = make_agent(engine, metrics)
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=0.5, n_phases=2))
-        first, rate = te._completion, te.current_rate
+        first, rate = agent._completion, te.current_rate
         engine.run(until=first.time)
         assert te.phase_index == 1 and first.fired
         assert te.current_rate == rate  # the premise: phase 1 runs at phase 0's rate
-        assert pending(te._completion) and te._completion is not first
+        assert pending(agent._completion) and agent._completion is not first
         engine.run(until=50.0)
         assert te.state is TaskState.DONE and len(te.metrics.phase_durations) == 2
 
     def test_same_rate_keeps_pending_event(self, engine, metrics):
         agent = make_agent(engine, metrics)
-        te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
-        event, scheduled = te._completion, engine.events_scheduled
+        agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
+        event, scheduled = agent._completion, engine.events_scheduled
         agent.recompute_rates()
-        assert te._completion is event and pending(event)
+        assert agent._completion is event and pending(event)
         assert engine.events_scheduled == scheduled
 
     def test_straggler_scale_reschedules(self, engine, metrics):
         agent = make_agent(engine, metrics)
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
-        event, rate = te._completion, te.current_rate
+        event, rate = agent._completion, te.current_rate
         te.rate_scale = 0.5
         agent.on_task_change(te)
-        assert event.cancelled and pending(te._completion)
+        assert event.cancelled and pending(agent._completion)
         assert te.current_rate == pytest.approx(rate * 0.5)
-        assert te._completion.time > event.time
+        assert agent._completion.time > event.time
 
     def test_stalled_task_is_never_skipped(self, engine, metrics):
         agent = make_agent(engine, metrics)
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
+        table, row = agent.table, agent.table.index["t"]
         engine.run(until=1.0)
         te.rate_scale = 0.0  # a fully throttled straggler
         agent.on_task_change(te)
-        assert te._completion is None and te.current_rate == 0.0
-        left = te.tracker.progress_to(engine.now)
+        assert agent._completion is None and te.current_rate == 0.0
+        left = table.left[row]
         engine.run(until=20.5)  # daemon ticks that move nothing re-rate nothing
         agent.recompute_rates()  # a re-rating at zero still runs the full update
-        assert te.tracker._last_update == 20.5
-        assert te.tracker.progress_to(engine.now) == left and te._completion is None
+        assert table.last[row] == 20.5
+        assert table.left[row] == left and agent._completion is None
         te.rate_scale = 1.0
         agent.on_task_change(te)
-        assert te._completion.time == pytest.approx(20.5 + left / te.current_rate)
+        assert agent._completion.time == pytest.approx(20.5 + left / te.current_rate)
         engine.run(until=100.0)
         assert te.state is TaskState.DONE
 
     def test_fewer_events_same_simulation(self, monkeypatch):
+        """Skipping unchanged rows re-projects fewer of them and never
+        schedules more events, and the simulation agrees with re-projecting
+        every row."""
         def run():
             engine, metrics = SimulationEngine(), MetricsRegistry()
             agent = make_agent(engine, metrics)
@@ -159,14 +175,92 @@ class TestUnchangedRate:
             tasks = sorted(metrics.tasks(), key=lambda t: t.owner)
             return engine, [t.phase_durations for t in tasks], max(t.finished_at for t in tasks)
 
-        engine, durations, makespan = run()
-        monkeypatch.setattr(TaskExecution, "update_rate", always_reschedule)
-        ref_engine, ref_durations, ref_makespan = run()
-        assert engine.events_scheduled < ref_engine.events_scheduled
+        (engine, durations, makespan), _, rows = scheduling(monkeypatch, run)
+        (ref_engine, ref_durations, ref_makespan), _, ref_rows = scheduling(
+            monkeypatch, run, advance=advance_every_row
+        )
+        assert rows < ref_rows
+        assert engine.events_scheduled <= ref_engine.events_scheduled
         assert engine.events_fired == ref_engine.events_fired
         assert makespan == pytest.approx(ref_makespan, rel=1e-9)
         for got, want in zip(durations, ref_durations):
             assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestRateTableArithmetic:
+    def test_rows_match_rate_trackers(self):
+        """``RateTable.advance`` is :class:`RateTracker`'s arithmetic under
+        the unchanged-rate rule, row by row and bit for bit."""
+        from types import SimpleNamespace
+
+        from repro.sim.process import RateTracker
+
+        rng = np.random.default_rng(7)
+        phase = simple_task(base_time=3.0).phases[0]
+        tasks = [
+            SimpleNamespace(spec=SimpleNamespace(name=f"t{i}"), pageset=None, phase=phase,
+                            rate_scale=1.0)
+            for i in range(6)
+        ]
+        table = RateTable()
+        table.rebuild(tasks)
+        trackers = [RateTracker(phase.base_time) for _ in tasks]
+        rates, due = [0.0] * len(tasks), [None] * len(tasks)
+        stamps = iter(range(1, 10**6))
+        now = 0.0
+        for step in range(300):
+            now += float(rng.choice([0.0, 0.25, rng.random()]))
+            if step % 37 == 36:  # a phase begins: all its work left, no projection
+                i = int(rng.integers(len(tasks)))
+                table.begin_phase(tasks[i])
+                trackers[i], due[i] = RateTracker(phase.base_time), None
+            new = rng.choice([0.0, 0.5, 1.0, 1.5], size=len(tasks))
+            new = np.where(rng.random(len(tasks)) < 0.5, rates, new)
+            for i, tracker in enumerate(trackers):
+                if new[i] == rates[i] and due[i] is not None:
+                    continue
+                tracker.set_rate(now, float(new[i]))
+                rates[i], due[i] = float(new[i]), tracker.projected_finish(now)
+            table.advance(new, now, lambda k: next(stamps))
+            assert table.rate.tolist() == rates
+            assert table.left.tolist() == [t.remaining for t in trackers]
+            assert table.due.tolist() == [NO_FINISH if d is None else d for d in due]
+
+
+class TestOneCompletionEvent:
+    def test_same_instant_finishes_complete_in_start_order(self, engine, metrics):
+        agent = make_agent(engine, metrics)
+        finished = []
+        for name in ("t0", "t1"):
+            agent.start_task(
+                simple_task(name, footprint=MiB(1), base_time=2.5, lat_frac=0.0, bw_frac=0.0),
+                on_finish=lambda te: finished.append((te.spec.name, engine.now)),
+            )
+        engine.run(until=2.4)
+        fired = engine.events_fired
+        while engine.peek_time() <= 2.5:
+            engine.step()
+            assert len(completion_events(engine, agent)) <= 1
+        assert finished == [("t0", 2.5), ("t1", 2.5)]
+        assert engine.events_fired - fired == 2  # one fired event per task
+
+    def test_a_node_holds_at_most_one_completion_event(self, engine, metrics):
+        agent = make_agent(engine, metrics)
+        for i in range(4):
+            agent.start_task(simple_task(
+                f"t{i}", footprint=MiB(2 + i), base_time=3.0 + i, n_phases=2,
+                lat_frac=0.5, bw_frac=0.3, demand_bandwidth=GBps(60),
+            ))
+        assert len(agent.table.tasks) == 4
+        steps = 0
+        while engine.peek_time() <= 50.0:  # the daemon ticks on after the last finish
+            engine.step()
+            steps += 1
+            assert len(completion_events(engine, agent)) <= 1
+            assert completion_events(engine, agent) == (
+                [agent._completion] if pending(agent._completion) else []
+            )
+        assert steps > 8 and all(len(t.phase_durations) == 2 for t in metrics.tasks())
 
 
 def always_recompute(self, now):
@@ -234,6 +328,62 @@ def headroom_service_run():
     env.stop()
     assert 0 < report.admitted < report.offered
     return simulated(env.engine, env.metrics)
+
+
+def scheduling(monkeypatch, run, **patches):
+    """``run()``'s result, how many events it scheduled and how many rows
+    its re-ratings re-projected, with ``RateTable`` methods replaced by
+    ``patches``."""
+    events, rows = [], []
+    schedule_at = SimulationEngine.schedule_at
+
+    def counted_events(self, *args, **kwargs):
+        events.append(None)
+        return schedule_at(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for name, fn in patches.items():
+            patch.setattr(RateTable, name, fn)
+        table_advance = RateTable.advance
+
+        def counted_rows(self, *args):
+            moved = table_advance(self, *args)
+            rows.append(moved.size)
+            return moved
+
+        patch.setattr(SimulationEngine, "schedule_at", counted_events)
+        patch.setattr(RateTable, "advance", counted_rows)
+        result = run()
+    return result, len(events), sum(rows)
+
+
+@pytest.mark.usefixtures("checked")
+class TestRateTableOracles:
+    """The table re-bins only changed rows and re-projects only re-rated
+    ones; doing either for every row changes nothing it should not."""
+
+    @pytest.mark.parametrize("run", [fault_heavy_run, headroom_service_run])
+    def test_rebinning_every_row_is_bit_identical(self, monkeypatch, run):
+        got, scheduled, _ = scheduling(monkeypatch, run)
+        want, want_scheduled, _ = scheduling(monkeypatch, run, rebin=rebin_every_row)
+        assert got == want and scheduled == want_scheduled
+
+    @pytest.mark.parametrize("run", [fault_heavy_run, headroom_service_run])
+    def test_reprojecting_every_row_agrees(self, monkeypatch, run):
+        """Only an unchanged earliest row saves an event, so the oracle
+        schedules at least as many; it always re-projects more rows."""
+        (fired, tasks), scheduled, rows = scheduling(monkeypatch, run)
+        (want_fired, want_tasks), want_scheduled, want_rows = scheduling(
+            monkeypatch, run, rebin=rebin_every_row, advance=advance_every_row
+        )
+        assert scheduled <= want_scheduled and rows < want_rows
+        assert fired == want_fired
+        assert [t[0] for t in tasks] == [t[0] for t in want_tasks]
+        for (_, durations, finished), (_, want_durations, want_finished) in zip(
+            tasks, want_tasks
+        ):
+            assert durations == pytest.approx(want_durations, rel=1e-9)
+            assert finished == pytest.approx(want_finished, rel=1e-9)
 
 
 @pytest.mark.usefixtures("checked")

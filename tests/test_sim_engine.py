@@ -57,6 +57,23 @@ class TestScheduling:
         assert fired == ["second"]
         assert engine.now == 2.0
 
+    def test_a_stamped_event_fires_where_it_was_stamped(self, engine):
+        """An event scheduled with an earlier stamp fires among same-time
+        events where an event scheduled at stamping time would have."""
+        fired = []
+        engine.schedule(1.0, lambda: fired.append("a"))
+        stamp = engine.stamps()
+        engine.schedule(1.0, lambda: fired.append("c"))
+        engine.schedule_at(1.0, lambda: fired.append("b"), seq=stamp)
+        engine.run()
+        assert fired == ["a", "b", "c"]
+
+    def test_stamps_are_consecutive_and_schedule_nothing(self, engine):
+        first = engine.stamps(3)
+        ev = engine.schedule(1.0, lambda: None)
+        assert ev.seq == first + 3
+        assert engine.events_scheduled == 1 and engine.pending() == 1
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, engine):
