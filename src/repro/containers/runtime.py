@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..core.sharing import SharedMemoryManager
 from ..sim.engine import SimulationEngine
-from ..sim.events import Event
-from ..sim.process import RateTracker
+from ..sim.process import ProgressTable
 from ..util.errors import ContainerError
 from ..util.units import GBps
 from ..util.validation import check_fraction, check_non_negative, check_positive, require
@@ -30,59 +31,50 @@ from .image import ImageRegistry
 __all__ = ["NetworkFabric", "ContainerRuntime"]
 
 
-class _Transfer:
-    __slots__ = ("tracker", "event", "on_done")
-
-    def __init__(self, nbytes: int, on_done: Callable[[], None]) -> None:
-        self.tracker = RateTracker(float(nbytes))
-        self.event: Optional[Event] = None
-        self.on_done = on_done
-
-
 class NetworkFabric:
     """A shared full-duplex link; active transfers get max-min fair shares.
 
     All transfers here are same-sized-priority bulk pulls, so the fair
     share degenerates to an equal split — recomputed whenever a transfer
-    starts or finishes.
+    starts or finishes.  The active pulls are the rows of one
+    :class:`~repro.sim.process.ProgressTable`, in start order, draining
+    their bytes; the fabric holds one event, at the earliest finish.
     """
 
     def __init__(self, engine: SimulationEngine, bandwidth: float = GBps(1.25)) -> None:
         check_positive(bandwidth, "bandwidth")
         self.engine = engine
         self.bandwidth = float(bandwidth)  # 10 GbE ≈ 1.25 GB/s
-        self._active: list[_Transfer] = []
+        self.pulls = ProgressTable(engine, "net.pull", self._complete)
+        self._on_done: list[Callable[[], None]] = []
         self.completed_transfers = 0
         self.bytes_transferred = 0
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        return len(self._on_done)
 
     def transfer(self, nbytes: int, on_done: Callable[[], None]) -> None:
         check_positive(nbytes, "nbytes")
-        t = _Transfer(nbytes, on_done)
-        self._active.append(t)
+        n = self.active_count
+        self.pulls.gather(np.arange(n + 1))  # row n: a new, empty row
+        self.pulls.begin(n, float(nbytes))
+        self._on_done.append(on_done)
         self.bytes_transferred += int(nbytes)
         self._rebalance()
 
     def _rebalance(self) -> None:
-        if not self._active:
-            return
-        share = self.bandwidth / len(self._active)
-        now = self.engine.now
-        for t in self._active:
-            t.tracker.set_rate(now, share)
-            self.engine.cancel(t.event)
-            eta = t.tracker.projected_finish(now)
-            assert eta is not None  # share > 0
-            t.event = self.engine.schedule_at(eta, lambda t=t: self._complete(t), "net.pull")
+        n = self.active_count
+        if n:
+            self.pulls.advance(np.full(n, self.bandwidth / n))
+        self.pulls.arm()
 
-    def _complete(self, t: _Transfer) -> None:
-        self._active.remove(t)
+    def _complete(self, i: int) -> None:
+        self.pulls.gather(np.delete(np.arange(self.active_count), i))
+        on_done = self._on_done.pop(i)
         self.completed_transfers += 1
         self._rebalance()
-        t.on_done()
+        on_done()
 
 
 class ContainerRuntime:

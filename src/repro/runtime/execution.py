@@ -5,7 +5,7 @@ allocation requests through the Table-I client, installs each phase's
 access distribution and triggers fault-in of touched swap pages.  Its
 progress is a row of the node agent's
 :class:`~repro.runtime.node_agent.RateTable`, re-rated on every
-contention/placement change; the agent calls :meth:`complete_phase`
+contention/placement change; the table calls :meth:`complete_phase`
 when the row's phase is done.
 """
 

@@ -32,8 +32,7 @@ from ..metrics.collector import MetricsRegistry
 from ..policies.base import MemoryPolicy, PolicyContext
 from ..resilience import invariants as inv
 from ..sim.engine import SimulationEngine
-from ..sim.events import Event
-from ..sim.process import TickGroup
+from ..sim.process import ProgressTable, TickGroup
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
 from .execution import TaskExecution, TaskState
@@ -48,71 +47,54 @@ from .rates import (
 
 __all__ = ["NodeAgent", "RateTable"]
 
-#: a row's projected finish when none is pending (stalled, or just fired)
-NO_FINISH = np.inf
 
+class RateTable(ProgressTable):
+    """A node's rated (RUNNING) tasks as the rows of a progress table, in
+    ``running`` order: row ``i`` is ``tasks[i]`` and drains its phase.
 
-class RateTable:
-    """A node's rated (RUNNING) tasks as rows, in ``running`` order.
-
-    Row ``i`` is ``tasks[i]``.  It holds the kernel's inputs — the phase's
-    ``terms`` (compute, latency and bandwidth fractions, demanded bandwidth;
-    written when the phase begins), the task's ``scale`` (its straggler
-    ``rate_scale``) and its access ``profile`` with the ``PageSet.version``
-    that profile was binned at — and the phase's fluid progress account:
-    work ``left``, ``rate``, time of the ``last`` update (NaN before the
-    first), projected finish ``due`` (:data:`NO_FINISH` when none is
-    pending) and the engine ``stamp`` that orders it among same-time events.
-
-    The arithmetic is :class:`~repro.sim.process.RateTracker`'s, one row
-    per task, applied to every row at once.
+    Beside the progress columns, a row holds the kernel's inputs — the
+    phase's ``terms`` (compute, latency and bandwidth fractions, demanded
+    bandwidth; written when the phase begins), the task's ``scale`` (its
+    straggler ``rate_scale``) and its access ``profile`` with the
+    ``PageSet.version`` that profile was binned at.  When the table's event
+    fires, the due row's phase is complete.
     """
 
     #: each per-row array's value in a row that has nothing binned or rated
     EMPTY_ROW = {
+        **ProgressTable.EMPTY_ROW,
         "terms": np.zeros((1, 4)),
         "scale": np.ones(1),
         "profile": np.zeros((1, SHADOW + 1)),
         "version": np.full(1, -1, dtype=np.int64),
-        "left": np.zeros(1),
-        "rate": np.zeros(1),
-        "last": np.full(1, np.nan),
-        "due": np.full(1, NO_FINISH),
-        "stamp": np.zeros(1, dtype=np.int64),
     }
 
-    def __init__(self) -> None:
+    def __init__(self, engine: SimulationEngine, label: str = "completion") -> None:
+        super().__init__(engine, label, lambda i: self.tasks[i].complete_phase())
         self.tasks: list[TaskExecution] = []
         self.pagesets: list = []
         self.index: dict[str, int] = {}
-        for name, empty in self.EMPTY_ROW.items():
-            setattr(self, name, empty[:0].copy())
 
     def rebuild(self, tasks: list[TaskExecution]) -> None:
         """Make ``tasks`` the rows, carrying every surviving row's values;
         a new row has nothing binned and its phase's work left."""
         empty = len(self.tasks)  # past the last row: the appended empty one
         take = [self.index.get(te.spec.name, empty) for te in tasks]
-        for name, row in self.EMPTY_ROW.items():
-            setattr(self, name, np.concatenate((getattr(self, name), row))[take])
+        self.gather(take)
         self.tasks = list(tasks)
         self.pagesets = [te.pageset for te in tasks]
         self.index = {te.spec.name: i for i, te in enumerate(tasks)}
         for i, j in enumerate(take):
             if j == empty:
-                te = tasks[i]
-                self.terms[i] = phase_terms([te.phase])[0]
-                self.scale[i] = te.rate_scale
-                self.left[i] = te.phase.base_time
+                self.scale[i] = tasks[i].rate_scale
+                self.begin_phase(tasks[i])
 
     def begin_phase(self, te: TaskExecution) -> None:
         """``te`` began a phase: new terms, all its work left, no projection."""
         i = self.index.get(te.spec.name)
         if i is not None:
             self.terms[i] = phase_terms([te.phase])[0]
-            self.left[i] = te.phase.base_time
-            self.last[i] = np.nan
-            self.due[i] = NO_FINISH
+            self.begin(i, te.phase.base_time)
 
     def rescale(self, te: TaskExecution) -> None:
         """``te``'s straggler scale changed."""
@@ -128,47 +110,6 @@ class RateTable:
         if dirty.size:
             self.profile[dirty] = access_profiles([pagesets[i] for i in dirty.tolist()])
             self.version[dirty] = versions[dirty]
-
-    def advance(self, rates: np.ndarray, now: float, stamps) -> np.ndarray:
-        """Install ``rates``; returns the rows that took a new rate.
-
-        A row whose rate is unchanged and whose projection is still pending
-        is left alone: its projection is right.  Every other row accounts
-        its progress at the old rate, takes the new one and re-projects;
-        ``stamps(k)`` gives the first of ``k`` engine stamps, one per new
-        projection in row order."""
-        moved = np.flatnonzero((rates != self.rate) | (self.due == NO_FINISH))
-        if not moved.size:
-            return moved
-        left, rate = self.left[moved], self.rate[moved]
-        dt = now - self.last[moved]
-        drain = (dt > 0) & (rate > 0)
-        if drain.any():
-            left = np.where(drain, np.maximum(0.0, left - dt * rate), left)
-            self.left[moved] = left
-        rate = rates[moved]
-        self.rate[moved] = rate
-        self.last[moved] = now
-        due = np.divide(left, rate, out=np.full(moved.size, NO_FINISH), where=rate > 0) + now
-        due[left <= 0] = now
-        self.due[moved] = due
-        projected = moved[due != NO_FINISH]
-        if projected.size:
-            self.stamp[projected] = stamps(projected.size) + np.arange(projected.size)
-        return moved
-
-    def earliest(self) -> Optional[int]:
-        """The row with the smallest pending ``(due, stamp)``, if any."""
-        due = self.due
-        if not due.size:
-            return None
-        i = int(due.argmin())
-        if due[i] == NO_FINISH:
-            return None
-        ties = np.flatnonzero(due == due[i])
-        if ties.size > 1:
-            i = int(ties[self.stamp[ties].argmin()])
-        return i
 
 
 class NodeAgent:
@@ -235,8 +176,7 @@ class NodeAgent:
         self._ticker_handle: Optional[int] = None
         #: the running tasks' rates and progress, and the node's one
         #: completion event at the earliest row's projected finish
-        self.table = RateTable()
-        self._completion: Optional[Event] = None
+        self.table = RateTable(engine, f"{memory.node_id}.completion")
         #: the placement epoch and migration penalty the last re-rating used
         self._rated_epoch = -1
         self._rated_penalty = 0.0
@@ -394,13 +334,13 @@ class NodeAgent:
             self._rated_penalty = penalty = self._migration_penalty()
             table.rebin()
             rates = (1.0 / self._slowdowns(table, penalty)) * table.scale
-            moved = table.advance(rates, self.engine.now, self.engine.stamps)
+            moved = table.advance(rates)
             for i, rate in zip(moved.tolist(), table.rate[moved].tolist()):
                 tasks[i].current_rate = rate
         else:
             self.memory.migration_bytes_window = 0
             self._rated_penalty = 0.0
-        self._arm()
+        table.arm()
         checker = inv.active()
         if checker.enabled:
             self._check_table(checker)
@@ -417,34 +357,6 @@ class NodeAgent:
             table.terms, table.profile, self.memory.specs, self._capacities(),
             migration_penalty=penalty, config=self.rate_config,
         )
-
-    def _arm(self) -> None:
-        """Keep the node's one completion event at its earliest projection
-        (re-pushed only when that projection or its stamp changes)."""
-        table, event = self.table, self._completion
-        i = table.earliest()
-        if i is None:
-            if event is not None:
-                self.engine.cancel(event)
-                self._completion = None
-            return
-        due, stamp = float(table.due[i]), int(table.stamp[i])
-        if event is not None:
-            if event.time == due and event.seq == stamp:
-                return
-            self.engine.cancel(event)
-        self._completion = self.engine.schedule_at(
-            due, self._complete, f"{self.memory.node_id}.completion", seq=stamp
-        )
-
-    def _complete(self) -> None:
-        """The earliest row's phase is done: one fired event per phase."""
-        self._completion = None
-        table = self.table
-        i = table.earliest()
-        assert i is not None, "a completion event fired on a node with no projection"
-        table.due[i] = NO_FINISH
-        table.tasks[i].complete_phase()
 
     def _check_table(self, checker) -> None:
         """Re-derive every running task's rate from scratch (fresh profiles,
@@ -467,7 +379,7 @@ class NodeAgent:
                 for te, i, slowdown in zip(tasks, rows, slowdowns.tolist())
             ])
         i = table.earliest()
-        event = self._completion
+        event = table.event
         checker.completion(
             node,
             None if event is None else (event.time, event.seq),

@@ -2,13 +2,13 @@
 
 from .engine import SimulationEngine
 from .events import Event
-from .process import PeriodicProcess, RateTracker, ReportPeriod, TickGroup
+from .process import PeriodicProcess, ProgressTable, ReportPeriod, TickGroup
 
 __all__ = [
     "SimulationEngine",
     "Event",
     "PeriodicProcess",
-    "RateTracker",
+    "ProgressTable",
     "ReportPeriod",
     "TickGroup",
 ]

@@ -5,22 +5,25 @@ daemon, metric samplers) that tick at a fixed simulated interval.
 :class:`TickGroup` coalesces many such daemons onto *one* heap event per
 interval — the engine pops once and services every member callback, so a
 64-node cluster costs one event per tick instead of 64.
-:class:`RateTracker` implements the fluid progress model described in
-DESIGN.md §4: an amount of *work* drains at a *rate* that the surrounding
-system may change at any event; the tracker converts between remaining work
-and projected completion time.
+:class:`ProgressTable` implements the fluid progress model described in
+DESIGN.md §4: amounts of *work* drain at *rates* that the surrounding
+system may change at any event, and the table keeps one engine event at
+the earliest projected finish.  A node's running tasks and the network
+fabric's image pulls both drain through it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from ..util.errors import SimulationError
 from ..util.validation import check_non_negative, check_positive
 from .engine import SimulationEngine
 from .events import Event
 
-__all__ = ["PeriodicProcess", "ReportPeriod", "TickGroup", "RateTracker"]
+__all__ = ["NO_FINISH", "PeriodicProcess", "ProgressTable", "ReportPeriod", "TickGroup"]
 
 
 class PeriodicProcess:
@@ -184,62 +187,122 @@ class ReportPeriod(TickGroup):
             fn(index, start, self.engine.now)
 
 
-class RateTracker:
-    """Track draining work under a piecewise-constant rate.
+#: a row's projected finish when none is pending (stalled, or just fired)
+NO_FINISH = np.inf
 
-    The canonical usage pattern, from a task-execution object::
 
-        tracker = RateTracker(total_work)
-        tracker.set_rate(now, rate)          # when placement/contention known
-        eta = tracker.projected_finish(now)  # schedule completion event here
-        ...
-        tracker.set_rate(now2, new_rate)     # on any contention change
-        eta = tracker.projected_finish(now2) # reschedule
+class ProgressTable:
+    """Amounts of work draining at piecewise-constant rates, one row each,
+    with one engine event at the earliest projected finish.
 
-    Work is measured in "ideal seconds" (the phase's duration at rate 1).
+    Row ``i`` holds its work ``left`` (in its owner's units: ideal seconds
+    of a task phase, bytes of an image pull), its ``rate``, the time of its
+    ``last`` update (NaN before the first), its projected finish ``due``
+    (:data:`NO_FINISH` when none is pending) and the engine ``stamp`` that
+    orders ``due`` among same-time events.  When the event fires, the row
+    it was set for loses its projection and ``on_due(row)`` is called.
+
+    Each projection takes its stamp when it is set: the place in the
+    same-time firing order that one event per row, scheduled then, would
+    have taken.  So rows due at one instant fire in the order their
+    projections were set, one fired event each, and events elsewhere keep
+    their order against them.
     """
 
-    __slots__ = ("remaining", "rate", "_last_update")
+    #: each column's value in a row that has nothing rated
+    EMPTY_ROW = {
+        "left": np.zeros(1),
+        "rate": np.zeros(1),
+        "last": np.full(1, np.nan),
+        "due": np.full(1, NO_FINISH),
+        "stamp": np.zeros(1, dtype=np.int64),
+    }
 
-    def __init__(self, work: float) -> None:
+    def __init__(
+        self, engine: SimulationEngine, label: str, on_due: Callable[[int], Any]
+    ) -> None:
+        self.engine = engine
+        self.label = label
+        self.on_due = on_due
+        self.event: Optional[Event] = None
+        for name, empty in self.EMPTY_ROW.items():
+            setattr(self, name, empty[:0].copy())
+
+    def gather(self, rows: list[int] | np.ndarray) -> None:
+        """Make row ``k`` the old row ``rows[k]``; an index one past the
+        last old row makes an empty row."""
+        for name, empty in self.EMPTY_ROW.items():
+            setattr(self, name, np.concatenate((getattr(self, name), empty))[rows])
+
+    def begin(self, i: int, work: float) -> None:
+        """Row ``i`` has ``work`` left to drain and no projection."""
         check_non_negative(work, "work")
-        self.remaining = float(work)
-        self.rate = 0.0
-        self._last_update: Optional[float] = None
+        self.left[i] = work
+        self.last[i] = np.nan
+        self.due[i] = NO_FINISH
 
-    def set_rate(self, now: float, rate: float) -> None:
-        """Account progress up to ``now`` at the old rate, then switch rates."""
-        check_non_negative(rate, "rate")
-        self._advance(now)
-        self.rate = float(rate)
-        self._last_update = now
+    def advance(self, rates: np.ndarray) -> np.ndarray:
+        """Install ``rates`` at the engine's time; returns the rows that
+        took a new rate.
 
-    def _advance(self, now: float) -> None:
-        if self._last_update is None:
-            self._last_update = now
-            return
-        dt = now - self._last_update
-        if dt < -1e-9:
-            raise SimulationError(f"RateTracker time went backwards ({dt} s)")
-        if dt > 0 and self.rate > 0:
-            self.remaining = max(0.0, self.remaining - dt * self.rate)
-        self._last_update = now
+        A row whose rate is unchanged and whose projection is still pending
+        is left alone: progress is linear between rate changes, so its
+        projection is right.  Every other row drains ``max(0, left −
+        dt·rate)`` at its old rate, takes the new one and re-projects to
+        ``now + left / rate`` (``now`` when no work is left, none at rate
+        0), taking engine stamps in row order."""
+        moved = np.flatnonzero((rates != self.rate) | (self.due == NO_FINISH))
+        if not moved.size:
+            return moved
+        now, rate = self.engine.now, rates[moved]
+        if not (rate >= 0).all():
+            raise SimulationError(f"{self.label}: rates must be >= 0, got {rate.min()}")
+        dt = now - self.last[moved]
+        if (dt < -1e-9).any():
+            raise SimulationError(f"{self.label}: time went backwards ({np.nanmin(dt)} s)")
+        left, old = self.left[moved], self.rate[moved]
+        drain = (dt > 0) & (old > 0)
+        if drain.any():
+            left = np.where(drain, np.maximum(0.0, left - dt * old), left)
+            self.left[moved] = left
+        self.rate[moved] = rate
+        self.last[moved] = now
+        due = np.divide(left, rate, out=np.full(moved.size, NO_FINISH), where=rate > 0) + now
+        due[left <= 0] = now
+        self.due[moved] = due
+        projected = moved[due != NO_FINISH]
+        if projected.size:
+            self.stamp[projected] = self.engine.stamps(projected.size) + np.arange(projected.size)
+        return moved
 
-    def progress_to(self, now: float) -> float:
-        """Advance the account to ``now`` and return remaining work."""
-        self._advance(now)
-        return self.remaining
-
-    def projected_finish(self, now: float) -> Optional[float]:
-        """Absolute time the work drains at the current rate, or ``None``
-        if the rate is zero (stalled)."""
-        self._advance(now)
-        if self.remaining <= 0:
-            return now
-        if self.rate <= 0:
+    def earliest(self) -> Optional[int]:
+        """The row with the smallest pending ``(due, stamp)``, if any."""
+        due = self.due
+        if not due.size:
             return None
-        return now + self.remaining / self.rate
+        i = int(due.argmin())
+        if due[i] == NO_FINISH:
+            return None
+        ties = np.flatnonzero(due == due[i])
+        if ties.size > 1:
+            i = int(ties[self.stamp[ties].argmin()])
+        return i
 
-    @property
-    def done(self) -> bool:
-        return self.remaining <= 1e-12
+    def arm(self) -> None:
+        """Keep the one event at the earliest projection (re-pushed only
+        when that projection or its stamp changes)."""
+        i, event = self.earliest(), self.event
+        key = None if i is None else (float(self.due[i]), int(self.stamp[i]))
+        if event is not None and key == (event.time, event.seq):
+            return
+        self.engine.cancel(event)
+        self.event = None if key is None else self.engine.schedule_at(
+            key[0], self._fire, self.label, seq=key[1]
+        )
+
+    def _fire(self) -> None:
+        self.event = None
+        i = self.earliest()
+        assert i is not None, f"{self.label} fired with no projection"
+        self.due[i] = NO_FINISH
+        self.on_due(i)

@@ -135,3 +135,37 @@ def simple_task(
         flags=flags,
         cores=cores,
     )
+
+
+class ScalarProgress:
+    """One amount of work draining at a piecewise-constant rate: the scalar
+    reference that :class:`~repro.sim.process.ProgressTable` applies to
+    every row at once, and that tests hold the table bit-equal to."""
+
+    def __init__(self, work: float) -> None:
+        self.remaining = float(work)
+        self.rate = 0.0
+        self.last = None  # no update yet
+
+    def set_rate(self, now: float, rate: float) -> None:
+        """Account progress up to ``now`` at the old rate, then switch."""
+        self.progress_to(now)
+        self.rate = float(rate)
+
+    def progress_to(self, now: float) -> float:
+        """Advance the account to ``now``; returns the work left."""
+        if self.last is not None:
+            dt = now - self.last
+            if dt > 0 and self.rate > 0:
+                self.remaining = max(0.0, self.remaining - dt * self.rate)
+        self.last = now
+        return self.remaining
+
+    def projected_finish(self, now: float):
+        """When the work drains at the current rate; ``None`` if stalled."""
+        self.progress_to(now)
+        if self.remaining <= 0:
+            return now
+        if self.rate <= 0:
+            return None
+        return now + self.remaining / self.rate

@@ -141,3 +141,62 @@ class TestNetworkFabric:
         engine.run()
         assert done["a"] == pytest.approx(1.5, rel=1e-2)  # 0.5 alone + 1.0 shared
         assert done["b"] == pytest.approx(2.0, rel=1e-2)
+
+
+def pull_events(engine):
+    """The image-pull events still queued in the engine."""
+    return [ev for ev in engine._heap if ev.label == "net.pull" and not ev.cancelled]
+
+
+class TestOnePullEvent:
+    """The fabric's pulls are the rows of one progress table: one pending
+    event at the earliest finish, whatever the number of pulls."""
+
+    def test_staggered_pulls_finish_at_equal_split_times(self, engine):
+        fabric = NetworkFabric(engine, bandwidth=GBps(1.0))
+        done = {}
+        for name, start, size in (("a", 0.0, GB(3)), ("b", 1.0, GB(1)), ("c", 2.0, GB(1))):
+            engine.schedule_at(start, lambda n=name, b=size: fabric.transfer(
+                b, lambda: done.setdefault(n, engine.now)))
+        engine.run()
+        # a alone 0-1 s; a, b split 1-2 s; all three 2-3.5 s (b done);
+        # a, c split 3.5-4.5 s (c done); a alone 4.5-5 s
+        assert done == {
+            "a": pytest.approx(5.0, rel=1e-12),
+            "b": pytest.approx(3.5, rel=1e-12),
+            "c": pytest.approx(4.5, rel=1e-12),
+        }
+
+    def test_equal_pulls_at_one_instant_complete_in_start_order(self, engine):
+        fabric = NetworkFabric(engine, bandwidth=GBps(1.0))
+        done = []
+        for name in ("a", "b"):
+            fabric.transfer(GB(1), lambda n=name: done.append((n, engine.now)))
+        while engine.step():
+            assert len(pull_events(engine)) <= 1
+        assert [n for n, _ in done] == ["a", "b"]
+        assert [t for _, t in done] == pytest.approx([2.0, 2.0], rel=1e-12)
+        assert engine.events_fired == 2  # one fired event per pull
+
+    def test_the_fabric_holds_one_pending_pull_event(self, engine):
+        fabric = NetworkFabric(engine, bandwidth=GBps(1.0))
+        for i in range(6):
+            engine.schedule_at(0.3 * i, lambda i=i: fabric.transfer(GB(1 + i % 3), lambda: None))
+        steps = 0
+        while engine.step():
+            steps += 1
+            events = pull_events(engine)
+            assert events == ([fabric.pulls.event] if fabric.pulls.event else [])
+            assert len(events) == (1 if fabric.active_count else 0)
+        assert steps == 12 and fabric.completed_transfers == 6
+
+    def test_overlapping_pulls_schedule_at_most_2k_minus_1_events(self, engine):
+        """k pulls started at one instant: one push per start and per
+        finish but the last, instead of one per active pull on each."""
+        k = 16
+        fabric = NetworkFabric(engine, bandwidth=GBps(1.0))
+        for _ in range(k):
+            fabric.transfer(GB(1), lambda: None)
+        engine.run()
+        assert fabric.completed_transfers == k
+        assert engine.events_scheduled <= 2 * k - 1

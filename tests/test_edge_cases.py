@@ -143,7 +143,7 @@ class TestExecutorEdges:
         te.rate_scale = 0.5
         agent.on_task_change(te)  # must not resurrect the task
         agent.recompute_rates()
-        assert agent.table.tasks == [] and agent._completion is None
+        assert agent.table.tasks == [] and agent.table.event is None
         engine.run(until=100.0)
         assert te.state is TaskState.DONE and len(te.metrics.phase_durations) == 1
 

@@ -15,16 +15,17 @@ from repro.policies.interleave import UniformInterleavePolicy
 from repro.policies.linux import LinuxSwapPolicy
 from repro.resilience import InvariantViolation
 from repro.runtime.execution import TaskExecution, TaskState
-from repro.runtime.node_agent import NO_FINISH, NodeAgent, RateTable
+from repro.runtime.node_agent import NodeAgent, RateTable
 from repro.runtime.rates import RateModelConfig, access_profiles
 from repro.service import ServiceSpec, serve
 from repro.sim.engine import SimulationEngine
+from repro.sim.process import NO_FINISH
 from repro.util.rng import RngFactory
 from repro.util.units import GBps, KiB, MiB
 from repro.workflows.ensembles import paper_batch
 from repro.workflows.profiles import describe, expected_touched_bytes
 
-from conftest import CHUNK, simple_task, small_specs
+from conftest import CHUNK, ScalarProgress, simple_task, small_specs
 
 
 def make_agent(engine, metrics, policy=None, **kw):
@@ -91,11 +92,11 @@ def rebin_every_row(self):
 advance = RateTable.advance
 
 
-def advance_every_row(self, rates, now, stamps):
+def advance_every_row(self, rates):
     """``RateTable.advance`` without the unchanged-rate rule: every row
     accounts its progress and re-projects on every re-rating."""
     self.due[:] = NO_FINISH
-    return advance(self, rates, now, stamps)
+    return advance(self, rates)
 
 
 def pending(event):
@@ -106,7 +107,7 @@ def completion_events(engine, agent):
     """The agent's completion events still queued in the engine."""
     return [
         ev for ev in engine._heap
-        if pending(ev) and getattr(ev.fn, "__self__", None) is agent
+        if pending(ev) and getattr(ev.fn, "__self__", None) is agent.table
     ]
 
 
@@ -114,31 +115,31 @@ class TestUnchangedRate:
     def test_equal_rate_after_phase_change_still_schedules(self, engine, metrics):
         agent = make_agent(engine, metrics)
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=0.5, n_phases=2))
-        first, rate = agent._completion, te.current_rate
+        first, rate = agent.table.event, te.current_rate
         engine.run(until=first.time)
         assert te.phase_index == 1 and first.fired
         assert te.current_rate == rate  # the premise: phase 1 runs at phase 0's rate
-        assert pending(agent._completion) and agent._completion is not first
+        assert pending(agent.table.event) and agent.table.event is not first
         engine.run(until=50.0)
         assert te.state is TaskState.DONE and len(te.metrics.phase_durations) == 2
 
     def test_same_rate_keeps_pending_event(self, engine, metrics):
         agent = make_agent(engine, metrics)
         agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
-        event, scheduled = agent._completion, engine.events_scheduled
+        event, scheduled = agent.table.event, engine.events_scheduled
         agent.recompute_rates()
-        assert agent._completion is event and pending(event)
+        assert agent.table.event is event and pending(event)
         assert engine.events_scheduled == scheduled
 
     def test_straggler_scale_reschedules(self, engine, metrics):
         agent = make_agent(engine, metrics)
         te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=5.0))
-        event, rate = agent._completion, te.current_rate
+        event, rate = agent.table.event, te.current_rate
         te.rate_scale = 0.5
         agent.on_task_change(te)
-        assert event.cancelled and pending(agent._completion)
+        assert event.cancelled and pending(agent.table.event)
         assert te.current_rate == pytest.approx(rate * 0.5)
-        assert agent._completion.time > event.time
+        assert agent.table.event.time > event.time
 
     def test_stalled_task_is_never_skipped(self, engine, metrics):
         agent = make_agent(engine, metrics)
@@ -147,15 +148,15 @@ class TestUnchangedRate:
         engine.run(until=1.0)
         te.rate_scale = 0.0  # a fully throttled straggler
         agent.on_task_change(te)
-        assert agent._completion is None and te.current_rate == 0.0
+        assert agent.table.event is None and te.current_rate == 0.0
         left = table.left[row]
         engine.run(until=20.5)  # daemon ticks that move nothing re-rate nothing
         agent.recompute_rates()  # a re-rating at zero still runs the full update
         assert table.last[row] == 20.5
-        assert table.left[row] == left and agent._completion is None
+        assert table.left[row] == left and agent.table.event is None
         te.rate_scale = 1.0
         agent.on_task_change(te)
-        assert agent._completion.time == pytest.approx(20.5 + left / te.current_rate)
+        assert agent.table.event.time == pytest.approx(20.5 + left / te.current_rate)
         engine.run(until=100.0)
         assert te.state is TaskState.DONE
 
@@ -189,11 +190,9 @@ class TestUnchangedRate:
 
 class TestRateTableArithmetic:
     def test_rows_match_rate_trackers(self):
-        """``RateTable.advance`` is :class:`RateTracker`'s arithmetic under
-        the unchanged-rate rule, row by row and bit for bit."""
+        """``RateTable.advance`` is the scalar progress arithmetic under the
+        unchanged-rate rule, row by row and bit for bit."""
         from types import SimpleNamespace
-
-        from repro.sim.process import RateTracker
 
         rng = np.random.default_rng(7)
         phase = simple_task(base_time=3.0).phases[0]
@@ -202,18 +201,18 @@ class TestRateTableArithmetic:
                             rate_scale=1.0)
             for i in range(6)
         ]
-        table = RateTable()
+        engine = SimulationEngine()
+        table = RateTable(engine)
         table.rebuild(tasks)
-        trackers = [RateTracker(phase.base_time) for _ in tasks]
+        trackers = [ScalarProgress(phase.base_time) for _ in tasks]
         rates, due = [0.0] * len(tasks), [None] * len(tasks)
-        stamps = iter(range(1, 10**6))
-        now = 0.0
         for step in range(300):
-            now += float(rng.choice([0.0, 0.25, rng.random()]))
+            engine.run(until=engine.now + float(rng.choice([0.0, 0.25, rng.random()])))
+            now = engine.now
             if step % 37 == 36:  # a phase begins: all its work left, no projection
                 i = int(rng.integers(len(tasks)))
                 table.begin_phase(tasks[i])
-                trackers[i], due[i] = RateTracker(phase.base_time), None
+                trackers[i], due[i] = ScalarProgress(phase.base_time), None
             new = rng.choice([0.0, 0.5, 1.0, 1.5], size=len(tasks))
             new = np.where(rng.random(len(tasks)) < 0.5, rates, new)
             for i, tracker in enumerate(trackers):
@@ -221,7 +220,7 @@ class TestRateTableArithmetic:
                     continue
                 tracker.set_rate(now, float(new[i]))
                 rates[i], due[i] = float(new[i]), tracker.projected_finish(now)
-            table.advance(new, now, lambda k: next(stamps))
+            table.advance(new)
             assert table.rate.tolist() == rates
             assert table.left.tolist() == [t.remaining for t in trackers]
             assert table.due.tolist() == [NO_FINISH if d is None else d for d in due]
@@ -258,7 +257,7 @@ class TestOneCompletionEvent:
             steps += 1
             assert len(completion_events(engine, agent)) <= 1
             assert completion_events(engine, agent) == (
-                [agent._completion] if pending(agent._completion) else []
+                [agent.table.event] if pending(agent.table.event) else []
             )
         assert steps > 8 and all(len(t.phase_durations) == 2 for t in metrics.tasks())
 
