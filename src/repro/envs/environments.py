@@ -157,6 +157,9 @@ class Environment:
             [max(0.0, specs[TierKind(t)].latency / dram_lat - 1.0) for t in range(NUM_TIERS)],
             dtype=np.float64,
         )
+        # The sampler stays a member even with insight off: an idle node
+        # leaves the group, and this member keeps the group's one event
+        # and its cadence, so a node that rejoins ticks on the same grid.
         self.ticker.add(self._sample_insight)
         self.registry = registry if registry is not None else default_images()
         self.fabric = NetworkFabric(self.engine, config.network_bandwidth)
@@ -260,7 +263,7 @@ class Environment:
             max_time=max_time,
         )
 
-    def inject_faults(self, schedule, *, seed: int = 0, interval: float = 1.0):
+    def inject_faults(self, schedule, *, seed: int = 0):
         """Attach a started :class:`~repro.faults.FaultInjector` for
         ``schedule``; faults fire as the next run advances the clock."""
         from ..faults.injector import FaultInjector
@@ -273,7 +276,6 @@ class Environment:
             self.metrics,
             schedule,
             seed=seed,
-            interval=interval,
         )
         injector.start()
         self.injectors.append(injector)

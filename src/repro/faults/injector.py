@@ -1,10 +1,12 @@
 """The seeded chaos process: fires scheduled faults as simulation events.
 
 :class:`FaultInjector` walks a :class:`~repro.faults.spec.FaultSchedule`
-from a :class:`~repro.sim.process.PeriodicProcess`, dispatches each fault
-to the component that owns its recovery path (scheduler for node crashes,
-node agent for tier faults, container runtime for pull failures), and
-schedules the matching recovery ``duration`` seconds later.  Every random
+from a one-member :class:`~repro.sim.process.TickGroup` that polls every
+:data:`POLL_INTERVAL` simulated seconds, so a fault fires at the first poll
+at or after its scheduled time.  It dispatches each fault to the component
+that owns its recovery path (scheduler for node crashes, node agent for
+tier faults, container runtime for pull failures), and schedules the
+matching recovery ``duration`` seconds later.  Every random
 choice — victim node, straggler pick, pull-failure draws — comes from
 named :class:`~repro.util.rng.RngFactory` streams, so two runs with the
 same seed inject the same faults into the same victims in the same order.
@@ -23,12 +25,15 @@ from ..runtime.node_agent import NodeAgent
 from ..runtime.execution import TaskState
 from ..scheduler.slurm import SlurmScheduler
 from ..sim.engine import SimulationEngine
-from ..sim.process import PeriodicProcess
+from ..sim.process import TickGroup
 from ..util.rng import RngFactory
 from ..util.validation import require
 from .spec import FaultKind, FaultSchedule, FaultSpec
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "POLL_INTERVAL"]
+
+#: simulated seconds between two polls of the fault schedule
+POLL_INTERVAL = 1.0
 
 
 class FaultInjector:
@@ -44,7 +49,6 @@ class FaultInjector:
         schedule: FaultSchedule,
         *,
         seed: int = 0,
-        interval: float = 1.0,
     ) -> None:
         require(len(agents) > 0, "injector needs at least one node")
         self.engine = engine
@@ -59,7 +63,8 @@ class FaultInjector:
         self._pull_rng = factory.stream("fault-injector.pulls")
         self._pending = list(schedule)
         self._cursor = 0
-        self._proc = PeriodicProcess(engine, interval, self._tick, "fault-injector")
+        self._poll = TickGroup(engine, POLL_INTERVAL, "fault-injector")
+        self._handle: Optional[int] = None
         #: overlapping IMAGE_PULL_FAILURE windows are refcounted
         self._pull_fault_refs = 0
         self.fired = 0
@@ -68,12 +73,12 @@ class FaultInjector:
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        if self._pending and not self._proc.running:
-            self._proc.start()
+        if self._pending and self._handle not in self._poll:
+            self._handle = self._poll.add(self._tick)
 
     def stop(self) -> None:
-        if self._proc.running:
-            self._proc.stop()
+        if self._handle is not None:
+            self._poll.remove(self._handle)
 
     @property
     def exhausted(self) -> bool:
@@ -84,7 +89,7 @@ class FaultInjector:
             self.fire(self._pending[self._cursor])
             self._cursor += 1
         if self.exhausted:
-            self._proc.stop()
+            self.stop()
 
     # ------------------------------------------------------------------ #
     # firing

@@ -1,20 +1,23 @@
 """Time-series sampling of cluster memory state.
 
 A :class:`UtilizationSampler` snapshots every node's per-tier residency on
-a fixed simulated interval — the data behind utilisation-over-time plots
-and the §II-C idle-memory analysis at cluster scope.
+a fixed simulated interval, from a one-member
+:class:`~repro.sim.process.TickGroup` of its own — the data behind
+utilisation-over-time plots and the §II-C idle-memory analysis at cluster
+scope.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..memory.system import NodeMemorySystem
 from ..memory.tiers import NUM_TIERS, TierKind
 from ..sim.engine import SimulationEngine
-from ..sim.process import PeriodicProcess
+from ..sim.process import TickGroup
+from ..util.errors import SimulationError
 from ..util.validation import check_positive, require
 
 __all__ = ["UtilizationSampler"]
@@ -36,13 +39,17 @@ class UtilizationSampler:
         self.interval = float(interval)
         self._times: list[float] = []
         self._samples: list[np.ndarray] = []
-        self._proc = PeriodicProcess(engine, interval, self._sample, "utilization-sampler")
+        self._ticker = TickGroup(engine, interval, "utilization-sampler")
+        self._handle: Optional[int] = None
 
     def start(self) -> None:
-        self._proc.start()
+        if self._handle in self._ticker:
+            raise SimulationError("utilization sampler already started")
+        self._handle = self._ticker.add(self._sample)
 
     def stop(self) -> None:
-        self._proc.stop()
+        if self._handle is not None:
+            self._ticker.remove(self._handle)
 
     def _sample(self, now: float) -> None:
         snap = np.zeros((len(self.nodes), NUM_TIERS), dtype=np.int64)

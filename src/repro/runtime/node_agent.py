@@ -173,6 +173,7 @@ class NodeAgent:
             f"ticker interval {ticker.interval} != daemon interval {self.daemon_interval}",
         )
         self.ticker = ticker
+        #: the place the group issued this agent, kept for rejoins
         self._ticker_handle: Optional[int] = None
         #: the running tasks' rates and progress, and the node's one
         #: completion event at the earliest row's projected finish
@@ -215,8 +216,8 @@ class NodeAgent:
         """Admit and immediately start ``spec`` on this node."""
         require(self.can_host(spec), f"node {self.memory.node_id}: no cores for {spec.name}")
         require(spec.name not in self.running, f"duplicate task name {spec.name!r}")
-        if self._ticker_handle is None:
-            self._ticker_handle = self.ticker.add(self._daemon_tick)
+        if self._ticker_handle not in self.ticker:
+            self._ticker_handle = self.ticker.add(self._daemon_tick, self._ticker_handle)
         tm = self.metrics.task(spec.name, spec.wclass.name)
         te = TaskExecution(spec, self, tm, flags=flags, on_finish=on_finish)
         self.cores_used += spec.cores
@@ -427,11 +428,17 @@ class NodeAgent:
         elif checker.enabled:
             # skipped: the kernel's inputs are the last re-rating's
             self._check_table(checker)
+        if not self.running and not memory.pagesets():
+            # This pass found the node empty and reset what the policy
+            # derives from occupancy (the staging reserve the next task's
+            # placement reads).  A later pass over the empty node would
+            # change nothing, so the daemon sleeps until the next task.
+            self.stop()
 
     def stop(self) -> None:
+        """Leave the daemon tick; the next task rejoins at the same place."""
         if self._ticker_handle is not None:
             self.ticker.remove(self._ticker_handle)
-            self._ticker_handle = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

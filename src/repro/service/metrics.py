@@ -190,7 +190,8 @@ class WindowAccumulator:
         self.window = float(window)
         self.total_cores = int(total_cores)
         self._live: List[_LiveWindow] = [_LiveWindow()]
-        self._closed = 0  # windows already boundary-sampled
+        #: windows closed so far, and so the index of the current one
+        self.closed = 0
         #: task name -> cores (needed for utilization; metrics don't store it)
         self.cores_of: Dict[str, int] = {}
 
@@ -207,14 +208,15 @@ class WindowAccumulator:
         else:
             w.rejected += 1
 
-    def on_boundary(self, queue_depth: int, running: int) -> None:
-        """Close the current window (sampling its boundary state) and
-        open the next."""
+    def on_boundary(self, queue_depth: int, running: int) -> _LiveWindow:
+        """Close the current window (sampling its boundary state), open the
+        next, and return the closed one."""
         w = self.current
         w.queue_depth = int(queue_depth)
         w.running = int(running)
-        self._closed += 1
+        self.closed += 1
         self._live.append(_LiveWindow())
+        return w
 
     # ---- assembly ----------------------------------------------------- #
     def _window_bounds(self, start: float, stop: float) -> List[Tuple[float, float]]:

@@ -7,8 +7,9 @@ experiment: it owns the drive loop.  The moving parts:
 * **one pending arrival event** — each firing submits (or sheds) the
   arrival and schedules the next, so a stream of millions of arrivals
   never materializes a job list;
-* a :class:`~repro.sim.process.ReportPeriod` boundary event sampling the
-  live state (queue depth, running cores) once per window;
+* a one-member :class:`~repro.sim.process.TickGroup` whose event closes
+  the current window at each boundary, sampling the live state (queue
+  depth, running cores); the run closes a trailing partial window itself;
 * the scheduler's attached admission policy
   (:mod:`repro.service.admission`) deciding accept/shed per lazy
   :class:`~repro.service.stream.Arrival`, whose task is built only once
@@ -30,7 +31,7 @@ from .. import obs
 from ..envs.environments import Environment
 from ..obs import insight as _insight
 from ..obs.insight import LiveMetricsWriter, live_window_payload
-from ..sim.process import ReportPeriod
+from ..sim.process import TickGroup
 from ..util.errors import SchedulingError
 from ..util.validation import require
 from ..workflows.task import TaskSpec
@@ -144,12 +145,19 @@ class ServiceRun:
         self.accumulator.on_offered(admitted)
         self._next_arrival()
 
-    def _on_window(self, index: int, start: float, end: float) -> None:
+    def _close_window(self, end: Optional[float] = None) -> None:
+        """Close the accumulator's current window at its boundary, or at
+        ``end``: the stop time of a run, if it stopped inside the window."""
         acc = self.accumulator
-        acc.on_boundary(self.scheduler.pending_count, self.scheduler.running_count)
+        index = acc.closed
+        start = self._origin + index * acc.window
+        if end is None:
+            end = start + acc.window
+        elif end <= start:
+            return
+        closed = acc.on_boundary(self.scheduler.pending_count, self.scheduler.running_count)
         if not (obs.enabled() or self.live is not None):
             return
-        closed = acc._live[index]
         if obs.enabled():
             obs.event(
                 end, "service", "window",
@@ -185,8 +193,8 @@ class ServiceRun:
             if env.config.stage_images and env.shared_memory is not None:
                 env.stage_images_for(list(self.background) + self.stream.bases())
             self._origin = self.engine.now
-            period = ReportPeriod(self.engine, svc.window, "service.window")
-            handle = period.add_reporter(self._on_window)
+            windows = TickGroup(self.engine, svc.window, "service.window")
+            handle = windows.add(lambda _now: self._close_window())
             for i, task in enumerate(self.background):
                 delay = (
                     max(0.0, float(self.bg_arrivals[i]))
@@ -204,10 +212,10 @@ class ServiceRun:
             try:
                 self._drive()
             finally:
-                period.remove(handle)
+                windows.remove(handle)
                 self.scheduler.admission = None
             stop = self.engine.now
-            period.close_partial(self._on_window)
+            self._close_window(stop)
             self.report = self.accumulator.assemble(
                 scenario=self.scenario,
                 seed=self.seed,

@@ -2,13 +2,11 @@
 
 from .engine import SimulationEngine
 from .events import Event
-from .process import PeriodicProcess, ProgressTable, ReportPeriod, TickGroup
+from .process import ProgressTable, TickGroup
 
 __all__ = [
     "SimulationEngine",
     "Event",
-    "PeriodicProcess",
     "ProgressTable",
-    "ReportPeriod",
     "TickGroup",
 ]

@@ -1,10 +1,10 @@
 """Process helpers layered on the event engine.
 
-:class:`PeriodicProcess` models daemons (the per-node memory-management
-daemon, metric samplers) that tick at a fixed simulated interval.
-:class:`TickGroup` coalesces many such daemons onto *one* heap event per
-interval — the engine pops once and services every member callback, so a
-64-node cluster costs one event per tick instead of 64.
+:class:`TickGroup` is the simulator's one periodic clock.  Every process
+that acts on a fixed simulated interval rides one: the per-node
+memory-management daemons (an environment's shared group, one engine
+event per cluster-wide tick), the fault injector, the utilization sampler
+and a service run's report windows.
 :class:`ProgressTable` implements the fluid progress model described in
 DESIGN.md §4: amounts of *work* drain at *rates* that the surrounding
 system may change at any event, and the table keeps one engine event at
@@ -19,71 +19,25 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..util.errors import SimulationError
-from ..util.validation import check_non_negative, check_positive
+from ..util.validation import check_non_negative, check_positive, require
 from .engine import SimulationEngine
 from .events import Event
 
-__all__ = ["NO_FINISH", "PeriodicProcess", "ProgressTable", "ReportPeriod", "TickGroup"]
-
-
-class PeriodicProcess:
-    """Invoke a callback every ``interval`` simulated seconds until stopped.
-
-    The callback receives the engine's current time.  The first tick fires
-    ``interval`` after :meth:`start` (daemons observe a full interval of
-    activity before acting, as kswapd-style scanners do).
-    """
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        interval: float,
-        fn: Callable[[float], Any],
-        label: str = "periodic",
-    ) -> None:
-        check_positive(interval, "interval")
-        self.engine = engine
-        self.interval = float(interval)
-        self.fn = fn
-        self.label = label
-        self._event: Optional[Event] = None
-        self._stopped = True
-        self.ticks: int = 0
-
-    @property
-    def running(self) -> bool:
-        return not self._stopped
-
-    def start(self) -> None:
-        if self.running:
-            raise SimulationError(f"periodic process {self.label!r} already started")
-        self._stopped = False
-        self._event = self.engine.schedule(self.interval, self._tick, self.label)
-
-    def stop(self) -> None:
-        self._stopped = True
-        self.engine.cancel(self._event)
-        self._event = None
-
-    def _tick(self) -> None:
-        self.ticks += 1
-        self.fn(self.engine.now)
-        if self._stopped:  # the callback may have stopped us
-            return
-        self._event = self.engine.schedule(self.interval, self._tick, self.label)
+__all__ = ["NO_FINISH", "ProgressTable", "TickGroup"]
 
 
 class TickGroup:
-    """Coalesced homogeneous periodic events: one engine event per interval
-    drives every member callback.
+    """Periodic callbacks: one engine event per ``interval`` drives every
+    member.
 
-    The per-node daemons of a cluster all tick at the same configured
-    interval; scheduling them as N independent :class:`PeriodicProcess`
-    events costs N heap pushes/pops per simulated second.  A TickGroup
-    keeps *one* pending event and fans each firing out to all members in
-    registration order — the callbacks still receive the engine's current
-    time, and members added mid-cadence first fire at the group's next
-    tick (the daemon is "already running on the node").
+    The group keeps *one* pending event and fans each firing out to its
+    members in the order their handles were issued; a callback receives
+    the engine's current time.  The first tick fires ``interval`` after the
+    first member joins (a daemon observes a full interval of activity
+    before acting, as kswapd-style scanners do); a member added
+    mid-cadence first fires at the group's next tick (the daemon is
+    "already running on the node").  A member that leaves and rejoins with
+    its old handle fires at its old place again.
 
     The group's single event is created when the first member joins and
     cancelled when the last leaves, so an idle group costs nothing and the
@@ -104,20 +58,25 @@ class TickGroup:
         self.ticks: int = 0
 
     @property
-    def size(self) -> int:
-        return len(self._members)
-
-    @property
     def running(self) -> bool:
         return self._event is not None or self._firing
 
-    def add(self, fn: Callable[[float], Any]) -> int:
-        """Join the group; returns a handle for :meth:`remove`."""
-        self._next_id += 1
-        self._members[self._next_id] = fn
+    def __contains__(self, handle: object) -> bool:
+        return handle in self._members
+
+    def add(self, fn: Callable[[float], Any], handle: Optional[int] = None) -> int:
+        """Join the group; returns a handle for :meth:`remove`.  Passing a
+        handle this group issued earlier rejoins at that member's place."""
+        if handle is None:
+            self._next_id += 1
+            handle = self._next_id
+        require(0 < handle <= self._next_id, f"{self.label}: handle {handle} was not issued here")
+        self._members[handle] = fn
+        if handle != self._next_id:  # a rejoin: back to its place in handle order
+            self._members = dict(sorted(self._members.items()))
         if self._event is None and not self._firing:
             self._event = self.engine.schedule(self.interval, self._tick, self.label)
-        return self._next_id
+        return handle
 
     def remove(self, handle: int) -> None:
         """Leave the group (idempotent).  The pending event is cancelled
@@ -133,8 +92,8 @@ class TickGroup:
         self._firing = True
         now = self.engine.now
         try:
-            # snapshot: members added by a callback join from the next tick;
-            # members removed by an earlier callback this tick are skipped
+            # snapshot: members joining during the sweep first fire at the
+            # next tick; members removed by an earlier callback are skipped
             for handle, fn in list(self._members.items()):
                 if handle in self._members:
                     fn(now)
@@ -142,49 +101,6 @@ class TickGroup:
             self._firing = False
         if self._members:
             self._event = self.engine.schedule(self.interval, self._tick, self.label)
-
-
-class ReportPeriod(TickGroup):
-    """A :class:`TickGroup` whose members observe *windows*, not ticks.
-
-    The steady-state service layer divides a run into fixed report
-    windows; every periodic reporter (metrics sampler, admission
-    telemetry, an autoscaling controller later) shares one engine event
-    per boundary.  Members receive ``(window_index, window_start,
-    window_end)`` — the window that just *closed* — instead of the bare
-    clock, and the group tracks window boundaries from its own start
-    time so a partial trailing window can be closed explicitly via
-    :meth:`close_partial` when the run stops mid-window.
-    """
-
-    def __init__(
-        self, engine: SimulationEngine, window: float, label: str = "report-period"
-    ) -> None:
-        super().__init__(engine, window, label)
-        self.window = self.interval
-        self.origin: float = engine.now
-        self.windows_closed: int = 0
-
-    def add_reporter(self, fn: "Callable[[int, float, float], Any]") -> int:
-        """Join with window semantics (see class docstring)."""
-
-        def member(_now: float) -> None:
-            index = self.windows_closed
-            start = self.origin + index * self.window
-            self.windows_closed += 1
-            fn(index, start, start + self.window)
-
-        return self.add(member)
-
-    def close_partial(self, fn: "Callable[[int, float, float], Any]") -> None:
-        """Invoke ``fn`` for the trailing partial window (if the clock sits
-        strictly inside one); used when a run stops at a horizon that is
-        not a window multiple."""
-        start = self.origin + self.windows_closed * self.window
-        if self.engine.now > start:
-            index = self.windows_closed
-            self.windows_closed += 1
-            fn(index, start, self.engine.now)
 
 
 #: a row's projected finish when none is pending (stalled, or just fired)

@@ -5,6 +5,7 @@ re-rating skip, and the workload profile helper."""
 import numpy as np
 import pytest
 
+from repro.core.flags import MemFlag
 from repro.envs.environments import EnvKind, make_environment
 from repro.experiments.common import build_env
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
@@ -237,7 +238,7 @@ class TestOneCompletionEvent:
             )
         engine.run(until=2.4)
         fired = engine.events_fired
-        while engine.peek_time() <= 2.5:
+        while (t := engine.peek_time()) is not None and t <= 2.5:
             engine.step()
             assert len(completion_events(engine, agent)) <= 1
         assert finished == [("t0", 2.5), ("t1", 2.5)]
@@ -252,7 +253,7 @@ class TestOneCompletionEvent:
             ))
         assert len(agent.table.tasks) == 4
         steps = 0
-        while engine.peek_time() <= 50.0:  # the daemon ticks on after the last finish
+        while (t := engine.peek_time()) is not None and t <= 50.0:
             engine.step()
             steps += 1
             assert len(completion_events(engine, agent)) <= 1
@@ -262,8 +263,89 @@ class TestOneCompletionEvent:
         assert steps > 8 and all(len(t.phase_durations) == 2 for t in metrics.tasks())
 
 
+def daemon_ticks(monkeypatch):
+    """``(time, node)`` of every daemon pass from now on."""
+    seen = []
+    tick = NodeAgent._daemon_tick
+
+    def spy(self, now):
+        seen.append((now, self.memory.node_id))
+        tick(self, now)
+
+    monkeypatch.setattr(NodeAgent, "_daemon_tick", spy)
+    return seen
+
+
+class TestIdleNodeLeavesTheTick:
+    """A node leaves the daemon tick after one pass over its empty memory
+    and rejoins at its old place in the firing order with its next task."""
+
+    def test_standalone_run_returns_after_the_last_task(self, engine, metrics):
+        agent = make_agent(engine, metrics)
+        te = agent.start_task(simple_task("t", footprint=MiB(1), base_time=3.0))
+        engine.run(max_events=1_000)  # bounded: a node that ticks on never drains
+        assert te.state is TaskState.DONE
+        assert engine.peek_time() is None and engine.now == 3.0
+        assert agent.ticker.ticks == 3  # the pass at t=3 found the node empty
+
+    def test_idle_node_sits_out_until_its_next_task(self, monkeypatch):
+        env = make_environment(EnvKind.CBE, n_nodes=2, dram_capacity=MiB(16), chunk_size=CHUNK)
+        seen = daemon_ticks(monkeypatch)
+        n0, n1 = env.agents
+        n0.start_task(simple_task("short", footprint=MiB(1), base_time=2.5))
+        n1.start_task(simple_task("long", footprint=MiB(1), base_time=20.0))
+        env.engine.run(until=5.5)
+        n0.start_task(simple_task("next", footprint=MiB(1), base_time=20.0))
+        env.engine.run(until=7.0)
+        env.stop()
+        node0 = [t for t, node in seen if node == "node0"]
+        assert node0 == [1.0, 2.0, 3.0, 6.0, 7.0]  # 3.0 is the idle pass
+        assert [t for t, node in seen if node == "node1"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        for t in (1.0, 2.0, 3.0, 6.0, 7.0):
+            assert [node for at, node in seen if at == t] == ["node0", "node1"]
+
+    def test_restored_node_rejoins_at_its_place(self, monkeypatch):
+        env = make_environment(EnvKind.CBE, n_nodes=2, dram_capacity=MiB(16), chunk_size=CHUNK)
+        seen = daemon_ticks(monkeypatch)
+        n0, n1 = env.agents
+        n0.start_task(simple_task("a", footprint=MiB(1), base_time=20.0))
+        n1.start_task(simple_task("b", footprint=MiB(1), base_time=20.0))
+        env.engine.run(until=1.5)
+        assert n0.crash() == 1
+        env.engine.run(until=2.5)
+        n0.restore()
+        n0.start_task(simple_task("a2", footprint=MiB(1), base_time=20.0))
+        env.engine.run(until=3.0)
+        env.stop()
+        assert seen == [(1.0, "node0"), (1.0, "node1"), (2.0, "node1"),
+                        (3.0, "node0"), (3.0, "node1")]
+
+    def test_next_task_runs_as_if_the_node_had_kept_ticking(self, monkeypatch):
+        """The idle pass resets what the policy derives from occupancy:
+        here, the IMME staging reserve the next task's placement reads."""
+
+        def run():
+            env = make_environment(EnvKind.IMME, n_nodes=1, dram_capacity=MiB(16),
+                                   chunk_size=CHUNK)
+            lat = dict(lat_frac=0.7, bw_frac=0.1)
+            env.run_batch([simple_task("big", footprint=MiB(15), base_time=3.0, **lat)],
+                          flags=MemFlag.LAT)
+            env.run_arrivals([simple_task("next", footprint=MiB(15) + MiB(1) // 2,
+                                          base_time=4.0, **lat)], [2.0], flags=MemFlag.LAT)
+            env.stop()
+            return simulated(env.engine, env.metrics), env.agents[0].ticker.ticks
+
+        (got, ticks) = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeAgent, "stop", lambda self: None)  # never leaves
+            (want, want_ticks) = run()
+        assert got == want
+        assert ticks == want_ticks  # the sampler keeps the group's cadence
+
+
 def always_recompute(self, now):
-    """``NodeAgent._daemon_tick`` without the unchanged-epoch skip."""
+    """``NodeAgent._daemon_tick`` without the unchanged-epoch skip (and an
+    idle node never leaves the tick)."""
     rates = {
         owner: te.current_rate
         for owner, te in self.running.items()

@@ -578,7 +578,10 @@ FAST = os.path.join(ROOT, "fast")  # present on the re-run
 def cell(x):
     if x != 1 and not os.path.exists(FAST):
         time.sleep(300)  # "mid-flight" when the parent is SIGKILL'd
-    print(f"executed {x}", flush=True)
+    # one write per line: print() writes the text and the newline
+    # separately when unbuffered, and the two workers' lines interleave
+    sys.stdout.write(f"executed {x}\\n")
+    sys.stdout.flush()
     return x * x
 
 
@@ -606,6 +609,7 @@ def test_sigkill_then_resume_executes_only_uncommitted(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONUNBUFFERED"] = "1"  # the condition under which print() interleaved
     jpath = tmp_path / "cache" / "journal.jsonl"
 
     proc = subprocess.Popen(

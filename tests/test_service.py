@@ -28,6 +28,7 @@ from repro.service import (
     MemoryHeadroomGate,
     QueueDepthCap,
     ServiceReport,
+    ServiceRun,
     ServiceSpec,
     TaskStream,
     WindowAccumulator,
@@ -45,8 +46,6 @@ from repro.service import (
     trace_process,
     uniform_process,
 )
-from repro.sim.engine import SimulationEngine
-from repro.sim.process import ReportPeriod
 from repro.util.rng import RngFactory
 from repro.util.units import GiB, KiB, MiB
 from repro.workflows.ensembles import paper_batch
@@ -307,45 +306,47 @@ class TestWarmup:
 # the report period (engine-side windowing)
 # --------------------------------------------------------------------------- #
 
+class _WindowSink:
+    """A live sink keeping each closed window's ``(index, start, end)``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def write_window(self, payload):
+        self.seen.append((payload["window"], payload["start"], payload["end"]))
+
+
+def _windowed_run(horizon):
+    """A truncated 10-s-window service run; its engine and closed windows."""
+    env = tiny_env(EnvKind.CBE)
+    sink = _WindowSink()
+    spec = ServiceSpec(rate=0.2, horizon=horizon, window=10.0, warmup="none", drain=False)
+    ServiceRun(env, spec, scale=TINY, seed=1, live=sink).execute()
+    env.stop()
+    return env.engine, sink.seen
+
+
 class TestReportPeriod:
+    """Report windows: a service run's one-member TickGroup closes each
+    window at its boundary, and the run closes a trailing partial one."""
+
     def test_windows_arrive_in_order_with_bounds(self):
-        engine = SimulationEngine()
-        period = ReportPeriod(engine, 10.0)
-        seen = []
-        period.add_reporter(lambda i, s, e: seen.append((i, s, e)))
-        engine.run(until=35.0)
-        assert seen == [(0, 0.0, 10.0), (1, 10.0, 20.0), (2, 20.0, 30.0)]
+        _, seen = _windowed_run(35.0)
+        assert seen[:3] == [(0, 0.0, 10.0), (1, 10.0, 20.0), (2, 20.0, 30.0)]
 
     def test_close_partial_covers_trailing_window(self):
-        engine = SimulationEngine()
-        period = ReportPeriod(engine, 10.0)
-        seen = []
-        fn = lambda i, s, e: seen.append((i, s, e))
-        period.add_reporter(fn)
-        engine.run(until=25.0)
-        period.close_partial(fn)
+        _, seen = _windowed_run(25.0)
         assert seen[-1] == (2, 20.0, 25.0)
 
     def test_close_partial_noop_on_exact_boundary(self):
-        engine = SimulationEngine()
-        period = ReportPeriod(engine, 10.0)
-        seen = []
-        fn = lambda i, s, e: seen.append(i)
-        period.add_reporter(fn)
-        engine.run(until=20.0)
-        n = len(seen)
-        period.close_partial(fn)
-        assert len(seen) == n
+        _, seen = _windowed_run(20.0)
+        assert seen == [(0, 0.0, 10.0), (1, 10.0, 20.0)]
 
     def test_removed_reporter_stops_firing(self):
-        engine = SimulationEngine()
-        period = ReportPeriod(engine, 10.0)
-        seen = []
-        handle = period.add_reporter(lambda i, s, e: seen.append(i))
-        engine.run(until=15.0)
-        period.remove(handle)
-        engine.run(until=45.0)
-        assert seen == [0]
+        engine, seen = _windowed_run(35.0)
+        assert len(seen) == 4
+        assert not [ev for ev in engine._heap
+                    if ev.label == "service.window" and not ev.cancelled]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,49 +1,57 @@
-"""PeriodicProcess, TickGroup and ProgressTable tests, including a
-hypothesis check that piecewise-constant rate integration conserves work."""
+"""TickGroup and ProgressTable tests, including a hypothesis check that
+piecewise-constant rate integration conserves work."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.memory.system import NodeMemorySystem
+from repro.metrics.timeline import UtilizationSampler
 from repro.sim.engine import SimulationEngine
-from repro.sim.process import NO_FINISH, PeriodicProcess, ProgressTable, TickGroup
+from repro.sim.process import NO_FINISH, ProgressTable, TickGroup
 from repro.util.errors import ConfigurationError, SimulationError
+
+from conftest import small_specs
 
 
 class TestPeriodicProcess:
+    """A one-member TickGroup: the periodic process of the fault injector,
+    the utilization sampler and a standalone node agent."""
+
     def test_ticks_at_interval(self, engine):
         times = []
-        p = PeriodicProcess(engine, 2.0, lambda now: times.append(now))
-        p.start()
+        g = TickGroup(engine, 2.0)
+        g.add(lambda now: times.append(now))
         engine.run(until=7.0)
         assert times == [2.0, 4.0, 6.0]
-        assert p.ticks == 3
+        assert g.ticks == 3
 
     def test_stop_ends_ticks(self, engine):
         times = []
-        p = PeriodicProcess(engine, 1.0, lambda now: times.append(now))
-        p.start()
+        g = TickGroup(engine, 1.0)
+        h = g.add(lambda now: times.append(now))
         engine.run(until=2.5)
-        p.stop()
+        g.remove(h)
         engine.run(until=10.0)
         assert times == [1.0, 2.0]
-        assert not p.running
+        assert not g.running
 
     def test_double_start_rejected(self, engine):
-        p = PeriodicProcess(engine, 1.0, lambda now: None)
-        p.start()
+        sampler = UtilizationSampler(engine, [NodeMemorySystem(small_specs(), "n0")])
+        sampler.start()
         with pytest.raises(SimulationError):
-            p.start()
+            sampler.start()
 
     def test_callback_can_stop_self(self, engine):
-        p = PeriodicProcess(engine, 1.0, lambda now: p.stop())
-        p.start()
+        g = TickGroup(engine, 1.0)
+        h = g.add(lambda now: g.remove(h))
         engine.run(until=5.0)
-        assert p.ticks == 1
+        assert g.ticks == 1
+        assert engine.pending() == 0
 
     def test_invalid_interval(self, engine):
         with pytest.raises(Exception):
-            PeriodicProcess(engine, 0.0, lambda now: None)
+            TickGroup(engine, 0.0)
 
 
 class TestTickGroup:
@@ -63,13 +71,30 @@ class TestTickGroup:
         assert g.ticks == 2
 
     def test_matches_periodic_process_cadence(self, engine):
-        g_times, p_times = [], []
+        g_times, chain_times = [], []
         g = TickGroup(engine, 2.0)
         g.add(lambda now: g_times.append(now))
-        p = PeriodicProcess(engine, 2.0, lambda now: p_times.append(now))
-        p.start()
+
+        def chained():  # an event that schedules its successor
+            chain_times.append(engine.now)
+            engine.schedule(2.0, chained)
+
+        engine.schedule(2.0, chained)
         engine.run(until=7.0)
-        assert g_times == p_times == [2.0, 4.0, 6.0]
+        assert g_times == chain_times == [2.0, 4.0, 6.0]
+
+    def test_rejoin_keeps_place(self, engine):
+        g = TickGroup(engine, 1.0)
+        seen = []
+        handles = {name: g.add(lambda now, n=name: seen.append(n)) for name in "abc"}
+        g.remove(handles["a"])
+        g.remove(handles["b"])
+        assert g.add(lambda now: seen.append("b"), handles["b"]) == handles["b"]
+        assert g.add(lambda now: seen.append("a"), handles["a"]) == handles["a"]
+        engine.run(until=1.0)
+        assert seen == ["a", "b", "c"]
+        with pytest.raises(ConfigurationError):
+            g.add(lambda now: None, handles["c"] + 1)  # never issued
 
     def test_remove_mid_tick_skips_callback(self, engine):
         g = TickGroup(engine, 1.0)

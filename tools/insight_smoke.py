@@ -20,6 +20,7 @@ Two modes::
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -86,7 +87,8 @@ def validate_ledger(record: "_insight.InsightRecord", failures: list) -> None:
 
 
 def validate_live(directory: str, failures: list) -> None:
-    """live.ndjson line schema + monotonic windows, metrics.prom parses."""
+    """live.ndjson line schema + contiguous windows (indexes 0, 1, 2, ...,
+    each starting where the previous one ended), metrics.prom parses."""
     live_path = os.path.join(directory, _insight.LIVE_FILE)
     check(os.path.isfile(live_path), f"{live_path} exists", failures)
     if not os.path.isfile(live_path):
@@ -94,7 +96,7 @@ def validate_live(directory: str, failures: list) -> None:
     with open(live_path, encoding="utf-8") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     check(len(lines) > 0, f"{live_path}: at least one window", failures)
-    prev_window = -1
+    prev_end = None
     for i, ln in enumerate(lines, start=1):
         payload = json.loads(ln)
         for field in _insight.LIVE_SCHEMA:
@@ -102,9 +104,12 @@ def validate_live(directory: str, failures: list) -> None:
                 failures.append(f"live line {i}: missing field {field!r}")
                 break
         else:
-            check(payload["window"] > prev_window,
-                  f"live line {i}: window index increases", failures)
-            prev_window = payload["window"]
+            check(payload["window"] == i - 1,
+                  f"live line {i}: window index is {i - 1}", failures)
+            if prev_end is not None:
+                check(math.isclose(payload["start"], prev_end, rel_tol=1e-12),
+                      f"live line {i}: window starts where the last one ended", failures)
+            prev_end = payload["end"]
             check(payload["end"] > payload["start"],
                   f"live line {i}: positive window span", failures)
             check(payload["admitted"] + payload["rejected"] == payload["offered"],
