@@ -15,17 +15,13 @@ import closure contains it.
 Wired through :func:`repro.parallel.map_ordered`,
 :func:`repro.experiments.common.sweep`, and the experiment runner
 (``python -m repro.experiments --cache-dir/--no-cache/--cache-stats``).
+
+Only :mod:`~repro.cache.codec` loads with the package, as scenario
+serialization uses it; the fingerprint, keys and store modules load when
+a sweep first asks for one of their names.
 """
 
 from .codec import CODEC_VERSION, CodecError, decode, encode
-from .fingerprint import (
-    clear_fingerprint_caches,
-    closure_fingerprint,
-    import_closure,
-    module_fingerprint,
-)
-from .keys import CacheKey, CacheKeyError, canonicalize, cell_keys
-from .store import CacheStats, ResultCache, default_cache_dir
 
 __all__ = [
     "CODEC_VERSION",
@@ -44,3 +40,32 @@ __all__ = [
     "import_closure",
     "module_fingerprint",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562.  One literal import per group, so the static import closure
+    # (repro.cache.fingerprint) still sees every submodule.  Submodule names
+    # are not mapped: ``from . import store`` would land back here.
+    if name in (
+        "clear_fingerprint_caches",
+        "closure_fingerprint",
+        "import_closure",
+        "module_fingerprint",
+    ):
+        from .fingerprint import (
+            clear_fingerprint_caches,
+            closure_fingerprint,
+            import_closure,
+            module_fingerprint,
+        )
+    elif name in ("CacheKey", "CacheKeyError", "canonicalize", "cell_keys"):
+        from .keys import CacheKey, CacheKeyError, canonicalize, cell_keys
+    elif name in ("CacheStats", "ResultCache", "default_cache_dir"):
+        from .store import CacheStats, ResultCache, default_cache_dir
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return locals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -160,7 +160,8 @@ class Environment:
         # The sampler stays a member even with insight off: an idle node
         # leaves the group, and this member keeps the group's one event
         # and its cadence, so a node that rejoins ticks on the same grid.
-        self.ticker.add(self._sample_insight)
+        # stop() removes it, so a stopped environment's engine drains.
+        self._sampler_handle = self.ticker.add(self._sample_insight)
         self.registry = registry if registry is not None else default_images()
         self.fabric = NetworkFabric(self.engine, config.network_bandwidth)
         self.containers = ContainerRuntime(
@@ -379,6 +380,7 @@ class Environment:
             agent.stop()
         for injector in self.injectors:
             injector.stop()
+        self.ticker.remove(self._sampler_handle)
 
 
 def make_environment(

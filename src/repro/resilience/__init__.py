@@ -15,6 +15,11 @@ The layer that makes long sweeps crash-safe and self-healing:
   runtime invariant checker behind ``--check-invariants``.
 
 See ``docs/robustness.md`` for the execution model.
+
+Only :mod:`~repro.resilience.invariants` loads with the package, as every
+simulation imports it; the journal, retry policy and supervisor (with
+:mod:`multiprocessing`) load when a sweep first asks for one of their
+names.
 """
 
 from . import invariants
@@ -24,9 +29,6 @@ from .invariants import (
     InvariantViolation,
     NullInvariantChecker,
 )
-from .journal import JournalState, RunJournal, journal_path
-from .policy import CellFailure, RetryPolicy, SweepFailure, failure_table
-from .supervisor import SupervisedResult, supervised_map
 
 __all__ = [
     "CellFailure",
@@ -44,3 +46,22 @@ __all__ = [
     "journal_path",
     "supervised_map",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562.  One literal import per group, so the static import closure
+    # (repro.cache.fingerprint) still sees every submodule.  Submodule names
+    # are not mapped: ``from . import journal`` would land back here.
+    if name in ("JournalState", "RunJournal", "journal_path"):
+        from .journal import JournalState, RunJournal, journal_path
+    elif name in ("CellFailure", "RetryPolicy", "SweepFailure", "failure_table"):
+        from .policy import CellFailure, RetryPolicy, SweepFailure, failure_table
+    elif name in ("SupervisedResult", "supervised_map"):
+        from .supervisor import SupervisedResult, supervised_map
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return locals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

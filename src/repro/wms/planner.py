@@ -8,6 +8,7 @@ its producers finish — the paper's WMS→SLURM hand-off.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Optional
 
 from ..scheduler.job import Job, JobState
@@ -32,9 +33,8 @@ class WorkflowExecution:
         self.workflow = workflow
         self.scheduler = scheduler
         self.on_complete = on_complete
-        self._remaining_deps: dict[str, int] = {
-            tid: len(workflow.dependencies(tid)) for tid in workflow.graph.nodes
-        }
+        #: consumer -> producers not yet finished
+        self._remaining_deps = Counter(consumer for _, consumer in workflow.edges())
         self._jobs: dict[str, Job] = {}
         self._done: set[str] = set()
         self._failed: set[str] = set()

@@ -1,17 +1,17 @@
 """Workflow DAGs.
 
 HPC jobs arrive as workflows: DAGs of tasks where edges are
-producer→consumer dependencies (§I).  :class:`Workflow` wraps a
-:class:`networkx.DiGraph` whose nodes are task ids and carry
-:class:`~repro.workflows.task.TaskSpec` payloads, with the validation and
-traversal helpers the WMS planner needs.
+producer→consumer dependencies (§I).  :class:`Workflow` keys each
+:class:`~repro.workflows.task.TaskSpec` by its task id and keeps the edges
+as insertion-ordered predecessor and successor sets, with the validation
+and traversal helpers the WMS planner needs.  Traversals visit tasks and
+edges in the order they were added, as a ``networkx.DiGraph`` does, and
+:meth:`Workflow.stages` follows networkx 3's ``topological_generations``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
-
-import networkx as nx
 
 from ..util.errors import WorkflowError
 from .task import TaskSpec
@@ -22,6 +22,10 @@ __all__ = ["Workflow", "chain_workflow", "fan_out_workflow", "diamond_workflow"]
 class Workflow:
     """A named DAG of tasks.
 
+    A task only gains edges from tasks already present, and
+    :meth:`add_dependency` refuses an edge that would close a cycle, so
+    the graph is acyclic by construction.
+
     Examples
     --------
     >>> wf = Workflow("demo")
@@ -30,69 +34,123 @@ class Workflow:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.graph = nx.DiGraph()
+        self._specs: dict[str, TaskSpec] = {}
+        # task id -> its producers / consumers, as dicts used as ordered sets
+        self._preds: dict[str, dict[str, None]] = {}
+        self._succs: dict[str, dict[str, None]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def add_task(self, spec: TaskSpec, after: Iterable[str] = ()) -> str:
-        """Add ``spec`` (keyed by its name), depending on tasks ``after``."""
-        if spec.name in self.graph:
-            raise WorkflowError(f"duplicate task {spec.name!r} in workflow {self.name!r}")
-        self.graph.add_node(spec.name, spec=spec)
-        for dep in after:
-            if dep not in self.graph:
+        """Add ``spec`` (keyed by its name), depending on tasks ``after``.
+
+        Every name is checked before anything changes, so a rejected call
+        leaves the workflow as it was."""
+        tid = spec.name
+        if tid in self._specs:
+            raise WorkflowError(f"duplicate task {tid!r} in workflow {self.name!r}")
+        deps = dict.fromkeys(after)
+        for dep in deps:
+            if dep not in self._specs:
                 raise WorkflowError(f"dependency {dep!r} not in workflow {self.name!r}")
-            self.graph.add_edge(dep, spec.name)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_node(spec.name)
-            raise WorkflowError(f"adding {spec.name!r} would create a cycle")
-        return spec.name
+        self._specs[tid] = spec
+        self._preds[tid] = deps
+        self._succs[tid] = {}
+        for dep in deps:
+            self._succs[dep][tid] = None
+        return tid
 
     def add_dependency(self, producer: str, consumer: str) -> None:
         for t in (producer, consumer):
-            if t not in self.graph:
+            if t not in self._specs:
                 raise WorkflowError(f"unknown task {t!r}")
-        self.graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(producer, consumer)
+        if self._reaches(consumer, producer):
             raise WorkflowError(f"{producer!r}->{consumer!r} would create a cycle")
+        self._succs[producer][consumer] = None
+        self._preds[consumer][producer] = None
+
+    def _reaches(self, source: str, target: str) -> bool:
+        """Whether ``target`` is ``source`` or one of its descendants."""
+        seen = {source}
+        stack = [source]
+        while stack:
+            tid = stack.pop()
+            if tid == target:
+                return True
+            for succ in self._succs[tid]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return False
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+    def _unknown(self, task_id: str) -> WorkflowError:
+        return WorkflowError(f"unknown task {task_id!r} in workflow {self.name!r}")
+
     def spec(self, task_id: str) -> TaskSpec:
         try:
-            return self.graph.nodes[task_id]["spec"]
+            return self._specs[task_id]
         except KeyError:
-            raise WorkflowError(f"unknown task {task_id!r} in workflow {self.name!r}") from None
+            raise self._unknown(task_id) from None
 
     def tasks(self) -> Iterator[TaskSpec]:
-        for tid in self.graph.nodes:
-            yield self.graph.nodes[tid]["spec"]
+        return iter(self._specs.values())
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._specs)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self.graph
+        return task_id in self._specs
 
     def dependencies(self, task_id: str) -> tuple[str, ...]:
-        return tuple(self.graph.predecessors(task_id))
+        try:
+            return tuple(self._preds[task_id])
+        except KeyError:
+            raise self._unknown(task_id) from None
 
     def dependents(self, task_id: str) -> tuple[str, ...]:
-        return tuple(self.graph.successors(task_id))
+        try:
+            return tuple(self._succs[task_id])
+        except KeyError:
+            raise self._unknown(task_id) from None
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every (producer, consumer) pair, grouped by producer in task
+        order, each producer's consumers in the order they were added."""
+        return [(tid, succ) for tid, succs in self._succs.items() for succ in succs]
 
     def roots(self) -> tuple[str, ...]:
-        return tuple(t for t in self.graph.nodes if self.graph.in_degree(t) == 0)
+        return tuple(tid for tid, preds in self._preds.items() if not preds)
+
+    def _generations(self) -> list[list[str]]:
+        """Kahn's algorithm one generation at a time, as networkx 3's
+        ``topological_generations``: the roots in task order, then each
+        generation in the order its tasks lost their last pending
+        producer while the previous generation was walked in order."""
+        pending = {tid: len(preds) for tid, preds in self._preds.items()}
+        generation = [tid for tid, n in pending.items() if n == 0]
+        out = []
+        while generation:
+            out.append(generation)
+            released = []
+            for tid in generation:
+                for succ in self._succs[tid]:
+                    pending[succ] -= 1
+                    if pending[succ] == 0:
+                        released.append(succ)
+            generation = released
+        return out
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self.graph))
+        return [tid for generation in self._generations() for tid in generation]
 
     def stages(self) -> list[list[str]]:
         """Antichain decomposition: tasks grouped by dependency depth —
         everything in a stage may run concurrently."""
-        return [sorted(gen) for gen in nx.topological_generations(self.graph)]
+        return [sorted(generation) for generation in self._generations()]
 
     def critical_path_time(self) -> float:
         """Lower bound on makespan: longest ideal-duration path."""
@@ -111,14 +169,9 @@ class Workflow:
     def validate(self) -> None:
         if len(self) == 0:
             raise WorkflowError(f"workflow {self.name!r} is empty")
-        if not nx.is_directed_acyclic_graph(self.graph):  # pragma: no cover - guarded above
-            raise WorkflowError(f"workflow {self.name!r} has a cycle")
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<Workflow {self.name!r} tasks={len(self)} "
-            f"edges={self.graph.number_of_edges()}>"
-        )
+        return f"<Workflow {self.name!r} tasks={len(self)} edges={len(self.edges())}>"
 
 
 # --------------------------------------------------------------------------- #

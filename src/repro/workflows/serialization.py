@@ -138,7 +138,7 @@ def workflow_to_dict(wf: Workflow) -> dict[str, Any]:
     return {
         "name": wf.name,
         "tasks": [spec_to_dict(wf.spec(tid)) for tid in wf.topological_order()],
-        "edges": sorted(wf.graph.edges()),
+        "edges": sorted(wf.edges()),
     }
 
 

@@ -1,5 +1,9 @@
 """Workflow-DAG tests: construction, cycles, traversal, critical path."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.util.errors import WorkflowError
@@ -32,6 +36,18 @@ class TestConstruction:
         wf = Workflow("w")
         with pytest.raises(WorkflowError):
             wf.add_task(simple_task("b"), after=["ghost"])
+
+    def test_rejected_add_task_leaves_workflow_unchanged(self):
+        wf = Workflow("w")
+        wf.add_task(simple_task("a"))
+        with pytest.raises(WorkflowError, match="ghost"):
+            wf.add_task(simple_task("b"), after=["a", "ghost"])
+        assert "b" not in wf
+        assert len(wf) == 1
+        assert wf.dependents("a") == ()
+        assert wf.edges() == []
+        wf.add_task(simple_task("b"), after=["a"])  # a retry is not a duplicate
+        assert wf.dependents("a") == ("b",)
 
     def test_cycle_via_add_dependency_rejected(self):
         wf = Workflow("w")
@@ -104,3 +120,41 @@ class TestShapeHelpers:
         specs = [simple_task(f"t{i}", base_time=5.0) for i in range(3)]
         wf = chain_workflow("c", specs)
         assert wf.critical_path_time() == pytest.approx(15.0)
+
+
+_WITHOUT_NETWORKX = """
+import sys
+
+sys.modules["networkx"] = None  # any import of networkx now fails
+
+from repro.envs.environments import EnvKind, make_environment
+from repro.util.units import GiB
+from repro.wms.planner import WorkflowManager
+from repro.workflows import (
+    data_mining_task, diamond_workflow, workflow_from_dict, workflow_to_dict,
+)
+
+wf = diamond_workflow(
+    "d",
+    data_mining_task("pre", scale=0.01),
+    [data_mining_task(f"b{i}", scale=0.01) for i in range(2)],
+    data_mining_task("post", scale=0.01),
+)
+back = workflow_from_dict(workflow_to_dict(wf))
+env = make_environment(EnvKind.IMME, dram_capacity=GiB(1))
+manager = WorkflowManager(env.scheduler)
+execution = manager.submit(back)
+manager.run_to_completion()
+env.stop()
+print(back.stages(), execution.succeeded)
+"""
+
+
+def test_builds_round_trips_and_plans_without_networkx():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[['pre'], ['b0', 'b1'], ['post']] True"

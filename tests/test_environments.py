@@ -64,6 +64,15 @@ class TestRunBatch:
         assert metrics.makespan() > 0
         env.stop()
 
+    def test_stopped_environment_drains(self):
+        env = env_of(EnvKind.CBE, dram=MiB(32))
+        env.run_batch([simple_task("t0", footprint=MiB(1), base_time=1.0)])
+        env.stop()
+        assert env.engine.pending() == 0
+        end = env.engine.now
+        env.engine.run(max_events=1000)
+        assert env.engine.now == end
+
     def test_imme_stages_images_before_launch(self):
         env = env_of(EnvKind.IMME, dram=MiB(32))
         specs = [simple_task(f"t{i}", footprint=MiB(1), base_time=1.0) for i in range(3)]

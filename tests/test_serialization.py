@@ -106,7 +106,7 @@ class TestWorkflowRoundTrip:
         )
         back = load_workflow(dump_workflow(wf))
         assert back.name == wf.name
-        assert set(back.graph.edges()) == set(wf.graph.edges())
+        assert set(back.edges()) == set(wf.edges())
         assert back.spec("b1") == wf.spec("b1")
         assert back.stages() == wf.stages()
 
