@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ from ..sim.process import TickGroup
 from ..util.units import GBps, TiB
 from ..util.validation import check_positive, require
 from ..workflows.task import TaskSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from ..scenarios.spec import ScenarioSpec
 
 __all__ = ["EnvKind", "EnvironmentConfig", "Environment", "make_environment"]
 
@@ -207,63 +204,6 @@ class Environment:
         self.scheduler.run_to_completion(max_time=max_time)
         return self.metrics
 
-    def run_arrivals(
-        self,
-        specs: Sequence[TaskSpec],
-        arrival_times: Sequence[float],
-        *,
-        flags: Optional[MemFlag] = None,
-        max_time: float = 1e9,
-    ) -> MetricsRegistry:
-        """Open-loop run: submit ``specs[i]`` at ``arrival_times[i]``
-        (simulated seconds from now), then run until everything finishes."""
-        require(
-            len(specs) == len(arrival_times),
-            "need exactly one arrival time per spec",
-        )
-        if self.config.stage_images and self.shared_memory is not None:
-            self.stage_images_for(specs)
-        for spec, at in zip(specs, arrival_times):
-            self.engine.schedule(
-                max(0.0, float(at)),
-                lambda s=spec: self.scheduler.submit(s, flags=flags),
-                f"arrival.{spec.name}",
-            )
-        # drain the arrival events first so all_done cannot be trivially true
-        last = max((float(a) for a in arrival_times), default=0.0)
-        self.engine.run(until=self.engine.now + last)
-        self.scheduler.run_to_completion(max_time=max_time)
-        return self.metrics
-
-    def serve(
-        self,
-        service,
-        *,
-        scale: float,
-        seed: int = 0,
-        scenario: str = "service",
-        background: Sequence[TaskSpec] = (),
-        bg_arrivals: Optional[Sequence[float]] = None,
-        max_time: float = 1e9,
-    ):
-        """Open-loop *service* run: drive a
-        :class:`~repro.service.spec.ServiceSpec` arrival stream against
-        this cluster and return its
-        :class:`~repro.service.metrics.ServiceReport` (lazy import: the
-        service layer sits above this module)."""
-        from ..service.run import serve as _serve
-
-        return _serve(
-            self,
-            service,
-            scale=scale,
-            seed=seed,
-            scenario=scenario,
-            background=background,
-            bg_arrivals=bg_arrivals,
-            max_time=max_time,
-        )
-
     def inject_faults(self, schedule, *, seed: int = 0):
         """Attach a started :class:`~repro.faults.FaultInjector` for
         ``schedule``; faults fire as the next run advances the clock."""
@@ -384,7 +324,7 @@ class Environment:
 
 
 def make_environment(
-    kind: "EnvKind | ScenarioSpec",
+    kind: EnvKind,
     *,
     n_nodes: int = 1,
     dram_capacity: int = 0,
@@ -397,24 +337,19 @@ def make_environment(
     daemon_interval: float = 1.0,
     rate_config: Optional[RateModelConfig] = None,
 ) -> Environment:
-    """Convenience factory used throughout the experiments.
-
-    Accepts either an :class:`EnvKind` plus explicit capacities, or a
-    :class:`~repro.scenarios.ScenarioSpec` — in which case the scenario
-    layer rebuilds the spec's workload, sizes the tiers against it, and
-    every keyword here is ignored (the spec is the whole description).
+    """Convenience factory used throughout the experiments: an
+    :class:`EnvKind` plus explicit capacities.
 
     For TME/IMME, PMem/CXL capacities default to the paper's per-node
     ratios (2x DRAM of PMem, effectively-unlimited CXL) when not given
     (:func:`~repro.memory.tiers.scaled_tier_capacities`).
     """
-    if not isinstance(kind, EnvKind):
-        # a ScenarioSpec (lazy import: scenarios sits above this module)
-        from ..scenarios.build import build_workload, environment_for_tasks
-
-        tasks, _ = build_workload(kind.workload, kind.seed)
-        return environment_for_tasks(kind, tasks, policy_factory=policy_factory)
-    require(dram_capacity > 0, "dram_capacity is required when kind is an EnvKind")
+    require(
+        isinstance(kind, EnvKind),
+        f"kind must be an EnvKind, got {type(kind).__name__} "
+        "(a scenario's environment is realize(spec).env)",
+    )
+    require(dram_capacity > 0, "dram_capacity is required")
     dram_capacity, pmem_capacity, cxl_capacity = scaled_tier_capacities(
         tiered=kind in (EnvKind.TME, EnvKind.IMME),
         chunk_size=chunk_size,

@@ -4,12 +4,14 @@ This module is the only place a :class:`~repro.scenarios.spec.ScenarioSpec`
 turns into live objects.  The pipeline is deterministic end to end:
 
 1. :func:`~repro.scenarios.workloads.build_workload` rebuilds the task
-   batch (and arrival times) from ``(spec.workload, spec.seed)``;
+   batch from ``(spec.workload, spec.seed)``;
 2. :func:`environment_config` sizes the tiers against the workload's
    aggregate bytes through the one shared
    :func:`repro.memory.tiers.scaled_tier_capacities`;
 3. :func:`realize` wires the cluster (attaching any named fault
-   schedule) and :meth:`RealizedScenario.execute` runs it to completion.
+   schedule); :meth:`RealizedScenario.execute` runs it to completion as
+   a closed batch, and :meth:`RealizedScenario.serve` drives a service
+   scenario open-loop through :mod:`repro.service`.
 
 :func:`run_scenario` is the generic harness on top — it executes any
 scenario and condenses the metrics into a :class:`ScenarioOutcome`, which
@@ -175,18 +177,12 @@ class RealizedScenario:
     spec: ScenarioSpec
     env: Environment
     tasks: List[TaskSpec]
-    arrivals: Optional[List[float]] = None
 
     def execute(self) -> MetricsRegistry:
-        """Run to completion (closed batch or open arrivals) and stop."""
-        if self.arrivals is not None:
-            metrics = self.env.run_arrivals(
-                self.tasks, self.arrivals, max_time=self.spec.max_time
-            )
-        else:
-            metrics = self.env.run_batch(
-                self.tasks, exclusive=self.spec.exclusive, max_time=self.spec.max_time
-            )
+        """Run the workload to completion as a closed batch and stop."""
+        metrics = self.env.run_batch(
+            self.tasks, exclusive=self.spec.exclusive, max_time=self.spec.max_time
+        )
         self.env.stop()
         return metrics
 
@@ -194,10 +190,10 @@ class RealizedScenario:
         """Drive the scenario as an open-loop service and stop.
 
         The scenario's workload (if any) becomes the *background*: its
-        tasks are submitted at their batch/arrival times while the
-        service stream arrives on top.  ``live`` names a directory for
-        the streaming window metrics (``live.ndjson`` + ``metrics.prom``;
-        see :class:`~repro.obs.insight.LiveMetricsWriter`).
+        tasks are all submitted at the start while the service stream
+        arrives on top.  ``live`` names a directory for the streaming
+        window metrics (``live.ndjson`` + ``metrics.prom``; see
+        :class:`~repro.obs.insight.LiveMetricsWriter`).
         """
         require(
             self.spec.service is not None,
@@ -210,7 +206,6 @@ class RealizedScenario:
             seed=self.spec.seed,
             scenario=self.spec.name,
             background=self.tasks,
-            bg_arrivals=self.arrivals,
             max_time=self.spec.max_time,
             live=live,
         )
@@ -240,12 +235,12 @@ def realize(
 ) -> RealizedScenario:
     """Build the workload and environment for ``spec`` without running it."""
     with obs.span("scenario.realize", scenario=spec.name, seed=spec.seed):
-        tasks, arrivals = build_workload(spec.workload, spec.seed)
+        tasks, _ = build_workload(spec.workload, spec.seed)
         sizing_tasks = list(tasks)
         if spec.service is not None:
             sizing_tasks.extend(service_sizing_tasks(spec))
         env = environment_for_tasks(spec, sizing_tasks, policy_factory=policy_factory)
-    return RealizedScenario(spec=spec, env=env, tasks=tasks, arrivals=arrivals)
+    return RealizedScenario(spec=spec, env=env, tasks=tasks)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ Subcommands:
   ``--retries``/``--cell-timeout``, and checkable with
   ``--check-invariants``.  A killed run resumes by running the same
   command again: the cache serves every scenario that committed,
-* ``serve <name-or-file>`` — drive *service* scenarios (those with a
-  ``[service]`` section) as open-loop steady-state runs and print their
-  windowed reports; ``run --service`` is the same thing.  Shares the
-  whole supervised-run machinery with ``run``,
+* ``serve <name-or-file> [--windows] [--live DIR]`` — drive *service*
+  scenarios (those with a ``[service]`` section) open-loop through
+  :mod:`repro.service` and print their windowed reports.  Shares the
+  whole supervised-run machinery with ``run``; ``run`` executes the same
+  scenarios as closed batches of their background workload,
 * ``verify`` — round-trip every registered scenario through both
   interchange forms (the CI gate).
 
@@ -130,8 +131,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     service_mode = bool(getattr(args, "service", False))
     live_root = getattr(args, "live", None)
-    if live_root and not service_mode:
-        raise SystemExit("--live needs service mode (serve, or run --service)")
     specs = args.specs
     if service_mode:
         missing = [s.name for s in specs if s.service is None]
@@ -278,7 +277,7 @@ def _print_service_reports(
                 f"    {cl.wclass}: n={cl.count} turnaround mean={cl.mean:.2f} "
                 f"p50={cl.p50:.2f} p95={cl.p95:.2f} p99={cl.p99:.2f}"
             )
-    if getattr(args, "windows", False):
+    if args.windows:
         for rep in reports:
             print()
             print(rep.to_table())
@@ -338,26 +337,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--check-invariants", action="store_true",
             help="assert runtime conservation invariants during the run",
         )
-        p.add_argument(
-            "--live", metavar="DIR", default=None,
-            help="service mode only: stream per-window metrics under DIR "
-                 "(live.ndjson + metrics.prom, with tier occupancy/stall when "
-                 "the insight plane is on; view with 'obs tail DIR'). "
-                 "Cached cells do not stream — add --no-cache for a full feed",
-        )
         p.set_defaults(resolve=_resolve)
 
     p_run = sub.add_parser("run", help="run a family, member, or spec file")
     _add_run_options(p_run)
-    p_run.add_argument(
-        "--service", action="store_true",
-        help="drive the scenarios as open-loop services (requires a "
-             "[service] section; same as the 'serve' subcommand)",
-    )
-    p_run.add_argument(
-        "--windows", action="store_true",
-        help="with --service, print every report's full window table",
-    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_serve = sub.add_parser(
@@ -367,6 +350,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_serve.add_argument(
         "--windows", action="store_true",
         help="print every report's full window table",
+    )
+    p_serve.add_argument(
+        "--live", metavar="DIR", default=None,
+        help="stream per-window metrics under DIR (live.ndjson + "
+             "metrics.prom, with tier occupancy/stall when the insight plane "
+             "is on; view with 'obs tail DIR'). Cached cells do not stream — "
+             "add --no-cache for a full feed",
     )
     p_serve.set_defaults(fn=_cmd_run, service=True)
 

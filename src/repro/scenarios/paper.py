@@ -586,8 +586,7 @@ def ext_open_system_family(
 ) -> ScenarioFamily:
     """Open-system DM stream over busy background jobs — the first
     consumer of the service layer: each member is a true open-loop run
-    (one pending arrival event, admission hooks, windowed report) rather
-    than a pre-materialized arrival list."""
+    (one pending arrival event, admission hooks, windowed report)."""
     members = []
     for kind in (EnvKind.CBE, EnvKind.IMME):
         for rate in rates:

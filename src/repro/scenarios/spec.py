@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Tuple, Union
+from typing import Any, Optional, Tuple
 
 from ..envs.environments import EnvKind
-from ..service.spec import ServiceSpec
+from ..service.spec import ParamValue, ServiceSpec, sorted_pairs
 from ..util.units import MiB
 from ..util.validation import check_positive, require
 
@@ -46,17 +46,6 @@ SPEC_VERSION = 1
 DEFAULT_SCALE = 1.0 / 64.0
 #: default chunk size for scaled-down runs (4 MiB at full scale)
 DEFAULT_CHUNK = MiB(1)
-
-#: the only value types allowed in free-form workload params — everything
-#: a TOML table can represent losslessly
-ParamValue = Union[bool, int, float, str]
-
-
-def _pairs(mapping: "Mapping[str, Any] | Tuple[Tuple[str, Any], ...]") -> tuple:
-    """Normalise a mapping (or pair tuple) into a sorted pair tuple, the
-    canonical immutable form stored on specs."""
-    items = mapping.items() if isinstance(mapping, Mapping) else mapping
-    return tuple(sorted((str(k), v) for k, v in items))
 
 
 @dataclass(frozen=True)
@@ -85,8 +74,8 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         require(bool(self.source), "workload source must be named")
         check_positive(self.scale, "scale")
-        object.__setattr__(self, "instances_per_class", _pairs(self.instances_per_class))
-        object.__setattr__(self, "params", _pairs(self.params))
+        object.__setattr__(self, "instances_per_class", sorted_pairs(self.instances_per_class))
+        object.__setattr__(self, "params", sorted_pairs(self.params))
 
     def mix(self) -> dict:
         """``instances_per_class`` as a ``{WorkloadClass: count}`` dict."""

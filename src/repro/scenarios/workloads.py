@@ -2,22 +2,23 @@
 
 A :class:`~repro.scenarios.spec.WorkloadSpec` names one of the builders
 registered here; the builder turns the spec's plain-data fields into the
-actual :class:`~repro.workflows.task.TaskSpec` batch (and, for
-open-system sources, per-task arrival times).  Builders are deterministic
-functions of ``(spec, seed)`` so scenario cells stay hermetic: any
-process that holds the spec reconstructs the byte-identical workload.
+actual :class:`~repro.workflows.task.TaskSpec` batch.  Builders are
+deterministic functions of ``(spec, seed)`` so scenario cells stay
+hermetic: any process that holds the spec reconstructs the byte-identical
+workload.  Open-loop arrivals are not a workload: a scenario's
+:class:`~repro.service.spec.ServiceSpec` describes them, and
+:mod:`repro.service` generates them lazily.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.flags import MemFlag
 from ..util.rng import RngFactory
 from ..util.units import GBps, GiB
 from ..util.validation import require
-from ..workflows.arrivals import poisson_arrivals
 from ..workflows.ensembles import make_ensemble, paper_batch
 from ..workflows.library import (
     data_compression_task,
@@ -35,7 +36,6 @@ __all__ = [
     "CLASS_ORDER",
     "VALIDATION_MIXES",
     "WORKLOAD_SOURCES",
-    "Workload",
     "build_workload",
     "colocated_mix_tasks",
     "predictor_probe_task",
@@ -45,10 +45,7 @@ __all__ = [
 
 CLASS_ORDER = (WorkloadClass.DL, WorkloadClass.DM, WorkloadClass.DC, WorkloadClass.SC)
 
-#: (tasks, arrival times or None) — what every builder returns
-Workload = Tuple[List[TaskSpec], Optional[List[float]]]
-
-_Builder = Callable[[WorkloadSpec, int], Workload]
+_Builder = Callable[[WorkloadSpec, int], List[TaskSpec]]
 
 
 def _class_counts(w: WorkloadSpec, default: int = 0) -> dict:
@@ -78,21 +75,20 @@ def colocated_mix_tasks(
     return [specs[i] for i in order]
 
 
-def _colocated_mix(w: WorkloadSpec, seed: int) -> Workload:
+def _colocated_mix(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     counts = _class_counts(w, default=2)
-    return colocated_mix_tasks(counts, scale=w.scale, seed=seed), None
+    return colocated_mix_tasks(counts, scale=w.scale, seed=seed)
 
 
-def _paper_batch(w: WorkloadSpec, seed: int) -> Workload:
+def _paper_batch(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     require(w.total_instances > 0, "paper-batch needs total_instances > 0")
     mix = w.mix() or None
-    batch = paper_batch(
+    return paper_batch(
         w.total_instances, scale=w.scale, mix=mix, rng_factory=RngFactory(seed)
     )
-    return batch, None
 
 
-def _class_ensemble(w: WorkloadSpec, seed: int) -> Workload:
+def _class_ensemble(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     """``instances`` jittered members of one class; ``request_extra``
     builds the mid-run-expansion SC variant and ``limit_margin`` caps each
     member's ``memory_limit`` at ``footprint x (1 + margin)`` (ext-failures)."""
@@ -110,17 +106,17 @@ def _class_ensemble(w: WorkloadSpec, seed: int) -> Workload:
             replace(m, memory_limit=int(m.footprint * (1.0 + float(margin))))
             for m in members
         ]
-    return members, None
+    return members
 
 
-def _library_task(w: WorkloadSpec, seed: int) -> Workload:
+def _library_task(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     """A single un-jittered instance of one studied workflow."""
     require(bool(w.wclass), "library-task needs wclass")
     cls = WorkloadClass[w.wclass]
-    return [paper_workload_suite(w.scale)[cls]], None
+    return [paper_workload_suite(w.scale)[cls]]
 
 
-def _shared_input(w: WorkloadSpec, seed: int) -> Workload:
+def _shared_input(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     """DM instances all reading one staged dataset (§III-C5 strategy 1)."""
     require(w.instances > 0, "shared-input needs instances > 0")
     input_bytes = int(w.param("input_bytes", 0)) or max(1, int(GiB(16) * w.scale))
@@ -129,10 +125,10 @@ def _shared_input(w: WorkloadSpec, seed: int) -> Workload:
         with_shared_input(m, str(w.param("dataset", "census-dataset")), input_bytes)
         for m in make_ensemble(base, w.instances, rng_factory=RngFactory(seed))
     ]
-    return members, None
+    return members
 
 
-def _decomposition(w: WorkloadSpec, seed: int) -> Workload:
+def _decomposition(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     """Two big multi-phase jobs plus a DM stream (ext-decomposition);
     the big jobs come first so harnesses can split them back out."""
     dm_instances = int(w.param("dm_instances", 6))
@@ -143,32 +139,10 @@ def _decomposition(w: WorkloadSpec, seed: int) -> Workload:
     dm_stream = make_ensemble(
         data_mining_task(scale=w.scale), dm_instances, rng_factory=RngFactory(seed)
     )
-    return big_jobs + dm_stream, None
+    return big_jobs + dm_stream
 
 
-def _open_system(w: WorkloadSpec, seed: int) -> Workload:
-    """Busy background jobs plus a Poisson DM stream with arrival times."""
-    rate = float(w.param("rate", 0.1))
-    stream_length = int(w.param("stream_length", 12))
-    start = float(w.param("start", 5.0))
-    background = [
-        deep_learning_task("bg-dl", scale=w.scale),
-        scientific_task("bg-sc", scale=w.scale),
-    ]
-    stream = make_ensemble(
-        data_mining_task(scale=w.scale), stream_length, rng_factory=RngFactory(seed)
-    )
-    arrivals = [0.0] * len(background) + poisson_arrivals(
-        rate,
-        stream_length,
-        rng_factory=RngFactory(seed),
-        stream=f"open.{rate}",
-        start=start,
-    )
-    return background + stream, arrivals
-
-
-def _service_background(w: WorkloadSpec, seed: int) -> Workload:
+def _service_background(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     """Colocated jobs a service stream arrives on top of.
 
     ``instances_per_class`` names the long-lived background mix (all
@@ -178,9 +152,8 @@ def _service_background(w: WorkloadSpec, seed: int) -> Workload:
     """
     counts = w.mix()
     if not counts:
-        return [], None
-    tasks = colocated_mix_tasks(counts, scale=w.scale, seed=seed)
-    return tasks, [0.0] * len(tasks)
+        return []
+    return colocated_mix_tasks(counts, scale=w.scale, seed=seed)
 
 
 #: validation matrix sensitivity mixes: label -> (compute, lat, bw, demand B/s)
@@ -216,13 +189,13 @@ def validation_probe_task(name: str, mix: str, *, footprint: int) -> TaskSpec:
     )
 
 
-def _validation_probe(w: WorkloadSpec, seed: int) -> Workload:
+def _validation_probe(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     from ..util.units import MiB
 
     mix = str(w.param("mix", "compute"))
     require(mix in VALIDATION_MIXES, f"unknown validation mix {mix!r}")
     name = str(w.param("name", f"v-{mix}"))
-    return [validation_probe_task(name, mix, footprint=MiB(4))], None
+    return [validation_probe_task(name, mix, footprint=MiB(4))]
 
 
 def predictor_probe_task(name: str, scale: float) -> TaskSpec:
@@ -249,10 +222,10 @@ def predictor_probe_task(name: str, scale: float) -> TaskSpec:
     )
 
 
-def _predictor_probes(w: WorkloadSpec, seed: int) -> Workload:
+def _predictor_probes(w: WorkloadSpec, seed: int) -> List[TaskSpec]:
     runs = int(w.param("runs", 4))
     require(runs > 0, "predictor-probes needs runs > 0")
-    return [predictor_probe_task(f"probe-{i}", w.scale) for i in range(runs)], None
+    return [predictor_probe_task(f"probe-{i}", w.scale) for i in range(runs)]
 
 
 WORKLOAD_SOURCES: Dict[str, _Builder] = {
@@ -262,7 +235,6 @@ WORKLOAD_SOURCES: Dict[str, _Builder] = {
     "library-task": _library_task,
     "shared-input": _shared_input,
     "decomposition": _decomposition,
-    "open-system": _open_system,
     "service-background": _service_background,
     "validation-probe": _validation_probe,
     "predictor-probes": _predictor_probes,
@@ -273,8 +245,12 @@ def workload_sources() -> list[str]:
     return sorted(WORKLOAD_SOURCES)
 
 
-def build_workload(w: WorkloadSpec, seed: int) -> Workload:
-    """Deterministically realize ``w`` into (tasks, arrival times or None)."""
+def build_workload(w: WorkloadSpec, seed: int) -> Tuple[List[TaskSpec], None]:
+    """Deterministically realize ``w`` into ``(tasks, None)``.
+
+    The second slot once held per-task arrival times; it stays ``None``
+    for callers that unpack a pair (the e2e benchmark harness).
+    """
     try:
         builder = WORKLOAD_SOURCES[w.source]
     except KeyError:
@@ -282,4 +258,4 @@ def build_workload(w: WorkloadSpec, seed: int) -> Workload:
             f"unknown workload source {w.source!r}; "
             f"registered sources: {workload_sources()}"
         ) from None
-    return builder(w, seed)
+    return builder(w, seed), None

@@ -1,8 +1,7 @@
 """Open-loop arrival processes: lazy, deterministic, composable.
 
-Unlike :mod:`repro.workflows.arrivals` (finite pre-materialized lists),
-these are *generators*: a service run holds one pending arrival event at
-a time, so a stream of millions of arrivals costs O(1) memory.  All
+These are *generators*, never pre-materialized lists: a service run
+holds one pending arrival event at a time, so a stream of millions of arrivals costs O(1) memory.  All
 randomness flows through :class:`~repro.util.rng.RngFactory` streams, so
 the same spec and seed replay the identical arrival sequence in any
 process.

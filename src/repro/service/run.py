@@ -33,7 +33,6 @@ from ..obs import insight as _insight
 from ..obs.insight import LiveMetricsWriter, live_window_payload
 from ..sim.process import TickGroup
 from ..util.errors import SchedulingError
-from ..util.validation import require
 from ..workflows.task import TaskSpec
 from .admission import build_admission
 from .arrivals import arrival_process
@@ -62,7 +61,7 @@ class ServiceRun:
         own named streams from it.
     background:
         Tasks submitted outside the stream (long-running colocated
-        jobs); ``bg_arrivals`` optionally delays them.
+        jobs), all at the start of the run.
     live:
         Optional :class:`~repro.obs.insight.LiveMetricsWriter` (or a
         directory path): every closed window appends one NDJSON line and
@@ -80,13 +79,9 @@ class ServiceRun:
         seed: int = 0,
         scenario: str = "service",
         background: Sequence[TaskSpec] = (),
-        bg_arrivals: Optional[Sequence[float]] = None,
         max_time: float = 1e9,
         live: "LiveMetricsWriter | str | None" = None,
     ) -> None:
-        if bg_arrivals is not None:
-            require(len(bg_arrivals) == len(background),
-                    "need exactly one arrival time per background task")
         self.env = env
         self.engine = env.engine
         self.scheduler = env.scheduler
@@ -94,7 +89,6 @@ class ServiceRun:
         self.seed = int(seed)
         self.scenario = scenario
         self.background = list(background)
-        self.bg_arrivals = list(bg_arrivals) if bg_arrivals is not None else None
         self.max_time = float(max_time)
         self.stream = TaskStream(service.classes, scale, self.seed)
         self._arrivals: Iterator[Tuple[float, Optional[str]]] = arrival_process(
@@ -195,16 +189,13 @@ class ServiceRun:
             self._origin = self.engine.now
             windows = TickGroup(self.engine, svc.window, "service.window")
             handle = windows.add(lambda _now: self._close_window())
-            for i, task in enumerate(self.background):
-                delay = (
-                    max(0.0, float(self.bg_arrivals[i]))
-                    if self.bg_arrivals is not None
-                    else 0.0
-                )
+            # a zero-delay event per background task, not a direct submit:
+            # it keeps the same-instant firing order of everything after it
+            for task in self.background:
                 self._submitted.add(task.name)
                 self.accumulator.cores_of[task.name] = task.cores
                 self.engine.schedule(
-                    delay,
+                    0.0,
                     lambda t=task: self.scheduler.submit(t),
                     f"service.background.{task.name}",
                 )
@@ -268,7 +259,6 @@ def serve(
     seed: int = 0,
     scenario: str = "service",
     background: Sequence[TaskSpec] = (),
-    bg_arrivals: Optional[Sequence[float]] = None,
     max_time: float = 1e9,
     live: "LiveMetricsWriter | str | None" = None,
 ) -> ServiceReport:
@@ -282,7 +272,6 @@ def serve(
         seed=seed,
         scenario=scenario,
         background=background,
-        bg_arrivals=bg_arrivals,
         max_time=max_time,
         live=live,
     ).execute()

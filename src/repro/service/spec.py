@@ -26,7 +26,9 @@ __all__ = [
     "ARRIVAL_SOURCES",
     "WARMUP_METHODS",
     "WARMUP_METRICS",
+    "ParamValue",
     "ServiceSpec",
+    "sorted_pairs",
 ]
 
 #: names a :class:`ServiceSpec` may put in ``arrival``
@@ -38,12 +40,14 @@ WARMUP_METRICS = ("utilization", "queue_depth", "turnaround", "completed")
 #: names a :class:`ServiceSpec` may put in ``admission``
 ADMISSION_POLICIES = ("accept-all", "queue-cap", "memory-headroom")
 
-#: the value types a TOML table represents losslessly (mirrors
-#: :data:`repro.scenarios.spec.ParamValue` without importing upward)
-_ParamValue = Union[bool, int, float, str]
+#: the only value types allowed in free-form spec params — everything a
+#: TOML table can represent losslessly (scenario specs share it)
+ParamValue = Union[bool, int, float, str]
 
 
-def _pairs(mapping: "Mapping[str, Any] | Tuple[Tuple[str, Any], ...]") -> tuple:
+def sorted_pairs(mapping: "Mapping[str, Any] | Tuple[Tuple[str, Any], ...]") -> tuple:
+    """Normalise a mapping (or pair tuple) into a sorted pair tuple, the
+    canonical immutable form every spec stores and its digest hashes."""
     items = mapping.items() if isinstance(mapping, Mapping) else mapping
     return tuple(sorted((str(k), v) for k, v in items))
 
@@ -91,7 +95,7 @@ class ServiceSpec:
     #: truncates the run at the horizon (tasks mid-flight stay unfinished)
     drain: bool = True
     #: source-specific extras: trace path, diurnal/burst modulators, ...
-    params: Tuple[Tuple[str, _ParamValue], ...] = ()
+    params: Tuple[Tuple[str, ParamValue], ...] = ()
 
     def __post_init__(self) -> None:
         require(self.arrival in ARRIVAL_SOURCES,
@@ -113,8 +117,8 @@ class ServiceSpec:
         check_positive(self.cv_threshold, "cv_threshold")
         require(self.queue_cap >= 0, "queue_cap must be >= 0")
         check_positive(self.headroom, "headroom")
-        object.__setattr__(self, "classes", _pairs(self.classes))
-        object.__setattr__(self, "params", _pairs(self.params))
+        object.__setattr__(self, "classes", sorted_pairs(self.classes))
+        object.__setattr__(self, "params", sorted_pairs(self.params))
         require(bool(self.classes), "the stream needs at least one class")
         require(all(int(w) > 0 for _, w in self.classes),
                 "class weights must be positive")

@@ -1,7 +1,6 @@
 """Workflow substrate: access patterns, task specs, DAGs, ensembles, and
 the paper's four evaluation workloads."""
 
-from .arrivals import burst_arrivals, poisson_arrivals, uniform_arrivals
 from .dag import Workflow, chain_workflow, diamond_workflow, fan_out_workflow
 from .ensembles import make_ensemble, paper_batch, scaled_mix
 from .library import (
@@ -39,9 +38,6 @@ from .patterns import (
 from .task import DynamicRequest, SharedInput, TaskPhase, TaskSpec, WorkloadClass
 
 __all__ = [
-    "burst_arrivals",
-    "poisson_arrivals",
-    "uniform_arrivals",
     "Workflow",
     "chain_workflow",
     "diamond_workflow",

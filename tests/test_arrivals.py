@@ -1,64 +1,14 @@
-"""Arrival-process and open-loop submission tests."""
-
-import numpy as np
-import pytest
+"""Open-loop submission: a job that arrives mid-run sees the load it lands on."""
 
 from repro.envs.environments import EnvKind, make_environment
-from repro.util.rng import RngFactory
 from repro.util.units import KiB, MiB
-from repro.workflows.arrivals import burst_arrivals, poisson_arrivals, uniform_arrivals
 
 from conftest import simple_task
 
 CHUNK = KiB(64)
 
 
-class TestGenerators:
-    def test_uniform_spacing(self):
-        at = uniform_arrivals(2.0, 4)
-        assert at == [2.0, 4.0, 6.0, 8.0]
-
-    def test_uniform_with_start(self):
-        assert uniform_arrivals(1.0, 2, start=10.0) == [11.0, 12.0]
-
-    def test_poisson_monotone_and_deterministic(self):
-        a = poisson_arrivals(0.5, 20, rng_factory=RngFactory(3))
-        b = poisson_arrivals(0.5, 20, rng_factory=RngFactory(3))
-        assert a == b
-        assert all(x < y for x, y in zip(a, a[1:]))
-
-    def test_poisson_mean_gap_matches_rate(self):
-        at = poisson_arrivals(2.0, 2000, rng_factory=RngFactory(1))
-        gaps = np.diff([0.0] + at)
-        assert gaps.mean() == pytest.approx(0.5, rel=0.1)
-
-    def test_burst_structure(self):
-        at = burst_arrivals(3, 2, 10.0)
-        assert at == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
-
-    def test_validation(self):
-        with pytest.raises(Exception):
-            poisson_arrivals(0.0, 5)
-        with pytest.raises(Exception):
-            uniform_arrivals(1.0, 0)
-
-
 class TestRunArrivals:
-    def test_jobs_submitted_at_their_times(self):
-        env = make_environment(EnvKind.IE, dram_capacity=MiB(64), chunk_size=CHUNK)
-        specs = [simple_task(f"t{i}", footprint=MiB(1), base_time=1.0) for i in range(3)]
-        metrics = env.run_arrivals(specs, [1.0, 5.0, 9.0])
-        subs = sorted(t.submitted_at for t in metrics.tasks())
-        assert subs == pytest.approx([1.0, 5.0, 9.0])
-        assert len(metrics.completed()) == 3
-        env.stop()
-
-    def test_mismatched_lengths_rejected(self):
-        env = make_environment(EnvKind.IE, dram_capacity=MiB(64), chunk_size=CHUNK)
-        with pytest.raises(Exception):
-            env.run_arrivals([simple_task("t")], [1.0, 2.0])
-        env.stop()
-
     def test_late_arrivals_see_loaded_node(self):
         """A job arriving while a rival saturates bandwidth runs slower
         than one arriving after the rival finished."""
@@ -71,9 +21,13 @@ class TestRunArrivals:
             )
 
         env = make_environment(EnvKind.IE, dram_capacity=MiB(64), chunk_size=CHUNK)
-        metrics = env.run_arrivals(
-            [dm("hog"), dm("early"), dm("late")], [0.0, 0.0, 30.0]
-        )
+        late_job = dm("late")
+        env.engine.schedule(30.0, lambda: env.scheduler.submit(late_job), "arrival.late")
+        env.scheduler.submit_batch([dm("hog"), dm("early")])
+        # run to the late arrival first: the batch alone is done before it
+        env.engine.run(until=30.0)
+        env.scheduler.run_to_completion()
+        metrics = env.metrics
         early = metrics.get("early").execution_time
         late = metrics.get("late").execution_time
         assert early > late

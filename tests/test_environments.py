@@ -116,3 +116,10 @@ class TestMakeEnvironmentDefaults:
     def test_config_validation(self):
         with pytest.raises(Exception):
             EnvironmentConfig(kind=EnvKind.IE, n_nodes=0, dram_capacity=MiB(1))
+
+    def test_only_an_env_kind_is_accepted(self):
+        from repro.scenarios.registry import scenario
+        from repro.util.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="realize"):
+            make_environment(scenario("fig05/IMME"), dram_capacity=MiB(8))

@@ -330,8 +330,9 @@ class TestIdleNodeLeavesTheTick:
             lat = dict(lat_frac=0.7, bw_frac=0.1)
             env.run_batch([simple_task("big", footprint=MiB(15), base_time=3.0, **lat)],
                           flags=MemFlag.LAT)
-            env.run_arrivals([simple_task("next", footprint=MiB(15) + MiB(1) // 2,
-                                          base_time=4.0, **lat)], [2.0], flags=MemFlag.LAT)
+            env.engine.run(until=env.engine.now + 2.0)
+            env.run_batch([simple_task("next", footprint=MiB(15) + MiB(1) // 2,
+                                       base_time=4.0, **lat)], flags=MemFlag.LAT)
             env.stop()
             return simulated(env.engine, env.metrics), env.agents[0].ticker.ticks
 

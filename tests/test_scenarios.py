@@ -310,6 +310,34 @@ class TestCli:
         assert info.value.code == 2
         assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--service"], ["--windows"], ["--live", "live"]])
+    def test_run_takes_no_service_options(self, extra, tmp_path, monkeypatch, capsys):
+        import repro.scenarios.cli as cli
+
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        monkeypatch.setattr(cli, "run_service", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", "ext-open-system/IMME:0.10", "--no-cache", *extra])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_takes_windows_and_live(self, tmp_path, capsys):
+        live = tmp_path / "live"
+        argv = ["serve", "ext-open-system/IMME:0.10", "--no-cache",
+                "--windows", "--live", str(live)]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "1 service scenario(s)" in out
+        assert "ext-open-system/IMME:0.10: 4 windows (0 warm-up)" in out  # --windows
+        assert f"live: ext-open-system/IMME:0.10 -> {live} (4 windows)" in out
+        assert (live / "live.ndjson").read_text(encoding="utf-8").strip()
+        assert (live / "metrics.prom").is_file()
+
     def test_run_spec_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.toml"
         path.write_text(_TINY_TOML, encoding="utf-8")

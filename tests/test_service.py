@@ -619,8 +619,7 @@ class TestServiceRun:
         bg = stream.task(0)
         try:
             spec = ServiceSpec(rate=0.5, max_arrivals=3, window=10.0, warmup="none")
-            rep = serve(env, spec, scale=TINY, seed=5,
-                        background=[bg], bg_arrivals=[2.0])
+            rep = serve(env, spec, scale=TINY, seed=5, background=[bg])
         finally:
             env.stop()
         assert rep.completed == 4  # 3 stream + 1 background
