@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 import numpy as np
 
 from .. import obs
-from ..memory.pageset import NO_REGION, UNMAPPED, _stable_top_k
+from ..memory.pageset import NO_REGION, UNMAPPED
 from ..memory.tiers import NUM_TIERS, TierKind
 from ..util.validation import require
 
@@ -45,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["NodeArena"]
 
 _MIN_CAPACITY = 1024
-
-# shared empty-result index array for the candidate kernels' fast path
-# (frozen so a caller can never mutate it in place)
-_EMPTY_IDX = np.empty(0, dtype=np.intp)
-_EMPTY_IDX.setflags(write=False)
 
 # slots not covered by any task keep these values, so tier/task masks
 # exclude them without a separate liveness array
@@ -356,74 +351,12 @@ class NodeArena:
         return hi
 
     # ------------------------------------------------------------------ #
-    # kernel: per-task threshold-filtered candidates
+    # kernel: which tasks hold promotion candidates
     # ------------------------------------------------------------------ #
-    def cold_chunks(
-        self,
-        ps: "PageSet",
-        tier: TierKind,
-        max_chunks: int,
-        *,
-        max_temperature: Optional[float] = None,
-        include_pinned: bool = False,
-    ) -> np.ndarray:
-        """``ps.coldest_in(tier, max_chunks)`` post-filtered to
-        ``temperature <= max_temperature``, computed filter-first.
-
-        Filtering before the top-k is an exact rewrite: every unfiltered
-        top-k entry above the bar survives in the same stable order, and
-        once one entry falls below the bar so does everything after it —
-        so both orders yield the same list.  Filtering first keeps the
-        partition tiny when only a sliver of the slice qualifies (the
-        proactive-swap common case), instead of top-k over the full slice.
-        """
-        entry = self._tasks.get(ps.owner)
-        if entry is None or entry.ps is not ps:
-            require(False, f"{ps.owner!r} not adopted")
-        s, e = entry.start, entry.start + entry.n
-        mask = self.tier[s:e] == int(tier)
-        if not mask.any():
-            return _EMPTY_IDX
-        temp = self.temperature[s:e]
-        if not include_pinned:
-            mask &= ~self.pinned[s:e]
-        if max_temperature is not None:
-            mask &= temp <= max_temperature
-        cand = mask.nonzero()[0]
-        if cand.size == 0 or max_chunks <= 0:
-            return cand[:0]
-        return cand[_stable_top_k(temp[cand], max_chunks)]
-
-    def hot_chunks(
-        self,
-        ps: "PageSet",
-        tier: TierKind,
-        max_chunks: int,
-        *,
-        min_temperature: Optional[float] = None,
-    ) -> np.ndarray:
-        """``ps.hottest_in(tier, max_chunks)`` post-filtered to
-        ``temperature >= min_temperature`` (filter-first, same argument as
-        :meth:`cold_chunks` with the order reversed)."""
-        entry = self._tasks.get(ps.owner)
-        if entry is None or entry.ps is not ps:
-            require(False, f"{ps.owner!r} not adopted")
-        s, e = entry.start, entry.start + entry.n
-        mask = self.tier[s:e] == int(tier)
-        if not mask.any():
-            return _EMPTY_IDX
-        temp = self.temperature[s:e]
-        if min_temperature is not None:
-            mask &= temp >= min_temperature
-        cand = mask.nonzero()[0]
-        if cand.size == 0 or max_chunks <= 0:
-            return cand[:0]
-        return cand[_stable_top_k(-temp[cand], max_chunks)]
-
     def warm_by_task_tier(self, min_temperature: float) -> np.ndarray:
         """``bool[n_slots, NUM_TIERS]``: whether each task holds a mapped
         chunk at or above ``min_temperature`` in each tier, i.e. whether
-        :meth:`hot_chunks` with that bar can find anything there.
+        ``ps.hottest_in`` with that bar can find anything there.
 
         Task segments are contiguous, so each tier is one OR-reduction
         over the segment map: a few passes over ``[:hi]`` however many

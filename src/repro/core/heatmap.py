@@ -90,10 +90,6 @@ class PageHeatmap:
         mask = hot_mask(ps, self.config.hot_quantile_share)
         return int(np.count_nonzero(mask)) * ps.chunk_size
 
-    def cold_chunks(self, ps: PageSet, threshold: float = 0.0) -> np.ndarray:
-        """Chunks whose temperature is at or below ``threshold``."""
-        return np.flatnonzero(ps.temperature <= threshold)
-
 
 def hot_mask(ps: PageSet, heat_share: float) -> np.ndarray:
     """Boolean mask of the smallest chunk set holding ``heat_share`` of the

@@ -127,9 +127,7 @@ class IntelligentPageMovement:
             if not hot[entry.slot, int(SWAP)]:
                 continue
             ps = entry.ps
-            hot_swap = arena.hot_chunks(
-                ps, SWAP, budget_bytes // ps.chunk_size, min_temperature=thr
-            )
+            hot_swap = ps.hottest_in(SWAP, budget_bytes // ps.chunk_size, min_temperature=thr)
             if hot_swap.size:
                 moved_idx = self._pull_up(ctx, ps, hot_swap, room_bytes=room_bytes)
                 if moved_idx.size:
@@ -151,9 +149,7 @@ class IntelligentPageMovement:
             for tier in (PMEM, CXL):
                 if not hot[entry.slot, int(tier)]:
                     continue
-                cand = arena.hot_chunks(
-                    ps, tier, budget_bytes // ps.chunk_size, min_temperature=thr
-                )
+                cand = ps.hottest_in(tier, budget_bytes // ps.chunk_size, min_temperature=thr)
                 if cand.size == 0:
                     continue
                 room = max(0, dram_free) // ps.chunk_size
@@ -263,9 +259,7 @@ class IntelligentPageMovement:
             if is_protected(self.owner_flags(ps.owner)):
                 continue
             need_chunks = -(-(target_free - freed) // ps.chunk_size)
-            cold = mem.arena.cold_chunks(
-                ps, DRAM, need_chunks, max_temperature=cfg.cold_threshold
-            )
+            cold = ps.coldest_in(DRAM, need_chunks, max_temperature=cfg.cold_threshold)
             if cold.size == 0:
                 continue
             room = max(0, cxl_free) // ps.chunk_size

@@ -17,6 +17,7 @@ import numpy as np
 from ..scenarios.build import realize
 from ..scenarios.paper import ext_decomposition_family
 from ..scenarios.spec import ScenarioSpec
+from ..util.errors import SchedulingError
 from ..wms.decompose import decompose_task
 from ..wms.planner import WorkflowManager
 from ..workflows.dag import chain_workflow
@@ -46,8 +47,9 @@ def _decomposition_cell(scenario: ScenarioSpec, decomposed: bool) -> list[float]
             mgr.submit(chain_workflow(f"{spec.name}.chain", [spec]))
     for spec in dm_stream:
         env.scheduler.submit(spec)
-    while not (mgr.all_complete and env.scheduler.all_done):
-        env.engine.step()
+
+    def done() -> bool:  # samples between events; nothing is resident before the first
+        nonlocal peak_big
         big_resident = sum(
             ps.mapped_bytes
             for node in env.topology.nodes
@@ -55,6 +57,10 @@ def _decomposition_cell(scenario: ScenarioSpec, decomposed: bool) -> list[float]
             if ps.owner.startswith("big-")
         )
         peak_big = max(peak_big, big_resident)
+        return mgr.all_complete and env.scheduler.all_done
+
+    if not env.engine.run(stop=done):
+        raise SchedulingError("deadlock: jobs unfinished with no events pending")
     metrics = env.metrics
     dm_times = [t.execution_time for t in metrics.completed() if t.wclass == "DM"]
     out = [metrics.makespan(), float(np.mean(dm_times)), peak_big / (1 << 20)]

@@ -18,6 +18,7 @@ from ..envs.environments import EnvKind
 from ..scenarios.build import realize
 from ..scenarios.paper import ext_shared_inputs_family
 from ..scenarios.spec import ScenarioSpec
+from ..util.errors import SchedulingError
 from ..util.units import GiB
 from .common import CHUNK, SCALE, FigureResult, SweepSpec, family_provenance, sweep
 
@@ -30,19 +31,24 @@ __all__ = ["run_shared_inputs"]
 def _shared_inputs_cell(scenario: ScenarioSpec) -> list[float]:
     """[mean DM exec, peak resident MiB, staged copies] for one environment.
 
-    Steps the engine manually to sample cluster residency at every event,
-    which :meth:`Environment.run_batch` cannot do.
+    Samples cluster residency in the engine's stop check, i.e. between
+    every two events, which :meth:`Environment.run_batch` cannot do.
     """
     realized = realize(scenario)
     env, members = realized.env, realized.tasks
     env.scheduler.submit_batch(members)
     peak_resident = 0
-    while not env.scheduler.all_done:
-        env.engine.step()
+
+    def done() -> bool:
+        nonlocal peak_resident
         resident = sum(
             node.rss(t) for node in env.topology.nodes for t in (0, 1, 2)
         )
         peak_resident = max(peak_resident, resident)
+        return env.scheduler.all_done
+
+    if not env.engine.run(stop=done):
+        raise SchedulingError("deadlock: jobs unfinished with no events pending")
     metrics = env.metrics
     copies = (
         1.0

@@ -53,6 +53,11 @@ def _stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return sel[np.argsort(keys[sel], kind="stable")]
 
 
+#: the result of a candidate query that finds nothing (frozen so a caller
+#: can never mutate it in place)
+_NO_CHUNKS = np.empty(0, dtype=np.intp)
+_NO_CHUNKS.setflags(write=False)
+
 #: per-chunk array fields mirrored into the node arena, in layout order
 ARRAY_FIELDS = ("tier", "temperature", "access_weight", "pinned", "in_page_cache", "region")
 
@@ -248,31 +253,50 @@ class PageSet:
         *,
         include_pinned: bool = False,
         exclude_regions: Iterable[int] = (),
+        max_temperature: Optional[float] = None,
     ) -> np.ndarray:
         """Up to ``max_chunks`` chunk indices in ``tier``, coldest first.
 
         Pinned chunks and excluded regions are filtered out unless asked
-        for; this is the primitive both the LRU baseline and Algorithm 2
-        build their victim lists from.
+        for, and with ``max_temperature`` every chunk above it; this is
+        the primitive both the LRU baseline and Algorithm 2 build their
+        victim lists from.  Filtering before the top-k gives the list the
+        unfiltered top-k cut at the bar would (after the first entry past
+        the bar, all are past it), with a tiny partition when only a
+        sliver of the tier qualifies (the proactive-swap common case).
         """
         require(max_chunks >= 0, "max_chunks must be >= 0")
-        cand = self.chunks_in(tier)
-        if cand.size == 0 or max_chunks == 0:
-            return cand[:0]
+        mask = self._tier == int(tier)
+        if max_chunks == 0 or not mask.any():
+            return _NO_CHUNKS
+        temp = self._temperature
         if not include_pinned:
-            cand = cand[~self.pinned[cand]]
+            mask &= ~self._pinned
         for rid in exclude_regions:
-            cand = cand[self.region[cand] != rid]
+            mask &= self._region != rid
+        if max_temperature is not None:
+            mask &= temp <= max_temperature
+        cand = mask.nonzero()[0]
         if cand.size == 0:
             return cand
-        return cand[_stable_top_k(self.temperature[cand], max_chunks)]
+        return cand[_stable_top_k(temp[cand], max_chunks)]
 
-    def hottest_in(self, tier: TierKind, max_chunks: int) -> np.ndarray:
-        """Up to ``max_chunks`` chunk indices in ``tier``, hottest first."""
-        cand = self.chunks_in(tier)
-        if cand.size == 0 or max_chunks == 0:
-            return cand[:0]
-        return cand[_stable_top_k(-self.temperature[cand], max_chunks)]
+    def hottest_in(
+        self, tier: TierKind, max_chunks: int, *, min_temperature: Optional[float] = None
+    ) -> np.ndarray:
+        """Up to ``max_chunks`` chunk indices in ``tier``, hottest first;
+        with ``min_temperature``, only chunks at or above it (filtered
+        first, as in :meth:`coldest_in` with the order reversed)."""
+        mask = self._tier == int(tier)
+        if max_chunks <= 0 or not mask.any():
+            return _NO_CHUNKS
+        temp = self._temperature
+        if min_temperature is not None:
+            mask &= temp >= min_temperature
+        cand = mask.nonzero()[0]
+        if cand.size == 0:
+            return cand
+        return cand[_stable_top_k(-temp[cand], max_chunks)]
 
     # ------------------------------------------------------------------ #
     # access statistics

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..memory.system import NodeMemorySystem
 from ..memory.tiers import CXL
+from ..obs import percentile
 from ..util.validation import require
 
 __all__ = ["TaskMetrics", "FaultStats", "MetricsRegistry"]
@@ -229,8 +230,8 @@ class MetricsRegistry:
         """(p50, p95, p99) of a latency metric; requires completed tasks."""
         pool = self.latency_samples(metric, wclass)
         require(len(pool) > 0, f"no completed tasks for class {wclass!r}")
-        p50, p95, p99 = np.percentile(np.asarray(pool, dtype=float), self.QUANTILES)
-        return float(p50), float(p95), float(p99)
+        p50, p95, p99 = (percentile(pool, q) for q in self.QUANTILES)
+        return p50, p95, p99
 
     def workload_classes(self) -> list[str]:
         """Workload classes with at least one completed task, sorted."""

@@ -21,8 +21,9 @@ One file per recording plane, plus the one view an outside tool needs
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .insight import TEMP_QUANTILES, TIER_LABELS, InsightRecord
 from .telemetry import TelemetryRecord, split_label
@@ -45,18 +46,28 @@ _SIM_PID = 2        # simulated-time event track
 _MAIN_THREAD = 0    # tid for spans recorded by the parent process
 
 
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile on a sorted copy (no numpy dependency).
-
-    Empty input reads 0.0; a singleton reads its only element for any
-    ``q`` — the implementation behind the CLI's span and histogram
-    rollups.
+def percentile(values: Sequence[float], q: float) -> float:
+    """``np.percentile(values, q)`` (numpy's default ``linear`` method) of
+    finite ``values``, ``0 <= q <= 100``, in pure Python and to the bit:
+    the sorted values are interpolated at ``(n - 1) * q / 100`` as numpy's
+    ``_lerp`` does it (from the upper end when ``t >= 0.5``).  Empty input
+    reads 0.0.  The one percentile behind the latency tables, the service
+    class latencies and the ``obs`` rollups.
     """
     if not values:
         return 0.0
     ordered = sorted(values)
-    idx = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[idx]
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual)
+    if virtual >= n - 1:  # numpy reads both neighbours at the last index
+        lo = hi = -1
+    else:
+        hi = lo + 1
+    a, b = float(ordered[lo]), float(ordered[hi])
+    t = virtual - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 # --------------------------------------------------------------------------- #

@@ -123,8 +123,7 @@ class TieredDemandPolicy(MemoryPolicy):
             for tier in (CXL, PMEM):
                 if max_chunks <= 0:
                     break
-                hot = ps.hottest_in(tier, max_chunks)
-                hot = hot[ps.temperature[hot] >= self.promote_threshold]
+                hot = ps.hottest_in(tier, max_chunks, min_temperature=self.promote_threshold)
                 if hot.size == 0:
                     continue
                 moved = mem.migrate(ps, hot, DRAM)

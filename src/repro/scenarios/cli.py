@@ -14,13 +14,13 @@ Subcommands:
 * ``serve <name-or-file> [--windows] [--live DIR]`` — drive *service*
   scenarios (those with a ``[service]`` section) open-loop through
   :mod:`repro.service` and print their windowed reports.  Shares the
-  whole supervised-run machinery with ``run``; ``run`` executes the same
-  scenarios as closed batches of their background workload,
+  whole supervised-run machinery with ``run``,
 * ``verify`` — round-trip every registered scenario through both
   interchange forms (the CI gate).
 
 An unknown scenario name exits with status 2 and a usage message naming
-the registered families, before anything runs.
+the registered families, before anything runs; so does ``run`` naming a
+service scenario, which only ``serve`` runs.
 """
 
 from __future__ import annotations
@@ -372,6 +372,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.specs = args.resolve(args.ref)
         except KeyError as exc:
             parser.error(str(exc.args[0]))
+        served = [s.name for s in args.specs if s.service is not None]
+        if args.command == "run" and served:
+            parser.error(
+                f"service scenarios (with a [service] section) run with "
+                f"'scenarios serve', not 'scenarios run': {', '.join(served)}"
+            )
     return int(args.fn(args))
 
 

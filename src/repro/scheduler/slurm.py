@@ -428,11 +428,11 @@ class SlurmScheduler:
 
     def run_to_completion(self, max_time: float = 1e9) -> None:
         """Drive the engine until every submitted job finishes."""
+        engine = self.engine
         with obs.span("sched.run_to_completion", jobs=len(self.jobs)):
-            while not self.all_done:
-                if not self.engine.step():
-                    raise SchedulingError(
-                        f"deadlock: {self.pending_count} jobs queued, no events pending"
-                    )
-                if self.engine.now > max_time:
-                    raise SchedulingError(f"jobs still unfinished at t={self.engine.now}")
+            if not engine.run(stop=lambda: engine.now > max_time or self.all_done):
+                raise SchedulingError(
+                    f"deadlock: {self.pending_count} jobs queued, no events pending"
+                )
+            if engine.now > max_time:
+                raise SchedulingError(f"jobs still unfinished at t={engine.now}")

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..metrics.collector import MetricsRegistry
 from ..metrics.report import format_table
+from ..obs import percentile
 from ..util.validation import require
 
 __all__ = ["ClassLatency", "ServiceReport", "WindowAccumulator", "WindowRecord"]
@@ -347,12 +348,11 @@ class WindowAccumulator:
                 steady_pool.setdefault(tm.wclass, []).append(float(tm.turnaround))
         class_latency = []
         for wclass in sorted(steady_pool):
-            pool = np.asarray(steady_pool[wclass], dtype=float)
-            p50, p95, p99 = np.percentile(pool, MetricsRegistry.QUANTILES)
+            pool = steady_pool[wclass]
+            p50, p95, p99 = (percentile(pool, q) for q in MetricsRegistry.QUANTILES)
             class_latency.append(
                 ClassLatency(
-                    wclass, len(pool), float(np.mean(pool)),
-                    float(p50), float(p95), float(p99),
+                    wclass, len(pool), float(np.mean(pool)), p50, p95, p99,
                 )
             )
 

@@ -2,7 +2,7 @@
 
 :class:`ServiceRun` is to a long-lived cluster what
 :meth:`~repro.envs.environments.Environment.run_batch` is to an
-experiment: it owns the drive loop.  The moving parts:
+experiment: it drives the engine.  The moving parts:
 
 * **one pending arrival event** — each firing submits (or sheds) the
   arrival and schedules the next, so a stream of millions of arrivals
@@ -14,9 +14,10 @@ experiment: it owns the drive loop.  The moving parts:
   (:mod:`repro.service.admission`) deciding accept/shed per lazy
   :class:`~repro.service.stream.Arrival`, whose task is built only once
   admitted;
-* a custom drain condition: the run is over when the stream is exhausted
-  *and* the scheduler is idle (``run_to_completion`` alone would exit in
-  any momentary gap between arrivals).
+* a custom stop condition for :meth:`~repro.sim.engine.SimulationEngine.run`:
+  the run is over when the stream is exhausted *and* the scheduler is
+  idle (``run_to_completion`` alone would exit in any momentary gap
+  between arrivals).
 
 Everything else — window assembly, warm-up truncation, steady-state
 tails — happens after the clock stops, in
@@ -238,17 +239,20 @@ class ServiceRun:
             engine.run(until=self._origin + svc.horizon)
             self._generated_all = True
             return
-        while not (self._generated_all and self.scheduler.all_done):
-            if not engine.step():
-                if self._generated_all:
-                    break
-                raise SchedulingError(
-                    "service deadlock: stream not exhausted but no events pending"
-                )
-            if engine.now > self.max_time:
-                raise SchedulingError(
-                    f"service still running at t={engine.now} (max_time={self.max_time})"
-                )
+        max_time = self.max_time
+        stopped = engine.run(
+            stop=lambda: engine.now > max_time
+            or (self._generated_all and self.scheduler.all_done)
+        )
+        if engine.now > max_time:
+            raise SchedulingError(
+                f"service still running at t={engine.now} (max_time={max_time})"
+            )
+        # a drained queue ends the run once the stream is exhausted
+        if not (stopped or self._generated_all):
+            raise SchedulingError(
+                "service deadlock: stream not exhausted but no events pending"
+            )
 
 
 def serve(

@@ -33,6 +33,7 @@ class SimulationEngine:
     >>> _ = eng.schedule(2.0, lambda: fired.append(eng.now))
     >>> _ = eng.schedule(1.0, lambda: fired.append(eng.now))
     >>> eng.run()
+    False
     >>> fired
     [1.0, 2.0]
     """
@@ -136,17 +137,29 @@ class SimulationEngine:
         ev.fn()
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+        *,
+        stop: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """Fire events until ``stop()`` is true, the queue drains, the next
+        event lies past ``until``, or ``max_events`` have fired: the one
+        loop that fires events.
 
-        When stopping on ``until``, the clock is advanced to exactly
-        ``until`` (pending later events stay queued), matching the usual
-        "run for T seconds" semantics.
+        ``stop`` is checked before every event and after the last one.
+        Returns True when ``stop()`` ended the run, so a caller can tell
+        its own stop from a drained queue without asking again.  The clock
+        moves to ``until`` only when the run ended on it (nothing is left
+        at or before it); a run ended by ``stop`` or ``max_events`` leaves
+        the clock at its last fired event.
         """
         if self._running:
             raise SimulationError("engine is not re-entrant: run() called from within run()")
         self._running = True
         fired = 0
+        stopped = reached = False
         # Spans wrap the whole drain, never individual events — step() is
         # the hot path and stays uninstrumented.
         tel_on = obs.enabled()
@@ -155,12 +168,14 @@ class SimulationEngine:
             run_span = obs.span("sim.run", start=self.now).__enter__()
         try:
             while True:
+                if stop is not None and stop():
+                    stopped = True
+                    break
                 if max_events is not None and fired >= max_events:
                     break
                 nxt = self.peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
+                if nxt is None or (until is not None and nxt > until):
+                    reached = True
                     break
                 self.step()
                 fired += 1
@@ -170,13 +185,14 @@ class SimulationEngine:
                 run_span.set(end=self.now)
                 run_span.__exit__(None, None, None)
                 obs.counter("sim.events_fired", self.events_fired - fired_before)
-        if until is not None and self.now < until:
+        if reached and until is not None and self.now < until:
             self.now = until
         # End-of-drain consistency check: the O(1) live counter must still
         # match a heap recount after everything above has fired.
         checker = inv.active()
         if checker.enabled:
             checker.engine(self)
+        return stopped
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.

@@ -115,8 +115,7 @@ class WorkflowManager:
     def run_to_completion(self, max_time: float = 1e9) -> None:
         """Drive the engine until every submitted workflow completes."""
         engine = self.scheduler.engine
-        while not self.all_complete:
-            if not engine.step():
-                raise WorkflowError("deadlock: workflows incomplete with no pending events")
-            if engine.now > max_time:
-                raise WorkflowError(f"workflows still unfinished at t={engine.now}")
+        if not engine.run(stop=lambda: engine.now > max_time or self.all_complete):
+            raise WorkflowError("deadlock: workflows incomplete with no pending events")
+        if engine.now > max_time:
+            raise WorkflowError(f"workflows still unfinished at t={engine.now}")

@@ -301,7 +301,7 @@ class TestKernelEquivalence:
             slot = arena._tasks[ps_k.owner].slot
             for tier in (DRAM, PMEM, CXL, SWAP):
                 assert np.array_equal(
-                    arena.hot_chunks(ps_k, tier, k, min_temperature=thr),
+                    ps_k.hottest_in(tier, k, min_temperature=thr),
                     reference_hot_candidates(ps_r, tier, k, thr),
                 )
                 # the promote pass scans a (task, tier) pair only when
@@ -310,7 +310,7 @@ class TestKernelEquivalence:
                     reference_hot_candidates(ps_r, tier, ps_r.n_chunks, thr).size
                 )
                 assert np.array_equal(
-                    arena.cold_chunks(ps_k, tier, k, max_temperature=thr),
+                    ps_k.coldest_in(tier, k, max_temperature=thr),
                     reference_cold_candidates(ps_r, tier, k, thr),
                 )
 

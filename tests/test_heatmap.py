@@ -100,11 +100,3 @@ class TestIdleFraction:
 
     def test_empty_pageset(self):
         assert idle_fraction(fresh_ps(4)) == 0.0
-
-
-class TestColdChunks:
-    def test_threshold(self):
-        ps = fresh_ps(4)
-        ps.temperature[:] = [0.0, 0.005, 0.5, 1.0]
-        cold = PageHeatmap().cold_chunks(ps, threshold=0.01)
-        assert list(cold) == [0, 1]

@@ -6,6 +6,7 @@ import pytest
 from repro.core.flags import MemFlag
 from repro.core.movement import IntelligentPageMovement, MovementConfig
 from repro.core.replacement import PageReplacementPolicy
+from repro.memory.pageset import PageSet
 from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import CXL, DRAM, PMEM, SWAP
 from repro.policies.base import PolicyContext
@@ -116,13 +117,13 @@ class TestPromoteCandidateCounts:
             node.place(ps, np.arange(ps.n_chunks), tier)
             ps.temperature[:] = temps
         scans = []
-        real = node.arena.hot_chunks
+        real = PageSet.hottest_in
 
         def spy(ps, tier, max_chunks, **kw):
             scans.append((ps.owner, tier))
             return real(ps, tier, max_chunks, **kw)
 
-        monkeypatch.setattr(node.arena, "hot_chunks", spy)
+        monkeypatch.setattr(PageSet, "hottest_in", spy)
         movement.tick(ctx, promote_budget_bytes=MiB(4))
         assert scans == [("swap-hot", SWAP), ("pmem-hot", PMEM), ("cxl-hot", CXL)]
         for owner in ("swap-hot", "pmem-hot", "cxl-hot"):

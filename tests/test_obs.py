@@ -8,6 +8,7 @@ import os
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import obs
 from repro.metrics.collector import MetricsRegistry
@@ -459,6 +460,24 @@ class TestCli:
         for row in ledger:
             assert printed(*row)
 
+    def test_summary_percentiles_match_the_scenario_table(self, tmp_path, capsys):
+        # both read the run's execution times through the one percentile
+        from repro.obs.cli import main
+        from repro.scenarios import run_scenario
+        from repro.scenarios.registry import scenario
+
+        tel = obs.Telemetry("fig05")
+        with obs.session(tel):
+            out = run_scenario(scenario("fig05/IMME"))
+        write_run_dir(tel.snapshot(), str(tmp_path))
+        assert main(["summary", str(tmp_path), "--json"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)
+        (row,) = [r for r in doc["histograms"] if r["histogram"] == "execution_time"]
+        assert row["count"] == out.completed
+        assert [row[f"p{q}"] for q in (50, 95, 99)] == [
+            out.percentile("execution_time", q) for q in (50, 95, 99)
+        ]
+
 
 class TestRecordSize:
     def test_spans_do_not_grow_with_daemon_ticks(self):
@@ -557,6 +576,20 @@ class TestPercentileHelper:
         assert percentile(values, 50) == 3.0
         assert percentile(values, 75) == 4.0
         assert percentile(values, 100) == 5.0
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        q=st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_equals_numpy_linear(self, values, q):
+        import numpy as np
+
+        from repro.obs.exporters import percentile
+
+        with np.errstate(all="ignore"):  # b - a may overflow, in both
+            want = float(np.percentile(np.asarray(values, dtype=float), q))
+        got = percentile(values, q)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # --------------------------------------------------------------------------- #

@@ -326,6 +326,25 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("ref", ["ext-open-system", "ext-open-system/IMME:0.10"])
+    def test_run_refuses_a_service_scenario(self, ref, tmp_path, monkeypatch, capsys):
+        import repro.scenarios.cli as cli
+
+        def must_not_run(*_args, **_kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", must_not_run)
+        monkeypatch.setattr(cli, "run_service", must_not_run)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", ref, "--cache-dir", str(cache)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "ext-open-system/IMME:0.10" in err and "scenarios serve" in err
+        assert list(cache.iterdir()) == []
+
     def test_serve_takes_windows_and_live(self, tmp_path, capsys):
         live = tmp_path / "live"
         argv = ["serve", "ext-open-system/IMME:0.10", "--no-cache",

@@ -46,9 +46,12 @@ from repro.service import (
     trace_process,
     uniform_process,
 )
+from repro.util.errors import SchedulingError
 from repro.util.rng import RngFactory
 from repro.util.units import GiB, KiB, MiB
 from repro.workflows.ensembles import paper_batch
+
+from conftest import simple_task
 
 TINY = 1.0 / 2048.0
 CHUNK = KiB(256)
@@ -523,6 +526,21 @@ class TestServiceRun:
         assert dm.count == 6
         assert dm.p50 <= dm.p95 <= dm.p99
         assert "steady state" in rep.to_table()
+
+    def test_drained_engine_before_the_stream_ends_is_a_deadlock(self):
+        # a live run's window tick keeps the queue non-empty, so only the
+        # drive step itself can meet a drained engine
+        env = tiny_env()
+        spec = ServiceSpec(rate=0.5, max_arrivals=6, window=10.0, warmup="none")
+        run = ServiceRun(env, spec, scale=TINY, seed=1)
+        env.stop()  # nothing is pending, and the stream never started
+        env.scheduler.submit(simple_task("huge", cores=100_000))  # never fits
+        with pytest.raises(SchedulingError, match="service deadlock"):
+            run._drive()
+        # once the stream is exhausted, a drained engine ends the run
+        run._generated_all = True
+        run._drive()
+        assert not env.scheduler.all_done
 
     def test_repeat_run_is_bit_identical(self):
         def once():

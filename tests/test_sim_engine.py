@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro import obs
+from repro.envs.environments import EnvKind, make_environment
+from repro.resilience import InvariantChecker
+from repro.service import ServiceSpec, serve
 from repro.sim.engine import SimulationEngine
 from repro.util.errors import SimulationError
+from repro.util.units import KiB, MiB
+from repro.wms.planner import WorkflowManager
+from repro.workflows.dag import chain_workflow
+
+from conftest import simple_task
 
 
 class TestScheduling:
@@ -117,6 +126,17 @@ class TestRunControl:
         engine.run(max_events=2)
         assert fired == [0, 1]
 
+    def test_max_events_before_until_leaves_the_clock_at_the_last_event(self, engine):
+        # moving the clock to ``until`` past the two pending events would
+        # make the next run fire them in the past
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            engine.schedule_at(t, lambda t=t: fired.append(t))
+        engine.run(until=10.0, max_events=1)
+        assert fired == [1.0] and engine.now == 1.0 and engine.pending() == 2
+        engine.run()
+        assert fired == [1.0, 2.0, 3.0] and engine.now == 3.0
+
     def test_step_returns_false_when_empty(self, engine):
         assert engine.step() is False
 
@@ -145,6 +165,105 @@ class TestRunControl:
         eng.schedule(1.0, lambda: None)
         eng.run()
         assert eng.now == 101.0
+
+
+class TestRunStop:
+    @staticmethod
+    def three_events(engine):
+        fired = []
+        for t in (3.0, 1.0, 2.0):
+            engine.schedule_at(t, lambda t=t: fired.append(t))
+        return fired
+
+    def test_true_before_the_first_event_fires_nothing(self, engine):
+        fired = self.three_events(engine)
+        assert engine.run(stop=lambda: True) is True
+        assert fired == [] and engine.now == 0.0 and engine.pending() == 3
+
+    def test_checked_before_every_event_and_after_the_last(self, engine):
+        fired = self.three_events(engine)
+        seen = []
+
+        def stop():
+            seen.append(len(fired))
+            return False
+
+        assert engine.run(stop=stop) is False
+        assert seen == [0, 1, 2, 3]
+
+    def test_leaves_the_clock_at_the_last_fired_event(self, engine):
+        fired = self.three_events(engine)
+        assert engine.run(until=10.0, stop=lambda: len(fired) == 2) is True
+        assert fired == [1.0, 2.0] and engine.now == 2.0 and engine.pending() == 1
+
+    def test_without_stop_drains_as_before(self, engine):
+        fired = self.three_events(engine)
+        assert engine.run() is False
+        assert fired == [1.0, 2.0, 3.0] and engine.now == 3.0 and engine.pending() == 0
+
+
+class TestEveryRunIsChecked:
+    """Batch, service and workflow runs fire their events through
+    ``SimulationEngine.run``, so each ends with its heap recount and
+    records its ``sim.run`` span and ``sim.events_fired`` counter."""
+
+    @pytest.fixture
+    def recounts(self, monkeypatch):
+        seen = []
+        real = InvariantChecker.engine
+
+        def spy(checker, engine):
+            seen.append(engine)
+            real(checker, engine)
+
+        monkeypatch.setattr(InvariantChecker, "engine", spy)
+        with obs.session(checker=InvariantChecker()):
+            yield seen
+
+    @staticmethod
+    def env():
+        return make_environment(
+            EnvKind.IMME, n_nodes=1, dram_capacity=MiB(32), chunk_size=KiB(256)
+        )
+
+    @staticmethod
+    def batch(env):
+        env.run_batch([simple_task(f"t{i}", base_time=1.0) for i in range(3)])
+
+    @staticmethod
+    def service(env):
+        spec = ServiceSpec(rate=0.5, max_arrivals=4, window=10.0, warmup="none")
+        serve(env, spec, scale=1.0 / 2048.0, seed=1)
+
+    @pytest.mark.parametrize("drive", ["batch", "service"])
+    def test_batch_and_service_runs_are_recounted(self, drive, recounts):
+        env = self.env()
+        getattr(self, drive)(env)
+        env.stop()
+        assert env.engine in recounts
+
+    def test_workflow_run_is_recounted(self, recounts):
+        env = self.env()
+        mgr = WorkflowManager(env.scheduler)
+        mgr.submit(chain_workflow("w", [simple_task(f"w{i}", base_time=1.0) for i in range(2)]))
+        mgr.run_to_completion()
+        env.stop()
+        assert env.engine in recounts
+
+    @pytest.mark.parametrize(
+        "drive, parent", [("batch", "sched.run_to_completion"), ("service", "service.run")]
+    )
+    def test_batch_and_service_runs_record_the_drain(self, drive, parent):
+        tel = obs.Telemetry("t")
+        with obs.session(tel):
+            env = self.env()
+            getattr(self, drive)(env)
+            env.stop()
+        record = tel.snapshot()
+        names = {s.span_id: s.name for s in record.spans}
+        runs = [s for s in record.spans if s.name == "sim.run"]
+        assert len(runs) == 1 and names[runs[0].parent_id] == parent
+        assert record.counters["sim.events_fired"] == env.engine.events_fired
 
 
 class TestLiveEventCounter:

@@ -100,3 +100,10 @@ class TestWorkflowManager:
         mgr.run_to_completion()
         assert mgr.all_complete
         assert len(metrics.completed()) == 6
+
+    def test_drained_engine_before_completion_is_a_deadlock(self, engine, metrics):
+        sched, _ = make_sched(engine, metrics, cores=4)
+        mgr = WorkflowManager(sched)
+        mgr.submit(chain_workflow("w", [simple_task("huge", cores=16), simple_task("next")]))
+        with pytest.raises(WorkflowError, match="deadlock"):
+            mgr.run_to_completion()
