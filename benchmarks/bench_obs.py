@@ -94,7 +94,7 @@ class _CountingTelemetry(obs.Telemetry):
         return super().span(*a, **kw)
 
 
-def test_disabled_overhead_budget(benchmark, core):
+def test_disabled_overhead_budget(benchmark):
     """emissions x null-dispatch cost must be < 2 % of the disabled run.
 
     The emission count comes from an *enabled* run of the same scenario
@@ -193,7 +193,7 @@ class _CountingInsight(_insight.Insight):
         super().sample(*a, **kw)
 
 
-def test_insight_overhead_budget(benchmark, core):
+def test_insight_overhead_budget(benchmark):
     """Two-sided proof against a movement-heavy reference scenario.
 
     Disabled: emissions x the measured null-probe cost must stay under

@@ -5,11 +5,15 @@ prints the same series the figure plots, and asserts the qualitative
 shape (who wins, roughly by how much).  Runs are deterministic, so a
 single round measures the harness cost without statistical noise.
 
-Simulation-core benchmarks carry the ``core`` fixture, which labels each
-leg with the core it runs: ``[arena]``, the exact arena core (the only
-one).  The label keeps the leg ids (``[arena]``, ``[arena-64]``,
-``[arena-200]``, ...) that CI's baseline comparison matches by name.
+The simulator-speed legs gate on same-run ratios (``ratio_gate``): each
+times its own work against a reference in the same test, so the gate
+reads the code's cost in units of the machine it runs on, not the
+machine's speed.
 """
+
+import gc
+import statistics
+import time
 
 import pytest
 
@@ -17,10 +21,57 @@ import pytest
 PAGE_SIZE = 4096
 
 
-@pytest.fixture(params=["arena"])
-def core(request):
-    """The simulation-core label of a benchmark leg (its test-id part)."""
-    return request.param
+#: consecutive blocks a gated leg's rounds are split into
+GATE_BLOCKS = 3
+
+
+@pytest.fixture
+def ratio_gate(benchmark):
+    """Time ``work`` against ``reference`` in the same run and assert that
+    their ratio stays under ``bound``.
+
+    ``work`` runs ``rounds`` timed rounds under pytest-benchmark.  Before
+    each, ``reference`` is timed once, right after the previous round,
+    and then ``setup`` runs (untimed; its return value, if any, is the
+    tuple of ``work``'s arguments), so both are timed with the same clock
+    while the machine is in the same state.  The collector is off while
+    they are timed, as under ``--benchmark-disable-gc``, so a collection
+    of earlier garbage lands in neither.  The rounds are split into
+    :data:`GATE_BLOCKS` consecutive blocks; a block's ratio is its median
+    work time over its median reference time, and the leg's ratio is the
+    lowest block's: a stall of the machine that slows one block cannot
+    fail the gate, while a slower code path slows every block.  The ratio
+    and its bound are recorded in ``extra_info``; returns the ratio.
+    """
+
+    def _gate(work, reference, bound, *, rounds, setup=None):
+        assert rounds % GATE_BLOCKS == 0, "rounds must split into whole blocks"
+        reference_s = []
+
+        def timed_setup():
+            t0 = time.perf_counter()
+            reference()
+            reference_s.append(time.perf_counter() - t0)
+            return (setup() if setup is not None else None) or (), {}
+
+        gc.disable()
+        try:
+            benchmark.pedantic(work, setup=timed_setup, rounds=rounds)
+        finally:
+            gc.enable()
+        work_s = benchmark.stats.stats.data
+        size = rounds // GATE_BLOCKS
+        ratio = min(
+            statistics.median(work_s[i:i + size]) / statistics.median(reference_s[i:i + size])
+            for i in range(0, rounds, size)
+        )
+        benchmark.extra_info["ratio"] = round(ratio, 4)
+        benchmark.extra_info["bound"] = bound
+        print(f"\n{ratio:.3f}x the reference (bound {bound})")
+        assert ratio < bound, f"{ratio:.3f}x the reference exceeds the bound {bound}"
+        return ratio
+
+    return _gate
 
 
 @pytest.fixture
@@ -29,10 +80,10 @@ def record_throughput(benchmark):
 
     A *cell* is one page-chunk's worth of simulation state touched per
     operation; dividing by the measured median converts the timing into
-    the throughput number the CI regression gate and BENCH_simulator.json
-    track per leg.  The median (not the mean) keeps the recorded
-    number stable on noisy shared runners, where scheduler steal inflates
-    a benchmark's tail rounds by an order of magnitude.
+    a throughput for the trajectory artifact, for information: the gate
+    is the leg's same-run ratio.  The median (not the mean) keeps the
+    recorded number stable on noisy shared runners, where scheduler
+    steal inflates a benchmark's tail rounds by an order of magnitude.
     """
 
     def _record(n_cells, chunk_size=None):

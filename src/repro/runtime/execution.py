@@ -72,8 +72,6 @@ class TaskExecution:
         self.client: Optional[TieredMemoryClient] = None
         self.state = TaskState.PENDING
         self.phase_index = -1
-        #: progress rate the node agent last installed (work-seconds per second)
-        self.current_rate = 0.0
         self._phase_started_at = 0.0
         self._attached_shared: list[str] = []
         #: cgroup memory.max enforcement (None limit = uncapped)
@@ -279,6 +277,17 @@ class TaskExecution:
     @property
     def phase(self):
         return self.spec.phases[self.phase_index]
+
+    @property
+    def current_rate(self) -> float:
+        """The progress rate the node agent last installed (work-seconds
+        per second): this task's row of the agent's rate table, 0.0 when
+        it has none (not started, or no longer running)."""
+        table = self.agent.table
+        i = table.index.get(self.spec.name)
+        if i is None or table.tasks[i] is not self:
+            return 0.0
+        return float(table.rate[i])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

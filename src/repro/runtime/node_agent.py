@@ -334,10 +334,7 @@ class NodeAgent:
         if tasks:
             self._rated_penalty = penalty = self._migration_penalty()
             table.rebin()
-            rates = (1.0 / self._slowdowns(table, penalty)) * table.scale
-            moved = table.advance(rates)
-            for i, rate in zip(moved.tolist(), table.rate[moved].tolist()):
-                tasks[i].current_rate = rate
+            table.advance((1.0 / self._slowdowns(table, penalty)) * table.scale)
         else:
             self.memory.migration_bytes_window = 0
             self._rated_penalty = 0.0
@@ -401,11 +398,8 @@ class NodeAgent:
     # daemon
     # ------------------------------------------------------------------ #
     def _daemon_tick(self, now: float) -> None:
-        rates = {
-            owner: te.current_rate
-            for owner, te in self.running.items()
-            if te.state is TaskState.RUNNING
-        }
+        table = self.table
+        rates = dict(zip((te.spec.name for te in table.tasks), table.rate.tolist()))
         self.heatmap.advance_node(self.memory, self.daemon_interval, rates)
         self.policy.tick(self.context)
         if obs.enabled():

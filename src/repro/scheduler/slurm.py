@@ -427,8 +427,20 @@ class SlurmScheduler:
         return not self.queue and all(j.finished for j in self.jobs.values())
 
     def run_to_completion(self, max_time: float = 1e9) -> None:
-        """Drive the engine until every submitted job finishes."""
+        """Drive the engine until every submitted job finishes.
+
+        A queued job that needs more cores than any node has can never
+        start, and the daemon and sampler ticks keep the engine from
+        draining, so that deadlock is raised before any event fires.
+        """
         engine = self.engine
+        most = max(agent.cores for agent in self.agents)
+        for job in self.queue:
+            if job.spec.cores > most:
+                raise SchedulingError(
+                    f"deadlock: job {job.name!r} needs {job.spec.cores} cores, "
+                    f"the largest node has {most}"
+                )
         with obs.span("sched.run_to_completion", jobs=len(self.jobs)):
             if not engine.run(stop=lambda: engine.now > max_time or self.all_done):
                 raise SchedulingError(

@@ -7,6 +7,7 @@ from repro.envs.environments import EnvKind, Environment, EnvironmentConfig, mak
 from repro.memory.tiers import CXL, DRAM, PMEM
 from repro.policies.linux import LinuxSwapPolicy
 from repro.policies.tpp import TieredDemandPolicy
+from repro.util.errors import SchedulingError
 from repro.util.units import KiB, MiB
 
 from conftest import simple_task
@@ -72,6 +73,14 @@ class TestRunBatch:
         end = env.engine.now
         env.engine.run(max_events=1000)
         assert env.engine.now == end
+
+    def test_job_no_node_can_hold_deadlocks_before_any_event(self):
+        # the insight sampler keeps the engine from draining, so without the
+        # up-front check this run would tick until max_time
+        env = env_of(EnvKind.CBE, dram=MiB(32))
+        with pytest.raises(SchedulingError, match="deadlock"):
+            env.run_batch([simple_task("huge", cores=100_000)])
+        assert env.engine.events_fired == 0
 
     def test_imme_stages_images_before_launch(self):
         env = env_of(EnvKind.IMME, dram=MiB(32))
