@@ -15,7 +15,8 @@ contiguous arena of parallel numpy arrays::
 and runs the hot path as whole-node kernels: one fused
 decay+classification pass (:meth:`advance`), cross-task victim and
 promotion selection via masked ``argpartition`` (:meth:`select_victims`,
-:meth:`global_coldest`), and vectorised tier/weight reductions
+:meth:`global_coldest`), the promote pass's candidates in one masked pass
+(:meth:`promotion_candidates`), and vectorised tier/weight reductions
 (:meth:`counts_by_tier`, :meth:`evictable_bytes`), so a daemon tick pays
 no Python dispatch per task per primitive.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .. import obs
 from ..memory.pageset import NO_REGION, UNMAPPED
-from ..memory.tiers import NUM_TIERS, TierKind
+from ..memory.tiers import DRAM, NUM_TIERS, TierKind
 from ..util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -351,29 +352,29 @@ class NodeArena:
         return hi
 
     # ------------------------------------------------------------------ #
-    # kernel: which tasks hold promotion candidates
+    # kernel: promotion candidates
     # ------------------------------------------------------------------ #
-    def warm_by_task_tier(self, min_temperature: float) -> np.ndarray:
-        """``bool[n_slots, NUM_TIERS]``: whether each task holds a mapped
-        chunk at or above ``min_temperature`` in each tier, i.e. whether
-        ``ps.hottest_in`` with that bar can find anything there.
-
-        Task segments are contiguous, so each tier is one OR-reduction
-        over the segment map: a few passes over ``[:hi]`` however many
-        chunks are warm (a composite ``bincount`` pays per warm chunk).
+    def promotion_candidates(
+        self, min_temperature: float
+    ) -> tuple[np.ndarray, dict[int, int]]:
+        """Every mapped chunk below DRAM at or above ``min_temperature``,
+        in one pass over ``[:hi]``: their mask over ``[:hi]``, and for each
+        task slot that holds one the tiers it holds them in, as a bit set
+        (bit ``tier``; bit 0 is noise, as DRAM is never a source).  Task
+        segments are contiguous, so each task's bits are one OR-reduction
+        over the segment map; free runs hold no mapped chunk.
         """
-        out = np.zeros((max(1, len(self._slots)), NUM_TIERS), dtype=bool)
         hi = self.hi
-        if hi == 0:
-            return out
-        _, _, _, seg_start, seg_slot = self._segments()
-        task_run = seg_slot >= 0
-        slots = seg_slot[task_run]
-        warm = self.temperature[:hi] >= min_temperature
         tier = self.tier[:hi]
-        for t in range(NUM_TIERS):
-            out[slots, t] = np.logical_or.reduceat(warm & (tier == t), seg_start)[task_run]
-        return out
+        warm = self.temperature[:hi] >= min_temperature
+        warm &= tier > int(DRAM)
+        if not warm.any():
+            return warm, {}
+        _, _, _, seg_start, seg_slot = self._segments()
+        bits = np.bitwise_or.reduceat(np.left_shift(1, tier * warm), seg_start)
+        return warm, {
+            slot: held for slot, held in zip(seg_slot.tolist(), bits.tolist()) if held > 1
+        }
 
     # ------------------------------------------------------------------ #
     # kernel: cross-task victim selection (Algorithm 2's global scan)

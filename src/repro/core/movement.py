@@ -20,20 +20,25 @@ The movement daemon does four things each tick, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .. import obs
 from ..memory.pageset import DEFAULT_CHUNK_SIZE
 from ..obs import insight as _insight
-from ..memory.tiers import CXL, DRAM, PMEM, SWAP
+from ..memory.tiers import CXL, DRAM, PMEM, SWAP, TierKind
 from ..policies.base import PolicyContext
+from ..resilience import invariants as inv
 from ..util.validation import check_fraction, check_positive, require
 from .flags import MemFlag
 from .replacement import PageReplacementPolicy, is_protected
 
 __all__ = ["MovementConfig", "IntelligentPageMovement"]
+
+#: a query that finds nothing (frozen so a caller can never mutate it)
+_NONE = np.empty(0, dtype=np.intp)
+_NONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,72 @@ class MovementConfig:
         check_positive(self.compaction_min_bytes, "compaction_min_bytes")
 
 
+class _Candidates:
+    """One promote pass's candidates: every chunk below DRAM at or above
+    the promotion bar, taken in one whole-node pass
+    (:meth:`~repro.core.arena.NodeArena.promotion_candidates`).
+
+    Temperatures do not change inside a daemon tick, only tiers do, so a
+    query for (task, tier, k) keeps the task's candidates now in ``tier``
+    and selects the ``k`` hottest: ``hottest_in(tier, k,
+    min_temperature=bar)`` by construction.  ``held`` has the tiers each
+    task holds candidates in, and a pair outside it costs no numpy call.
+    A task's candidates are listed when it is first queried, since the
+    pass's budget often runs out after a few tasks.  Pull-ups and spills
+    move only candidates and mark where they land; an exchange's
+    demotions can make new ones, so the pass derives the set again after
+    each.  Under the invariant checker every query is checked against
+    ``hottest_in``.
+    """
+
+    __slots__ = ("arena", "bar", "warm", "held", "listed", "checker")
+
+    def __init__(self, arena, bar: float) -> None:
+        self.arena = arena
+        self.bar = bar
+        checker = inv.active()
+        self.checker = checker if checker.enabled else None
+        self.derive()
+
+    def derive(self) -> None:
+        self.warm, self.held = self.arena.promotion_candidates(self.bar)
+        self.listed: dict[int, np.ndarray] = {}
+
+    def holding(self, entries: list) -> Iterator:
+        """The ``entries`` holding a candidate, in order, each checked when
+        the pass reaches it; all of them under the checker, which then
+        checks that the others' queries come back empty."""
+        for entry in entries:
+            if self.checker is not None or entry.slot in self.held:
+                yield entry
+
+    def mark(self, slot: int, tiers: Iterable[int]) -> None:
+        """Candidates of task ``slot`` moved into ``tiers``."""
+        for tier in tiers:
+            self.held[slot] |= 1 << tier
+
+    def hottest(self, entry, tier: TierKind, k: int) -> np.ndarray:
+        """``entry.ps.hottest_in(tier, k, min_temperature=bar)``, taken
+        from the candidates."""
+        ps = entry.ps
+        t = int(tier)
+        if k > 0 and self.held.get(entry.slot, 0) >> t & 1:
+            cand = self.listed.get(entry.slot)
+            if cand is None:  # local indices, ascending
+                cand = np.flatnonzero(self.warm[entry.start : entry.start + entry.n])
+                self.listed[entry.slot] = cand
+            cand = ps.hottest_of(cand[ps.tier[cand] == t], k)
+        else:
+            cand = _NONE
+        checker = self.checker
+        if checker is not None:
+            checker.candidates(
+                f"{ps.owner} in {tier.name} on {self.arena.node_id}",
+                cand, ps.hottest_in(tier, k, min_temperature=self.bar),
+            )
+        return cand
+
+
 class IntelligentPageMovement:
     """The per-tick movement engine behind the IMME environment."""
 
@@ -104,52 +175,48 @@ class IntelligentPageMovement:
     # ------------------------------------------------------------------ #
     def _promote(self, ctx: PolicyContext, budget_bytes: int) -> None:
         mem = ctx.memory
-        arena = mem.arena
         cfg = self.config
-        thr = cfg.promote_threshold
-        entries = list(arena.entries())
         # Running room counters replace the mem.free() re-read per pageset:
         # every migration's effect on free space is a closed-form delta
         # (moved bytes, minus any DRAM shadows the move dropped), so the
         # counters stay bit-exact against the re-read while the loop does
-        # O(tasks) fewer accounting passes.  Likewise ``hot`` marks the
-        # (task slot, tier) pairs holding a promotion candidate, from one
-        # whole-node reduction, and a pair without one gets no scan (on a
-        # busy node most tasks have none in any slow tier).
+        # O(tasks) fewer accounting passes.  Likewise the candidates come
+        # from one whole-node pass, and a (task, tier) pair without one
+        # gets no scan (on a busy node most tasks have none in any slow
+        # tier, and most ticks find none at all).
+        cands = _Candidates(mem.arena, cfg.promote_threshold)
+        if not cands.held and cands.checker is None:
+            return  # the passes below would move and count nothing
+        entries = list(mem.arena.entries())
         # Pass 1 — swap-resident hot pages, globally, before anything else:
         # these are the most damaging, and must not be starved by
         # streaming workloads' tier-to-tier churn.
-        hot = arena.warm_by_task_tier(thr)
         room_bytes = {t: mem.free(t) for t in (DRAM, CXL, PMEM)}
-        for entry in entries:
+        for entry in cands.holding(entries):
             if budget_bytes <= 0:
                 return
-            if not hot[entry.slot, int(SWAP)]:
-                continue
             ps = entry.ps
-            hot_swap = ps.hottest_in(SWAP, budget_bytes // ps.chunk_size, min_temperature=thr)
+            hot_swap = cands.hottest(entry, SWAP, budget_bytes // ps.chunk_size)
             if hot_swap.size:
                 moved_idx = self._pull_up(ctx, ps, hot_swap, room_bytes=room_bytes)
                 if moved_idx.size:
+                    # a chunk pulled up past DRAM is a candidate where it landed
+                    cands.mark(entry.slot, np.unique(ps.tier[moved_idx]).tolist())
                     obs.counter("imme.promotions", int(moved_idx.size), source="swap")
                     # shadowed swap-ins are free remaps (minor); the rest
                     # were brought in by the background daemon, which the
                     # paper counts as converting major faults into minors.
                     ctx.record_minor(ps.owner, int(moved_idx.size))
                     budget_bytes -= int(moved_idx.size) * ps.chunk_size
-        # Pass 2 — PMem/CXL hot pages move toward DRAM.  Pass 1 pulled
-        # chunks up into PMem/CXL, so the candidates are found afresh.
-        hot = arena.warm_by_task_tier(thr)
+        # Pass 2 — PMem/CXL hot pages move toward DRAM.
         dram_free = mem.free(DRAM)
         cxl_free = mem.free(CXL)
-        for entry in entries:
+        for entry in cands.holding(entries):
             if budget_bytes <= 0:
                 return
             ps = entry.ps
             for tier in (PMEM, CXL):
-                if not hot[entry.slot, int(tier)]:
-                    continue
-                cand = ps.hottest_in(tier, budget_bytes // ps.chunk_size, min_temperature=thr)
+                cand = cands.hottest(entry, tier, budget_bytes // ps.chunk_size)
                 if cand.size == 0:
                     continue
                 room = max(0, dram_free) // ps.chunk_size
@@ -168,7 +235,7 @@ class IntelligentPageMovement:
                         dram_free = mem.free(DRAM)
                         cxl_free = mem.free(CXL)
                         room = max(0, dram_free) // ps.chunk_size
-                        hot = arena.warm_by_task_tier(thr)
+                        cands.derive()
                 take = cand[: int(room)]
                 if tier is PMEM and take.size < cand.size and cxl_free > 0:
                     # heatmap-driven PMem→CXL rebalance when DRAM is full:
@@ -179,7 +246,7 @@ class IntelligentPageMovement:
                     if spill.size:
                         mem.migrate(ps, spill, CXL)
                         # the spilled chunks are CXL candidates of this task
-                        hot[entry.slot, int(CXL)] = True
+                        cands.mark(entry.slot, (CXL,))
                         cxl_free -= int(spill.size) * ps.chunk_size
                         ctx.record_minor(ps.owner, int(spill.size))
                         budget_bytes -= int(spill.size) * ps.chunk_size

@@ -6,8 +6,11 @@ gets capacity/n, and any demand smaller than its share returns the surplus
 to the pool — the classical model of fair memory-controller arbitration and
 the behaviour the paper's Fig. 1 contention results reflect.
 
-All functions are vectorised; the per-node rate recomputation calls
-:func:`allocate_bandwidth` with an ``(n_tasks, n_tiers)`` demand matrix.
+All functions are vectorised.  The per-node rate recomputation calls
+:func:`kernel_allocation` with the ``(n_tasks, n_tiers)`` demand matrix it
+computed itself, so that path validates nothing; :func:`fair_share` and
+:func:`allocate_bandwidth` are the checked public entries, and
+:func:`fair_share` is the one-column reference the kernel is pinned to.
 """
 
 from __future__ import annotations
@@ -45,34 +48,32 @@ def fair_share(capacity: float, demands: np.ndarray) -> np.ndarray:
     d = np.asarray(demands, dtype=np.float64)
     require(bool(np.all(d >= 0)), "demands must be non-negative")
     require(capacity >= 0, "capacity must be non-negative")
-    n = d.size
-    alloc = np.zeros(n, dtype=np.float64)
-    if n == 0 or capacity <= 0:
-        return alloc
+    if d.size == 0 or capacity <= 0:
+        return np.zeros(d.size, dtype=np.float64)
     if d.sum() <= capacity:
         return d.copy()
+    return _fill(float(capacity), d)
 
+
+def _fill(capacity: float, d: np.ndarray) -> np.ndarray:
+    """Progressive filling of a contended column (``d.sum() > capacity``)."""
+    n = d.size
     order = np.argsort(d, kind="stable")
     sorted_d = d[order]
-    remaining = float(capacity)
-    # After satisfying the k smallest demands outright, the rest split the
-    # remainder equally.  Find the crossover point vectorised.
-    csum = np.cumsum(sorted_d)
-    k_alive = n - np.arange(n)  # demanders not yet fully satisfied at step i
-    # share if we satisfy all demands < sorted_d[i] and split rest equally:
-    prior = np.concatenate(([0.0], csum[:-1]))
-    equal_share = (capacity - prior) / k_alive
-    # The first index where the equal share no longer covers the demand is
-    # where filling stops.
-    saturated = sorted_d <= equal_share
-    sorted_alloc = np.where(saturated, sorted_d, 0.0)
-    unsat = ~saturated
-    if unsat.any():
-        first_unsat = int(np.argmax(unsat))
-        remaining = capacity - float(sorted_alloc[:first_unsat].sum())
+    # Satisfy the smallest demands outright while the equal split of what
+    # is left covers them; the first demand it does not cover, and every
+    # larger one, shares the remainder equally.
+    prior = np.empty(n)  # capacity spent on the demands before each one
+    prior[0] = 0.0
+    np.cumsum(sorted_d[:-1], out=prior[1:])
+    saturated = sorted_d <= (capacity - prior) / np.arange(n, 0, -1)
+    first_unsat = int(saturated.argmin())
+    if not saturated[first_unsat]:
+        remaining = capacity - float(sorted_d[:first_unsat].sum())
         share = remaining / (n - first_unsat)
-        sorted_alloc[first_unsat:] = np.minimum(sorted_d[first_unsat:], share)
-    alloc[order] = sorted_alloc
+        sorted_d[first_unsat:] = np.minimum(sorted_d[first_unsat:], share)
+    alloc = np.empty(n)
+    alloc[order] = sorted_d
     return alloc
 
 
@@ -91,7 +92,8 @@ def allocate_bandwidth(capacities: np.ndarray, demands: np.ndarray) -> np.ndarra
     Returns
     -------
     ndarray
-        ``float64[n_tasks, n_tiers]`` achieved throughput, fair per tier.
+        ``float64[n_tasks, n_tiers]`` achieved throughput, fair per tier:
+        column ``t`` is ``fair_share(capacities[t], demands[:, t])``.
     """
     demands = np.asarray(demands, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.float64)
@@ -100,9 +102,27 @@ def allocate_bandwidth(capacities: np.ndarray, demands: np.ndarray) -> np.ndarra
         capacities.shape == (demands.shape[1],),
         "capacities length must equal the tier dimension of demands",
     )
-    out = np.zeros_like(demands)
-    for t in range(demands.shape[1]):
-        col = demands[:, t]
-        if col.any():
-            out[:, t] = fair_share(float(capacities[t]), col)
+    require(bool(np.all(demands >= 0)), "demands must be non-negative")
+    # an all-zero column is never split, so only a demanded tier needs a
+    # non-negative capacity (fair_share's rule, column by column)
+    demanded = demands.any(axis=0)
+    require(bool(np.all(capacities[demanded] >= 0)), "capacity must be non-negative")
+    return kernel_allocation(capacities, demands)
+
+
+def kernel_allocation(capacities: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """:func:`allocate_bandwidth` without its checks, for the rate kernel's
+    own non-negative ``float64`` demands.
+
+    Each tier column is summed once, as a row of one contiguous transposed
+    copy: numpy sums a row pairwise, as ``fair_share``'s ``d.sum()`` sums a
+    column, so the ``sum <= capacity`` test is the same float comparison.
+    Uncontended columns are copied in one pass; only the contended ones
+    run the progressive fill.
+    """
+    cols = np.ascontiguousarray(demands.T)
+    totals = cols.sum(axis=1)
+    out = np.where(totals <= capacities, demands, 0.0)
+    for t in np.flatnonzero((totals > capacities) & (capacities > 0)).tolist():
+        out[:, t] = _fill(float(capacities[t]), cols[t])
     return out

@@ -290,13 +290,17 @@ class PageSet:
         mask = self._tier == int(tier)
         if max_chunks <= 0 or not mask.any():
             return _NO_CHUNKS
-        temp = self._temperature
         if min_temperature is not None:
-            mask &= temp >= min_temperature
-        cand = mask.nonzero()[0]
-        if cand.size == 0:
-            return cand
-        return cand[_stable_top_k(-temp[cand], max_chunks)]
+            mask &= self._temperature >= min_temperature
+        return self.hottest_of(mask.nonzero()[0], max_chunks)
+
+    def hottest_of(self, cand: np.ndarray, max_chunks: int) -> np.ndarray:
+        """Up to ``max_chunks`` of the chunks ``cand`` (ascending indices),
+        hottest first, ties in index order: the selection :meth:`hottest_in`
+        makes among the chunks its filters admit."""
+        if max_chunks <= 0 or cand.size == 0:
+            return cand[:0]
+        return cand[_stable_top_k(-self._temperature[cand], max_chunks)]
 
     # ------------------------------------------------------------------ #
     # access statistics

@@ -14,7 +14,10 @@ never break:
 * **the rate table is the kernel** — after every re-rating, and on every
   daemon tick that skips one, each running task runs at the rate the rate
   kernel derives from scratch, and the node's one completion event sits
-  at its earliest pending projected finish.
+  at its earliest pending projected finish,
+* **the promote pass sees every candidate** — each (task, tier) pair the
+  IMME promote pass reaches gets from its once-per-tick candidate set
+  exactly what ``PageSet.hottest_in`` finds from scratch.
 
 Checks are wired through the same null-object dispatch trick as
 :mod:`repro.obs`: every call site asks the *active* checker, which is a
@@ -76,6 +79,9 @@ class NullInvariantChecker:
         pass
 
     def completion(self, where: str, event: Any, earliest: Any) -> None:
+        pass
+
+    def candidates(self, where: str, have: Any, want: Any) -> None:
         pass
 
     def scheduler(self, sched: Any) -> None:
@@ -171,6 +177,16 @@ class InvariantChecker(NullInvariantChecker):
             self._fail(
                 f"completion event on {where} at {event!r}, "
                 f"earliest pending projection {earliest!r}"
+            )
+
+    def candidates(self, where: str, have: Any, want: Any) -> None:
+        """A promote-pass query's chunks must be the ones, in the order,
+        that ``PageSet.hottest_in`` selects from scratch."""
+        self.checks += 1
+        if have.tolist() != want.tolist():
+            self._fail(
+                f"promotion candidates of {where}: the pass takes "
+                f"{have.tolist()}, hottest_in gives {want.tolist()}"
             )
 
     # ------------------------------------------------------------------ #

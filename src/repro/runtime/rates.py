@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..memory.contention import allocate_bandwidth
+from ..memory.contention import kernel_allocation
 from ..memory.pageset import UNMAPPED, PageSet
 from ..memory.tiers import DRAM, MEMORY_TIERS, NUM_TIERS, SWAP, TierKind, TierSpec
 from ..util.units import ns, us
@@ -161,7 +161,7 @@ def kernel_slowdowns(
     ``capacities`` is each tier's attainable bandwidth now (0 when offline),
     shared by per-tier max-min fairness; utilisation drives loaded latency.
     A row's result depends on the other rows only through that sharing."""
-    achieved = allocate_bandwidth(capacities, _demands(profiles, terms[:, 3]))
+    achieved = kernel_allocation(capacities, _demands(profiles, terms[:, 3]))
     utilization = None
     if config.loaded_latency:
         utilization = np.divide(

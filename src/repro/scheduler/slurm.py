@@ -86,6 +86,12 @@ class SlurmScheduler:
         self.admission: "Optional[object]" = None
         #: arrivals turned away by the admission policy
         self.rejected = 0
+        #: set by :meth:`submit` for the first job that needs more cores
+        #: than any node has: it can never start, so every drive loop
+        #: (:meth:`run_to_completion`, the WMS's, a service run's) stops
+        #: on it and raises its own deadlock error with this reason
+        self.deadlock: Optional[str] = None
+        self._most_cores = max(agent.cores for agent in self.agents)
         for agent in self.agents:
             agent.on_capacity_freed.append(self._pump)
 
@@ -118,6 +124,11 @@ class SlurmScheduler:
         )
         self._next_job_id += 1
         self.jobs[job.job_id] = job
+        if spec.cores > self._most_cores and self.deadlock is None:
+            self.deadlock = (
+                f"job {job.name!r} needs {spec.cores} cores, "
+                f"the largest node has {self._most_cores}"
+            )
         tm = self.metrics.task(spec.name, spec.wclass.name)
         tm.submitted_at = self.engine.now
         self.queue.append(job)
@@ -429,22 +440,20 @@ class SlurmScheduler:
     def run_to_completion(self, max_time: float = 1e9) -> None:
         """Drive the engine until every submitted job finishes.
 
-        A queued job that needs more cores than any node has can never
-        start, and the daemon and sampler ticks keep the engine from
-        draining, so that deadlock is raised before any event fires.
+        A job that needs more cores than any node has can never start, and
+        the daemon and sampler ticks keep the engine from draining, so the
+        run stops on :attr:`deadlock` (before any event, for a job
+        submitted before the run).
         """
         engine = self.engine
-        most = max(agent.cores for agent in self.agents)
-        for job in self.queue:
-            if job.spec.cores > most:
-                raise SchedulingError(
-                    f"deadlock: job {job.name!r} needs {job.spec.cores} cores, "
-                    f"the largest node has {most}"
-                )
         with obs.span("sched.run_to_completion", jobs=len(self.jobs)):
-            if not engine.run(stop=lambda: engine.now > max_time or self.all_done):
+            if not engine.run(
+                stop=lambda: engine.now > max_time or self.all_done or self.deadlock is not None
+            ):
                 raise SchedulingError(
                     f"deadlock: {self.pending_count} jobs queued, no events pending"
                 )
             if engine.now > max_time:
                 raise SchedulingError(f"jobs still unfinished at t={engine.now}")
+            if self.deadlock is not None:
+                raise SchedulingError(f"deadlock: {self.deadlock}")

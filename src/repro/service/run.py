@@ -240,14 +240,21 @@ class ServiceRun:
             self._generated_all = True
             return
         max_time = self.max_time
+        sched = self.scheduler
         stopped = engine.run(
             stop=lambda: engine.now > max_time
-            or (self._generated_all and self.scheduler.all_done)
+            or sched.deadlock is not None
+            or (self._generated_all and sched.all_done)
         )
         if engine.now > max_time:
             raise SchedulingError(
                 f"service still running at t={engine.now} (max_time={max_time})"
             )
+        # a job no node can hold ends the run, which would otherwise tick
+        # until max_time, unless the run has ended anyway: the stream is
+        # exhausted and the queue drained
+        if sched.deadlock is not None and (engine.pending() or not self._generated_all):
+            raise SchedulingError(f"service deadlock: {sched.deadlock}")
         # a drained queue ends the run once the stream is exhausted
         if not (stopped or self._generated_all):
             raise SchedulingError(

@@ -113,9 +113,16 @@ class WorkflowManager:
         return all(ex.complete for ex in self.executions)
 
     def run_to_completion(self, max_time: float = 1e9) -> None:
-        """Drive the engine until every submitted workflow completes."""
-        engine = self.scheduler.engine
-        if not engine.run(stop=lambda: engine.now > max_time or self.all_complete):
+        """Drive the engine until every submitted workflow completes, or
+        until a task no node can hold (the scheduler's
+        :attr:`~repro.scheduler.slurm.SlurmScheduler.deadlock`) is submitted."""
+        sched = self.scheduler
+        engine = sched.engine
+        if not engine.run(
+            stop=lambda: engine.now > max_time or self.all_complete or sched.deadlock is not None
+        ):
             raise WorkflowError("deadlock: workflows incomplete with no pending events")
         if engine.now > max_time:
             raise WorkflowError(f"workflows still unfinished at t={engine.now}")
+        if sched.deadlock is not None:
+            raise WorkflowError(f"deadlock: {sched.deadlock}")

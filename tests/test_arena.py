@@ -296,19 +296,22 @@ class TestKernelEquivalence:
         kernel, _, _ = build_node(tasks)
         ref, _, _ = build_node(tasks)
         arena = kernel.arena
-        warm = arena.warm_by_task_tier(thr)
+        warm, held = arena.promotion_candidates(thr)
         for ps_k, ps_r in zip(kernel.pagesets(), ref.pagesets()):
-            slot = arena._tasks[ps_k.owner].slot
+            entry = arena._tasks[ps_k.owner]
             for tier in (DRAM, PMEM, CXL, SWAP):
-                assert np.array_equal(
-                    ps_k.hottest_in(tier, k, min_temperature=thr),
-                    reference_hot_candidates(ps_r, tier, k, thr),
-                )
-                # the promote pass scans a (task, tier) pair only when
-                # the whole-node table says it holds a candidate
-                assert warm[slot, int(tier)] == bool(
-                    reference_hot_candidates(ps_r, tier, ps_r.n_chunks, thr).size
-                )
+                want = reference_hot_candidates(ps_r, tier, k, thr)
+                assert np.array_equal(ps_k.hottest_in(tier, k, min_temperature=thr), want)
+                # the promote pass queries a (task, tier) pair only when
+                # the whole-node pass found a candidate there, and then
+                # selects among that task's candidates now in the tier
+                found = reference_hot_candidates(ps_r, tier, ps_r.n_chunks, thr).size
+                queried = tier is not DRAM and held.get(entry.slot, 0) >> int(tier) & 1
+                assert bool(queried) == bool(found and tier is not DRAM)
+                if queried:
+                    cand = np.flatnonzero(warm[entry.start : entry.start + entry.n])
+                    got = ps_k.hottest_of(cand[ps_k.tier[cand] == int(tier)], k)
+                    assert np.array_equal(got, want)
                 assert np.array_equal(
                     ps_k.coldest_in(tier, k, max_temperature=thr),
                     reference_cold_candidates(ps_r, tier, k, thr),
@@ -550,10 +553,16 @@ class TestArenaMechanics:
         node.place(c, np.arange(4), PMEM)
         c.temperature[1] = 0.5
         node.unregister(b)  # a free run between a's and c's segments
-        warm = node.arena.warm_by_task_tier(0.1)
-        slot = {ps.owner: node.arena._tasks[ps.owner].slot for ps in (a, c)}
-        assert warm.sum() == 2
-        assert warm[slot["t0"], int(CXL)] and warm[slot["t2"], int(PMEM)]
+        # a bar of 0 admits every cell's temperature, free runs included
+        for bar in (0.1, 0.0):
+            warm, held = node.arena.promotion_candidates(bar)
+            slot = {ps.owner: node.arena._tasks[ps.owner].slot for ps in (a, c)}
+            assert {s: bits >> 1 for s, bits in held.items()} == {
+                slot["t0"]: 1 << int(CXL) >> 1, slot["t2"]: 1 << int(PMEM) >> 1
+            }
+            assert np.flatnonzero(warm).tolist() == [
+                node.arena._tasks[a.owner].start + i for i in range(4)
+            ] + [node.arena._tasks[c.owner].start + i for i in ([1] if bar else range(4))]
 
     def test_validate_detects_detached_view(self):
         node, (ps, *_) = arena_node(n_tasks=1)

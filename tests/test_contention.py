@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.memory.contention import allocate_bandwidth, fair_share
+from repro.memory.contention import allocate_bandwidth, fair_share, kernel_allocation
 
 
 class TestFairShare:
@@ -102,3 +103,66 @@ class TestAllocateBandwidth:
     def test_zero_demand_matrix(self):
         out = allocate_bandwidth(np.array([10.0, 10.0]), np.zeros((3, 2)))
         assert np.allclose(out, 0)
+
+    def test_negative_demand_rejected(self):
+        with pytest.raises(Exception, match="non-negative"):
+            allocate_bandwidth(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [2.0, -1.0]]))
+
+    def test_negative_capacity_rejected_only_where_demanded(self):
+        demands = np.array([[1.0, 0.0], [2.0, 0.0]])
+        out = allocate_bandwidth(np.array([1.0, -1.0]), demands)  # tier 1 idle
+        assert out.tolist() == [[0.5, 0.0], [0.5, 0.0]]
+        with pytest.raises(Exception, match="capacity"):
+            allocate_bandwidth(np.array([-1.0, 1.0]), demands)
+
+
+#: demand values with ties, zeros and magnitudes far apart, so that a
+#: column's sum depends on the order numpy adds it in
+DEMANDS = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 3.0, 1e-3, 7.5e9]),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def demand_matrices(draw):
+    """``(capacities, demands)``: 1 to 300 rows (numpy sums pairwise in
+    blocks of 8 and 128), all-zero and all-tied columns, and per column a
+    capacity that is offline, below, exactly at or above the column sum."""
+    rows = draw(st.integers(1, 300))
+    tiers = draw(st.integers(1, 4))
+    demands = draw(hnp.arrays(np.float64, (rows, tiers), elements=DEMANDS))
+    caps = []
+    for t in range(tiers):
+        kind = draw(st.sampled_from(["drawn", "zero", "tied"]))
+        if kind == "zero":
+            demands[:, t] = 0.0
+        elif kind == "tied":
+            demands[:, t] = draw(DEMANDS)
+        total = demands[:, t].sum()  # fair_share's own d.sum()
+        cap = draw(st.sampled_from(["offline", "share", "one ulp below", "sum", "above"]))
+        if cap == "offline":
+            caps.append(0.0)
+        elif cap == "share":
+            caps.append(float(total) * draw(st.floats(0.01, 0.99)))
+        elif cap == "one ulp below":
+            caps.append(float(np.nextafter(total, 0.0)))
+        elif cap == "sum":
+            caps.append(float(total))
+        else:
+            caps.append(float(total) * 2.0 + 1.0)
+    return np.array(caps), demands
+
+
+class TestKernelAllocation:
+    """The rate kernel's one pass over a demand matrix, pinned to the
+    public one-column reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=demand_matrices())
+    def test_equals_fair_share_column_by_column(self, case):
+        caps, demands = case
+        out = kernel_allocation(caps, demands)
+        for t in range(demands.shape[1]):
+            assert out[:, t].tolist() == fair_share(float(caps[t]), demands[:, t]).tolist()
+        assert allocate_bandwidth(caps, demands).tolist() == out.tolist()

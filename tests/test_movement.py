@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.core.flags import MemFlag
 from repro.core.movement import IntelligentPageMovement, MovementConfig
 from repro.core.replacement import PageReplacementPolicy
@@ -10,6 +12,7 @@ from repro.memory.pageset import PageSet
 from repro.memory.system import NodeMemorySystem
 from repro.memory.tiers import CXL, DRAM, PMEM, SWAP
 from repro.policies.base import PolicyContext
+from repro.resilience.invariants import InvariantChecker
 from repro.util.units import MiB
 
 from conftest import CHUNK, make_pageset, small_specs
@@ -98,8 +101,8 @@ class TestTierPromotion:
 
 
 class TestPromoteCandidateCounts:
-    """The promote pass marks the (task, tier) pairs holding a candidate
-    in one whole-node reduction and scans only those; the marks follow
+    """The promote pass takes its candidates in one whole-node pass and
+    queries only the (task, tier) pairs holding one; the set follows
     every move inside the pass that can create a candidate."""
 
     def test_scans_only_pairs_holding_a_candidate(self, monkeypatch):
@@ -117,15 +120,16 @@ class TestPromoteCandidateCounts:
             node.place(ps, np.arange(ps.n_chunks), tier)
             ps.temperature[:] = temps
         scans = []
-        real = PageSet.hottest_in
+        real = PageSet.hottest_of
 
-        def spy(ps, tier, max_chunks, **kw):
-            scans.append((ps.owner, tier))
-            return real(ps, tier, max_chunks, **kw)
+        def spy(ps, cand, max_chunks):
+            # a query selects among the task's candidates in one tier
+            scans.append((ps.owner, set(ps.tier[cand].tolist())))
+            return real(ps, cand, max_chunks)
 
-        monkeypatch.setattr(PageSet, "hottest_in", spy)
+        monkeypatch.setattr(PageSet, "hottest_of", spy)
         movement.tick(ctx, promote_budget_bytes=MiB(4))
-        assert scans == [("swap-hot", SWAP), ("pmem-hot", PMEM), ("cxl-hot", CXL)]
+        assert scans == [("swap-hot", {SWAP}), ("pmem-hot", {PMEM}), ("cxl-hot", {CXL})]
         for owner in ("swap-hot", "pmem-hot", "cxl-hot"):
             ps = node.get_pageset(owner)
             assert (ps.tier[ps.temperature >= 0.05] == int(DRAM)).all()
@@ -165,6 +169,200 @@ class TestPromoteCandidateCounts:
         movement._promote(ctx, MiB(4))
         assert list(np.flatnonzero(hot.tier == int(DRAM))) == [0, 1, 2, 3, 4, 5]
         assert list(np.flatnonzero(hot.tier == int(CXL))) == [6, 7]
+        node.validate()
+
+    def test_a_pull_up_into_cxl_is_a_candidate_in_the_same_pass(self):
+        # DRAM is full of cold chunks, so pass 1 lands "hot"'s swap chunks
+        # in CXL; pass 2 must see them there and exchange them into DRAM
+        node, ctx, movement = setup(dram=MiB(1), pmem=MiB(1), cxl=MiB(2))
+        cold = make_pageset(node, "cold", MiB(1))
+        node.place(cold, np.arange(cold.n_chunks), DRAM)
+        hot = make_pageset(node, "hot", 4 * CHUNK)
+        node.place(hot, np.arange(hot.n_chunks), SWAP)
+        hot.temperature[:] = 1.0
+        movement._promote(ctx, MiB(4))
+        assert (hot.tier == int(DRAM)).all()
+        assert cold.bytes_in(CXL) == 4 * CHUNK
+        node.validate()
+
+    def test_a_node_without_candidates_makes_one_pass_and_no_query(self, monkeypatch):
+        node, ctx, movement = setup()
+        for owner, tier in (("dram", DRAM), ("cxl", CXL), ("swap", SWAP)):
+            ps = make_pageset(node, owner, 8 * CHUNK)
+            node.place(ps, np.arange(ps.n_chunks), tier)
+            # DRAM is never a source; the rest sit just under the bar
+            ps.temperature[:] = 1.0 if tier is DRAM else 0.04
+        passes, queries = [], []
+        real_pass = type(node.arena).promotion_candidates
+        real_query = PageSet.hottest_of
+        monkeypatch.setattr(
+            type(node.arena), "promotion_candidates",
+            lambda arena, bar: passes.append(bar) or real_pass(arena, bar),
+        )
+        monkeypatch.setattr(
+            PageSet, "hottest_of",
+            lambda ps, cand, k: queries.append(ps.owner) or real_query(ps, cand, k),
+        )
+        movement._promote(ctx, MiB(4))
+        assert (passes, queries) == ([0.05], [])
+
+
+# --------------------------------------------------------------------------- #
+# the candidate set against the pass it replaced
+# --------------------------------------------------------------------------- #
+
+
+def reference_promote(movement, ctx, budget_bytes):
+    """The promote pass with every (task, tier) pair queried from scratch
+    by ``PageSet.hottest_in``: the decisions the candidate set keeps."""
+    mem = ctx.memory
+    cfg = movement.config
+    thr = cfg.promote_threshold
+    sets = list(mem.pagesets())
+    room_bytes = {t: mem.free(t) for t in (DRAM, CXL, PMEM)}
+    for ps in sets:
+        if budget_bytes <= 0:
+            return
+        hot_swap = ps.hottest_in(SWAP, budget_bytes // ps.chunk_size, min_temperature=thr)
+        if hot_swap.size:
+            moved = movement._pull_up(ctx, ps, hot_swap, room_bytes=room_bytes)
+            if moved.size:
+                ctx.record_minor(ps.owner, int(moved.size))
+                budget_bytes -= int(moved.size) * ps.chunk_size
+    dram_free = mem.free(DRAM)
+    cxl_free = mem.free(CXL)
+    for ps in sets:
+        if budget_bytes <= 0:
+            return
+        for tier in (PMEM, CXL):
+            cand = ps.hottest_in(tier, budget_bytes // ps.chunk_size, min_temperature=thr)
+            if cand.size == 0:
+                continue
+            room = max(0, dram_free) // ps.chunk_size
+            if room < cand.size:
+                very_hot = cand[ps.temperature[cand] >= cfg.exchange_threshold]
+                want = int(very_hot.size) - int(room)
+                if want > 0:
+                    movement.replacement.replace(
+                        ctx, want * ps.chunk_size, protect_owner=ps.owner
+                    )
+                    dram_free = mem.free(DRAM)
+                    cxl_free = mem.free(CXL)
+                    room = max(0, dram_free) // ps.chunk_size
+            take = cand[: int(room)]
+            if tier is PMEM and take.size < cand.size and cxl_free > 0:
+                spill = cand[take.size:][: max(0, cxl_free) // ps.chunk_size]
+                if spill.size:
+                    mem.migrate(ps, spill, CXL)
+                    cxl_free -= int(spill.size) * ps.chunk_size
+                    ctx.record_minor(ps.owner, int(spill.size))
+                    budget_bytes -= int(spill.size) * ps.chunk_size
+            if take.size:
+                shadowed = int(np.count_nonzero(ps.in_page_cache[take]))
+                mem.migrate(ps, take, DRAM)
+                dram_free -= (int(take.size) - shadowed) * ps.chunk_size
+                if tier is CXL:
+                    cxl_free += int(take.size) * ps.chunk_size
+                ctx.record_minor(ps.owner, int(take.size))
+                budget_bytes -= int(take.size) * ps.chunk_size
+            if budget_bytes <= 0:
+                return
+
+
+#: temperatures on and around the promote (0.05) and exchange (0.20) bars
+BAR_TEMPS = st.sampled_from([0.0, 0.01, 0.049, 0.05, 0.1, 0.2, 0.35, 1.0])
+TEMPS = st.one_of(BAR_TEMPS, st.floats(min_value=0.0, max_value=1.0, width=32))
+TIERS = st.sampled_from([DRAM, PMEM, CXL, SWAP, None])  # None: unmapped
+
+
+@st.composite
+def promote_nodes(draw):
+    """A small node's state: tasks of mixed chunk sizes over all four
+    tiers (some unregistered again, leaving free runs), shadows, DRAM
+    optionally filled to the brim, and a promotion budget."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 24))
+        tasks.append({
+            "chunk": draw(st.sampled_from([CHUNK // 2, CHUNK, 2 * CHUNK])),
+            "tiers": draw(st.lists(TIERS, min_size=n, max_size=n)),
+            "temps": draw(st.lists(TEMPS, min_size=n, max_size=n)),
+            "shadow": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            "lat": draw(st.booleans()),
+            "freed": draw(st.booleans()),
+        })
+    fill = draw(st.one_of(st.none(), st.lists(TEMPS, min_size=1, max_size=4)))
+    # from nothing to above every candidate, sometimes off a chunk boundary
+    budget = draw(st.integers(0, 600)) * (CHUNK // 2) + draw(st.sampled_from([0, 1000]))
+    return tasks, fill, budget
+
+
+def build_promote_node(state):
+    tasks, fill, _ = state
+    flags = {f"t{i}": MemFlag.LAT for i, td in enumerate(tasks) if td["lat"]}
+    node, ctx, movement = setup(flags, dram=MiB(1), pmem=MiB(1), cxl=MiB(2))
+    faults = []
+    ctx.record_minor = lambda owner, n: faults.append((owner, n))
+    freed = []
+    for i, td in enumerate(tasks):
+        ps = make_pageset(node, f"t{i}", len(td["tiers"]) * td["chunk"], td["chunk"])
+        tiers = np.array([SWAP if t is None else t for t in td["tiers"]])
+        for tier in (DRAM, PMEM, CXL, SWAP):
+            idx = np.flatnonzero(
+                (tiers == tier) & np.array([t is not None for t in td["tiers"]])
+            )
+            fits = idx[: max(0, node.free(tier)) // ps.chunk_size]
+            node.place(ps, fits, tier)
+            node.place(ps, idx[fits.size:], SWAP)  # a full tier spills to swap
+        ps.temperature[:] = td["temps"]
+        shadow = np.flatnonzero(np.array(td["shadow"]) & (ps.tier > int(DRAM)))
+        node.add_page_cache_shadow(ps, shadow)
+        if td["freed"]:
+            freed.append(ps)
+    for ps in freed:
+        node.unregister(ps)
+    if fill is not None:
+        # fill DRAM to the brim, so that a promotion must exchange
+        filler = make_pageset(node, "filler", max(CHUNK // 2, node.free(DRAM)), CHUNK // 2)
+        idx = np.arange(node.free(DRAM) // filler.chunk_size)
+        node.place(filler, idx, DRAM)
+        filler.temperature[:] = np.resize(np.array(fill, dtype=np.float32), filler.n_chunks)
+    return node, ctx, movement, faults
+
+
+def traffic(node):
+    stats = dict(vars(node.stats))
+    stats["migrated_bytes"] = stats["migrated_bytes"].tolist()
+    return stats
+
+
+class TestCandidateSetMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(state=promote_nodes(), checked=st.booleans())
+    def test_pass_equals_from_scratch_queries(self, state, checked):
+        node, ctx, movement, faults = build_promote_node(state)
+        ref, ref_ctx, ref_movement, ref_faults = build_promote_node(state)
+        budget = state[2]
+        passes, replaces = [], []
+        real_pass, real_replace = node.arena.promotion_candidates, movement.replacement.replace
+        node.arena.promotion_candidates = lambda bar: passes.append(bar) or real_pass(bar)
+        movement.replacement.replace = (
+            lambda *a, **kw: replaces.append(1) or real_replace(*a, **kw)
+        )
+        with obs.session(checker=InvariantChecker() if checked else None):
+            movement._promote(ctx, budget)
+        reference_promote(ref_movement, ref_ctx, budget)
+        for ps, ps_ref in zip(node.pagesets(), ref.pagesets()):
+            assert ps.owner == ps_ref.owner
+            assert ps.tier.tolist() == ps_ref.tier.tolist()
+            assert ps.in_page_cache.tolist() == ps_ref.in_page_cache.tolist()
+        assert faults == ref_faults
+        assert traffic(node) == traffic(ref)
+        assert [node.used(t) for t in (DRAM, PMEM, CXL, SWAP)] == [
+            ref.used(t) for t in (DRAM, PMEM, CXL, SWAP)
+        ]
+        # one whole-node pass per tick, and one more per exchange
+        assert len(passes) == 1 + len(replaces)
         node.validate()
 
 

@@ -542,6 +542,21 @@ class TestServiceRun:
         run._drive()
         assert not env.scheduler.all_done
 
+    def test_background_task_no_node_can_hold_ends_a_live_run(self):
+        # the window and daemon ticks keep a live engine from draining
+        env = tiny_env()
+        spec = ServiceSpec(rate=0.5, max_arrivals=6, window=10.0, warmup="none")
+        run = ServiceRun(
+            env, spec, scale=TINY, seed=1,
+            background=[simple_task("huge", cores=100_000)], max_time=500.0,
+        )
+        try:
+            with pytest.raises(SchedulingError, match="service deadlock: job 'huge' needs"):
+                run.execute()
+        finally:
+            env.stop()
+        assert env.engine.now == 0.0
+
     def test_repeat_run_is_bit_identical(self):
         def once():
             env = tiny_env()

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.envs.environments import EnvKind, make_environment
 from repro.scheduler.job import JobState
 from repro.util.errors import WorkflowError
 from repro.util.units import MiB
 from repro.wms.planner import WorkflowExecution, WorkflowManager
 from repro.workflows.dag import Workflow, chain_workflow, diamond_workflow
 
-from conftest import simple_task
+from conftest import CHUNK, simple_task
 from test_scheduler import make_sched
 
 
@@ -107,3 +108,18 @@ class TestWorkflowManager:
         mgr.submit(chain_workflow("w", [simple_task("huge", cores=16), simple_task("next")]))
         with pytest.raises(WorkflowError, match="deadlock"):
             mgr.run_to_completion()
+
+    def test_lazily_submitted_task_no_node_can_hold_ends_the_run(self):
+        # the live environment's daemon and sampler ticks never let the
+        # engine drain, so the run must stop on the scheduler's record
+        # when the first task finishes and submits the second
+        env = make_environment(EnvKind.CBE, dram_capacity=MiB(32), chunk_size=CHUNK)
+        mgr = WorkflowManager(env.scheduler)
+        mgr.submit(chain_workflow("w", [
+            simple_task("first", base_time=1.0), simple_task("huge", cores=100_000),
+        ]))
+        with pytest.raises(
+            WorkflowError, match=r"deadlock: job 'huge' needs 100000 cores, the largest node has"
+        ):
+            mgr.run_to_completion(max_time=500)
+        assert env.engine.now == env.metrics.get("first").finished_at
