@@ -230,8 +230,9 @@ def test_daemon_pass_cost(benchmark, ratio_gate, record_throughput):
 
 
 def test_rate_recompute_cost(benchmark):
-    """The node rate kernel (access profiles, contention matrix, slowdowns)
-    for 64 colocated tasks — the path ``NodeAgent.recompute_rates`` runs."""
+    """The from-scratch node rate kernel (access profiles, row pass, node
+    pass) for 64 colocated tasks — the reference every re-rating of
+    ``NodeAgent.recompute_rates`` is checked against."""
     from repro.runtime.rates import node_slowdowns
     from repro.workflows.patterns import UniformPattern
     from repro.workflows.task import TaskPhase
@@ -260,8 +261,8 @@ def test_rate_recompute_cost(benchmark):
 
 #: the CI gate on :func:`test_rate_table_rerating_cost`: re-rating a
 #: 64-task node after one task's pages changed must cost under this share
-#: of a from-scratch kernel pass (0.13-0.24 on a 2-vCPU VM; a node that
-#: re-bins every row reads 1.0 or more)
+#: of a from-scratch kernel pass (0.12-0.24 on a 2-vCPU VM; a node that
+#: re-derives every row reads 0.8 or more)
 RERATING_SHARE_BOUND = 0.35
 #: timed re-ratings, each after one from-scratch pass
 RERATING_ROUNDS = 150
@@ -269,8 +270,8 @@ RERATING_ROUNDS = 150
 
 def test_rate_table_rerating_cost(benchmark, ratio_gate):
     """A ``NodeAgent`` running 64 tasks re-rates after one task's access
-    weights are reinstalled: its rate table re-bins that one row, where a
-    from-scratch :func:`node_slowdowns` bins all 64.  Both legs run on the
+    weights are reinstalled: its rate table re-derives that one row, where a
+    from-scratch :func:`node_slowdowns` derives all 64.  Both legs run on the
     same node in this test, so the gate is a same-machine ratio."""
     from repro.metrics.collector import MetricsRegistry
     from repro.runtime.node_agent import NodeAgent

@@ -207,7 +207,9 @@ class InvariantChecker(NullInvariantChecker):
                     f"queued job {job.name} is {job.state.name}, not PENDING"
                 )
         reserved = [0] * len(sched.agents)
+        finished = 0
         for job in sched.jobs.values():
+            finished += job.finished
             if job._reserved:
                 if job.node_index is None:
                     self._fail(f"job {job.name} holds cores on no node")
@@ -215,6 +217,10 @@ class InvariantChecker(NullInvariantChecker):
                     reserved[job.node_index] += job._reserved
             if job.state is JobState.RUNNING and job.node_index is None:
                 self._fail(f"running job {job.name} is placed on no node")
+        if finished != sched.finished_jobs:
+            self._fail(
+                f"finished-job drift ({sched.finished_jobs} counted, {finished} terminal)"
+            )
         for i, agent in enumerate(sched.agents):
             if reserved[i] != sched._reserved_cores[i]:
                 self._fail(

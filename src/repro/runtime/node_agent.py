@@ -7,8 +7,9 @@ the contention-aware rate recomputation that keeps every running task's
 progress consistent with current placement.
 
 The running tasks are the rows of one :class:`RateTable`.  A re-rating
-re-bins only the rows whose pages changed, advances only the rows whose
-rate changed, and the node keeps one completion event, at its earliest
+re-derives only the rows whose pages changed or whose phase began, runs
+the kernel's node pass over every row, advances only the rows whose rate
+changed, and the node keeps one completion event, at its earliest
 projected finish.
 
 A daemon tick re-rates the node only when something the rate kernel reads
@@ -19,7 +20,7 @@ re-rating would install the rates every task already has.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,10 +40,11 @@ from .execution import TaskExecution, TaskState
 from .rates import (
     SHADOW,
     RateModelConfig,
-    access_profiles,
-    kernel_slowdowns,
+    derive_row,
+    node_pass,
     node_slowdowns,
     phase_terms,
+    service_latencies,
 )
 
 __all__ = ["NodeAgent", "RateTable"]
@@ -56,8 +58,10 @@ class RateTable(ProgressTable):
     phase's ``terms`` (compute, latency and bandwidth fractions, demanded
     bandwidth; written when the phase begins), the task's ``scale`` (its
     straggler ``rate_scale``) and its access ``profile`` with the
-    ``PageSet.version`` that profile was binned at.  When the table's event
-    fires, the due row's phase is complete.
+    ``PageSet.version`` that profile was binned at (-1 until the row is
+    derived for its phase) — and the row pass's results: its per-tier
+    ``demand`` and its compute-plus-latency term ``base``.  When the
+    table's event fires, the due row's phase is complete.
     """
 
     #: each per-row array's value in a row that has nothing binned or rated
@@ -66,6 +70,8 @@ class RateTable(ProgressTable):
         "terms": np.zeros((1, 4)),
         "scale": np.ones(1),
         "profile": np.zeros((1, SHADOW + 1)),
+        "demand": np.zeros((1, NUM_TIERS)),
+        "base": np.ones(1),
         "version": np.full(1, -1, dtype=np.int64),
     }
 
@@ -90,10 +96,12 @@ class RateTable(ProgressTable):
                 self.begin_phase(tasks[i])
 
     def begin_phase(self, te: TaskExecution) -> None:
-        """``te`` began a phase: new terms, all its work left, no projection."""
+        """``te`` began a phase: new terms, so a row to re-derive, all its
+        work left and no projection."""
         i = self.index.get(te.spec.name)
         if i is not None:
             self.terms[i] = phase_terms([te.phase])[0]
+            self.version[i] = -1
             self.begin(i, te.phase.base_time)
 
     def rescale(self, te: TaskExecution) -> None:
@@ -102,14 +110,20 @@ class RateTable(ProgressTable):
         if i is not None:
             self.scale[i] = te.rate_scale
 
-    def rebin(self) -> None:
-        """Re-bin the access profiles of the rows whose pageset changed."""
+    def rebin(self, latency: Sequence[float]) -> None:
+        """Re-derive the profile, demand and ``base`` of the rows whose
+        pageset version moved or whose phase began (:func:`derive_row`,
+        against the unloaded service-point ``latency``)."""
         pagesets = self.pagesets
         versions = np.fromiter((ps.version for ps in pagesets), np.int64, len(pagesets))
-        dirty = np.flatnonzero(versions != self.version)
-        if dirty.size:
-            self.profile[dirty] = access_profiles([pagesets[i] for i in dirty.tolist()])
-            self.version[dirty] = versions[dirty]
+        dirty = (versions != self.version).nonzero()[0]
+        if not dirty.size:
+            return
+        terms, profile, demand, base = self.terms, self.profile, self.demand, self.base
+        for i in dirty.tolist():
+            c, l, _, d = terms[i].tolist()
+            profile[i], demand[i], base[i] = derive_row(pagesets[i], c, l, d, latency)
+        self.version[dirty] = versions[dirty]
 
 
 class NodeAgent:
@@ -163,6 +177,8 @@ class NodeAgent:
         self._bw_capacities = np.array(
             [memory.specs[TierKind(t)].bandwidth for t in range(NUM_TIERS)], dtype=np.float64
         )
+        #: each service point's unloaded latency, the table's row pass reads
+        self._latency = tuple(service_latencies(memory.specs, self.rate_config).tolist())
         # Daemon scheduling: the agent joins a TickGroup — the
         # environment's shared one (one coalesced engine event per
         # cluster-wide tick), or a one-member group of its own.
@@ -324,8 +340,9 @@ class NodeAgent:
     # ------------------------------------------------------------------ #
     def recompute_rates(self) -> None:
         """Re-rate the node's running tasks: rebuild the table's rows if the
-        running set changed, re-bin the changed rows, run the kernel over
-        every row, advance the rows whose rate changed, re-arm the event."""
+        running set changed, re-derive the changed rows, run the node pass
+        over every row, advance the rows whose rate changed, re-arm the
+        event."""
         self._rated_epoch = self.memory.epoch
         table = self.table
         tasks = self._rated_tasks()
@@ -333,8 +350,12 @@ class NodeAgent:
             table.rebuild(tasks)
         if tasks:
             self._rated_penalty = penalty = self._migration_penalty()
-            table.rebin()
-            table.advance((1.0 / self._slowdowns(table, penalty)) * table.scale)
+            table.rebin(self._latency)
+            slowdowns = node_pass(
+                table.terms, table.profile, table.demand, table.base, self.memory.specs,
+                self._capacities(), migration_penalty=penalty, config=self.rate_config,
+            )
+            table.advance((1.0 / slowdowns) * table.scale)
         else:
             self.memory.migration_bytes_window = 0
             self._rated_penalty = 0.0
@@ -349,12 +370,6 @@ class NodeAgent:
     def _capacities(self) -> np.ndarray:
         # offline tiers deliver no bandwidth; degraded links a fraction
         return self._bw_capacities * self.memory.tier_health()
-
-    def _slowdowns(self, table: RateTable, penalty: float) -> np.ndarray:
-        return kernel_slowdowns(
-            table.terms, table.profile, self.memory.specs, self._capacities(),
-            migration_penalty=penalty, config=self.rate_config,
-        )
 
     def _check_table(self, checker) -> None:
         """Re-derive every running task's rate from scratch (fresh profiles,

@@ -12,15 +12,20 @@ three placement-dependent terms using the phase's sensitivity mix:
 * a **migration overhead** term charges for daemon data movement
   (the ≈4 % runtime overhead reported in §IV-D4).
 
-:func:`kernel_slowdowns` is the node agent's kernel: demand, fair-share
-bandwidth and slowdown are array math over every running task at once,
-from each task's phase terms (:func:`phase_terms`) and access profile.
+The node kernel is two passes over every running task at once.  The
+**row pass** (:func:`row_pass`) derives each row's own inputs from its
+phase terms (:func:`phase_terms`) and access profile: its per-tier demand
+and its compute-plus-latency term ``base``.  The **node pass**
+(:func:`node_pass`) shares bandwidth max-min fairly over every row's
+demand and adds the bandwidth term, the migration penalty and the clamp.
 One weighted ``np.bincount`` splits a set of pagesets' accesses by service
 point (:func:`access_profiles`); each row sums only its own chunks, so the
-agent re-bins only the pagesets whose placement or weights changed.
-:func:`node_slowdowns` is the from-scratch form of the kernel, and
+node agent keeps each row's derived inputs and re-derives
+(:func:`derive_row`) only the rows whose placement, weights or phase
+changed.  :func:`kernel_slowdowns` and its from-scratch form
+:func:`node_slowdowns` derive every row, then run the node pass;
 :func:`tier_access_profile`, :func:`tier_demand` and :func:`phase_slowdown`
-are one-row calls of it.
+are one-row calls of the same arithmetic.
 """
 
 from __future__ import annotations
@@ -41,9 +46,13 @@ __all__ = [
     "RateModelConfig",
     "SHADOW",
     "access_profiles",
+    "derive_row",
     "kernel_slowdowns",
+    "node_pass",
     "node_slowdowns",
     "phase_terms",
+    "row_pass",
+    "service_latencies",
     "tier_access_profile",
     "tier_demand",
     "phase_slowdown",
@@ -115,13 +124,6 @@ def access_profiles(pagesets: Sequence[PageSet]) -> np.ndarray:
     return np.divide(prof, total, out=np.zeros(prof.shape), where=total > 0)
 
 
-def _demands(profiles: np.ndarray, demand_bandwidth: np.ndarray) -> np.ndarray:
-    """Per-tier demand (bytes/s) of each row; shadowed accesses demand DRAM."""
-    demand = profiles[:, :NUM_TIERS] * demand_bandwidth[:, None]
-    demand[:, int(DRAM)] += profiles[:, SHADOW] * demand_bandwidth
-    return demand
-
-
 def phase_terms(phases: Sequence[TaskPhase]) -> np.ndarray:
     """``float64[n, 4]``: each phase's ``(compute_frac, lat_frac, bw_frac,
     demand_bandwidth)``, the kernel's per-row inputs besides the profile."""
@@ -129,21 +131,107 @@ def phase_terms(phases: Sequence[TaskPhase]) -> np.ndarray:
     return np.array(terms, dtype=np.float64).reshape(len(terms), 4)
 
 
-def _slowdowns(terms, profiles, specs, achieved, penalty, config, utilization) -> np.ndarray:
-    """Each row's slowdown from its terms, access profile and achieved bandwidth."""
-    c, l, b, d = terms.T
+def service_latencies(
+    specs: Mapping[TierKind, TierSpec],
+    config: RateModelConfig,
+    utilization: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """``float64[NUM_TIERS + 1]``: the access latency of each service point
+    (the memory tiers, amortised swap faults, :data:`SHADOW`), in profile
+    column order.  With ``config.loaded_latency`` and a per-tier
+    ``utilization``, each memory tier's latency sits on its loaded-latency
+    curve."""
     latency = [specs[t].latency for t in MEMORY_TIERS]
     latency = np.array(latency + [config.swap_access_latency, config.shadow_access_latency])
     if config.loaded_latency and utilization is not None:
         factor = loaded_latency_factor(utilization[:SWAP], config.loaded_latency_max_factor)
         latency[:SWAP] *= factor
-    # an idle (not yet weighted) task counts as DRAM-resident
-    lat = (profiles * latency).sum(axis=1) / specs[DRAM].latency
+    return latency
+
+
+def _base(terms, profiles, latency, dram_latency) -> np.ndarray:
+    """Each row's ``c + l·lat_mult``: ``lat_mult`` is the access-weighted
+    ``latency`` over the *unloaded* ``dram_latency``, 1 for an idle row
+    (one not yet weighted counts as DRAM-resident)."""
+    lat = (profiles * latency).sum(axis=1) / dram_latency
     lat_mult = np.where(profiles.sum(axis=1) > 0, lat, 1.0)
+    return terms[:, 0] + terms[:, 1] * lat_mult
+
+
+def row_pass(
+    terms: np.ndarray, profiles: np.ndarray, latency: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's row pass: each row's ``demand``, ``float64[n,
+    NUM_TIERS]`` bytes/s ``D·w_t`` with shadowed accesses charged to DRAM,
+    and its compute-plus-latency term ``base``, against the unloaded
+    ``latency`` of :func:`service_latencies`.  A row's results depend on
+    its own terms and profile alone; :func:`derive_row` is the same
+    arithmetic for one pageset."""
+    d = terms[:, 3]
+    demand = profiles[:, :NUM_TIERS] * d[:, None]
+    demand[:, int(DRAM)] += profiles[:, SHADOW] * d
+    return demand, _base(terms, profiles, latency, latency[int(DRAM)])
+
+
+def derive_row(
+    ps: PageSet, c: float, l: float, d: float, latency: Sequence[float]
+) -> tuple[list[float], list[float], float]:
+    """One pageset's access profile, demand and ``base`` (the row pass for
+    one row): one weighted ``np.bincount`` over its chunks, then the
+    arithmetic of :func:`access_profiles` and :func:`row_pass` in Python
+    floats, in numpy's order (a row's 4- and 5-element sums add left to
+    right), so every value equals theirs."""
+    tier = ps.tier
+    key = np.where(ps.in_page_cache & (tier != UNMAPPED), SHADOW + 1, tier + 1)
+    _, *prof = np.bincount(key, ps.access_weight, NUM_TIERS + 2).tolist()  # bin 0: unmapped
+    total = prof[0] + prof[1] + prof[2] + prof[3] + prof[4]
+    prof = [w / total for w in prof] if total > 0 else [0.0] * (NUM_TIERS + 1)
+    p0, p1, p2, p3, p4 = prof
+    lat_mult = 1.0
+    if p0 + p1 + p2 + p3 + p4 > 0:
+        l0, l1, l2, l3, l4 = latency  # l0: DRAM's
+        lat_mult = (p0 * l0 + p1 * l1 + p2 * l2 + p3 * l3 + p4 * l4) / l0
+    return prof, [p0 * d + p4 * d, p1 * d, p2 * d, p3 * d], c + l * lat_mult
+
+
+def _finish(terms, base, achieved, penalty, config) -> np.ndarray:
+    """The node pass's last step: ``base + b·bw_mult`` plus the capped
+    migration penalty, clamped to ``[c, max_slowdown]``, from each row's
+    summed achieved bandwidth."""
+    c, b, d = terms[:, 0], terms[:, 2], terms[:, 3]
     bw_mult = np.where((d > 0) & (b > 0), np.maximum(1.0, d / np.maximum(achieved, 1e-9)), 1.0)
     penalty = min(config.migration_overhead_cap, max(0.0, penalty))
-    slowdown = c + l * lat_mult + b * bw_mult + penalty
+    slowdown = base + b * bw_mult + penalty
     return np.minimum(np.maximum(slowdown, c), config.max_slowdown)
+
+
+def node_pass(
+    terms: np.ndarray,
+    profiles: np.ndarray,
+    demand: np.ndarray,
+    base: np.ndarray,
+    specs: Mapping[TierKind, TierSpec],
+    capacities: np.ndarray,
+    *,
+    migration_penalty: float = 0.0,
+    config: RateModelConfig = RateModelConfig(),
+) -> np.ndarray:
+    """The kernel's node pass over the row pass's columns: every row's
+    slowdown from the max-min split of ``demand`` under ``capacities``
+    (each tier's attainable bandwidth now, 0 when offline), its ``base``,
+    its bandwidth term and the capped penalty.  A row's result depends on
+    the other rows only through that sharing.
+
+    Under loaded latency each tier's utilisation raises its latency, so
+    ``base`` is re-derived from ``profiles`` with the loaded latencies."""
+    achieved = kernel_allocation(capacities, demand)
+    if config.loaded_latency:
+        utilization = np.divide(
+            achieved.sum(axis=0), capacities, out=np.zeros_like(capacities), where=capacities > 0
+        )
+        latency = service_latencies(specs, config, utilization)
+        base = _base(terms, profiles, latency, specs[DRAM].latency)
+    return _finish(terms, base, achieved.sum(axis=1), migration_penalty, config)
 
 
 def kernel_slowdowns(
@@ -156,19 +244,12 @@ def kernel_slowdowns(
     config: RateModelConfig = RateModelConfig(),
 ) -> np.ndarray:
     """Slowdown of every row on a node: ``terms`` from :func:`phase_terms`,
-    ``profiles`` from :func:`access_profiles`, one row per task.
-
-    ``capacities`` is each tier's attainable bandwidth now (0 when offline),
-    shared by per-tier max-min fairness; utilisation drives loaded latency.
-    A row's result depends on the other rows only through that sharing."""
-    achieved = kernel_allocation(capacities, _demands(profiles, terms[:, 3]))
-    utilization = None
-    if config.loaded_latency:
-        utilization = np.divide(
-            achieved.sum(axis=0), capacities, out=np.zeros_like(capacities), where=capacities > 0
-        )
-    return _slowdowns(
-        terms, profiles, specs, achieved.sum(axis=1), migration_penalty, config, utilization
+    ``profiles`` from :func:`access_profiles`, one row per task; the row
+    pass over every row, then the node pass."""
+    demand, base = row_pass(terms, profiles, service_latencies(specs, config))
+    return node_pass(
+        terms, profiles, demand, base, specs, capacities,
+        migration_penalty=migration_penalty, config=config,
     )
 
 
@@ -199,7 +280,9 @@ def tier_access_profile(ps: PageSet) -> tuple[np.ndarray, float]:
 def tier_demand(ps: PageSet, demand_bandwidth: float) -> np.ndarray:
     """One pageset's per-tier throughput demand (bytes/s)."""
     check_non_negative(demand_bandwidth, "demand_bandwidth")
-    return _demands(access_profiles([ps]), np.array([float(demand_bandwidth)]))[0]
+    terms = np.array([[0.0, 0.0, 0.0, float(demand_bandwidth)]])
+    demand, _ = row_pass(terms, access_profiles([ps]), np.ones(SHADOW + 1))  # base unused
+    return demand[0]
 
 
 def phase_slowdown(
@@ -222,9 +305,8 @@ def phase_slowdown(
     >= ``compute_frac`` (never faster than pure compute), clamped at
     ``config.max_slowdown``.
     """
-    profiles, achieved = access_profiles([ps]), np.array([float(achieved_bandwidth)])
-    slowdown = _slowdowns(
-        phase_terms([phase]), profiles, specs, achieved, migration_penalty, config,
-        tier_bw_utilization,
-    )
-    return float(slowdown[0])
+    terms, profiles = phase_terms([phase]), access_profiles([ps])
+    latency = service_latencies(specs, config, tier_bw_utilization)
+    base = _base(terms, profiles, latency, specs[DRAM].latency)
+    achieved = np.array([float(achieved_bandwidth)])
+    return float(_finish(terms, base, achieved, migration_penalty, config)[0])

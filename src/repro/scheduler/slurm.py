@@ -74,6 +74,9 @@ class SlurmScheduler:
         self.retry_backoff = float(retry_backoff)
         self.queue: deque[Job] = deque()
         self.jobs: dict[int, Job] = {}
+        #: jobs in a terminal state (DONE or FAILED), kept so that
+        #: :attr:`all_done` never rescans :attr:`jobs`
+        self.finished_jobs = 0
         self._next_job_id = 1
         self._reserved_cores = [0] * len(agents)
         self._pumping = False
@@ -307,6 +310,7 @@ class SlurmScheduler:
             self._requeue_or_fail(job, te.metrics.failure_reason)
             return
         job.state = JobState.FAILED if te.state is TaskState.FAILED else JobState.DONE
+        self.finished_jobs += 1
         job.notify_done()
         self._pump()
         checker = inv.active()
@@ -323,6 +327,7 @@ class SlurmScheduler:
         if job.retries >= self.max_retries:
             self.metrics.faults.retries_exhausted += 1
             job.state = JobState.FAILED
+            self.finished_jobs += 1
             job.node_index = None
             tm.failed = True
             tm.failure_reason = f"{reason} (retries exhausted)"
@@ -435,7 +440,7 @@ class SlurmScheduler:
 
     @property
     def all_done(self) -> bool:
-        return not self.queue and all(j.finished for j in self.jobs.values())
+        return not self.queue and self.finished_jobs == len(self.jobs)
 
     def run_to_completion(self, max_time: float = 1e9) -> None:
         """Drive the engine until every submitted job finishes.

@@ -250,10 +250,10 @@ class ServiceRun:
             raise SchedulingError(
                 f"service still running at t={engine.now} (max_time={max_time})"
             )
-        # a job no node can hold ends the run, which would otherwise tick
-        # until max_time, unless the run has ended anyway: the stream is
-        # exhausted and the queue drained
-        if sched.deadlock is not None and (engine.pending() or not self._generated_all):
+        # a job no node can hold can never start, so the run can never
+        # finish: it would otherwise tick until max_time, or end quietly on
+        # a drained engine once the stream is exhausted
+        if sched.deadlock is not None:
             raise SchedulingError(f"service deadlock: {sched.deadlock}")
         # a drained queue ends the run once the stream is exhausted
         if not (stopped or self._generated_all):

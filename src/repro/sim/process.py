@@ -123,9 +123,15 @@ class ProgressTable:
     have taken.  So rows due at one instant fire in the order their
     projections were set, one fired event each, and events elsewhere keep
     their order against them.
+
+    The columns live in one row-major block per dtype, so a :meth:`gather`
+    moves every column in one take per block.  Each column attribute is a
+    view of its block, rebound by :meth:`gather` alone; writing through it
+    writes the block.
     """
 
-    #: each column's value in a row that has nothing rated
+    #: each column's value in a row that has nothing rated: ``shape (1,)``
+    #: for a scalar column, ``(1, k)`` for a ``k``-wide one
     EMPTY_ROW = {
         "left": np.zeros(1),
         "rate": np.zeros(1),
@@ -134,6 +140,26 @@ class ProgressTable:
         "stamp": np.zeros(1, dtype=np.int64),
     }
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._pack()
+
+    @classmethod
+    def _pack(cls) -> None:
+        """Lay :attr:`EMPTY_ROW`'s columns out in one block per dtype: each
+        block's empty row, and each column's block and index in it."""
+        dtypes = list(dict.fromkeys(empty.dtype for empty in cls.EMPTY_ROW.values()))
+        rows: dict[np.dtype, list] = {dtype: [] for dtype in dtypes}
+        views = []
+        for name, empty in cls.EMPTY_ROW.items():
+            row = rows[empty.dtype]
+            start = len(row)
+            row.extend(empty.ravel().tolist())
+            index = start if empty.ndim == 1 else slice(start, len(row))
+            views.append((name, dtypes.index(empty.dtype), (slice(None), index)))
+        cls._EMPTY_BLOCKS = tuple(np.array([rows[dtype]], dtype=dtype) for dtype in dtypes)
+        cls._VIEWS = tuple(views)
+
     def __init__(
         self, engine: SimulationEngine, label: str, on_due: Callable[[int], Any]
     ) -> None:
@@ -141,14 +167,23 @@ class ProgressTable:
         self.label = label
         self.on_due = on_due
         self.event: Optional[Event] = None
-        for name, empty in self.EMPTY_ROW.items():
-            setattr(self, name, empty[:0].copy())
+        self._blocks = [empty[:0].copy() for empty in self._EMPTY_BLOCKS]
+        self._bind()
+
+    def _bind(self) -> None:
+        blocks = self._blocks
+        for name, k, index in self._VIEWS:
+            setattr(self, name, blocks[k][index])
 
     def gather(self, rows: list[int] | np.ndarray) -> None:
         """Make row ``k`` the old row ``rows[k]``; an index one past the
         last old row makes an empty row."""
-        for name, empty in self.EMPTY_ROW.items():
-            setattr(self, name, np.concatenate((getattr(self, name), empty))[rows])
+        rows = np.asarray(rows, dtype=np.intp)
+        self._blocks = [
+            np.concatenate((block, empty)).take(rows, axis=0)
+            for block, empty in zip(self._blocks, self._EMPTY_BLOCKS)
+        ]
+        self._bind()
 
     def begin(self, i: int, work: float) -> None:
         """Row ``i`` has ``work`` left to drain and no projection."""
@@ -167,15 +202,17 @@ class ProgressTable:
         dt·rate)`` at its old rate, takes the new one and re-projects to
         ``now + left / rate`` (``now`` when no work is left, none at rate
         0), taking engine stamps in row order."""
-        moved = np.flatnonzero((rates != self.rate) | (self.due == NO_FINISH))
+        moved = ((rates != self.rate) | (self.due == NO_FINISH)).nonzero()[0]
         if not moved.size:
             return moved
         now, rate = self.engine.now, rates[moved]
-        if not (rate >= 0).all():
-            raise SimulationError(f"{self.label}: rates must be >= 0, got {rate.min()}")
+        low = rate.min()
+        if not low >= 0:  # negative or NaN
+            raise SimulationError(f"{self.label}: rates must be >= 0, got {low}")
         dt = now - self.last[moved]
-        if (dt < -1e-9).any():
-            raise SimulationError(f"{self.label}: time went backwards ({np.nanmin(dt)} s)")
+        back = np.fmin.reduce(dt)  # a new row's NaN ``last`` is ignored
+        if back < -1e-9:
+            raise SimulationError(f"{self.label}: time went backwards ({back} s)")
         left, old = self.left[moved], self.rate[moved]
         drain = (dt > 0) & (old > 0)
         if drain.any():
@@ -188,7 +225,8 @@ class ProgressTable:
         self.due[moved] = due
         projected = moved[due != NO_FINISH]
         if projected.size:
-            self.stamp[projected] = self.engine.stamps(projected.size) + np.arange(projected.size)
+            first = self.engine.stamps(projected.size)
+            self.stamp[projected] = np.arange(first, first + projected.size)
         return moved
 
     def earliest(self) -> Optional[int]:
@@ -196,13 +234,14 @@ class ProgressTable:
         due = self.due
         if not due.size:
             return None
-        i = int(due.argmin())
-        if due[i] == NO_FINISH:
+        i = due.argmin()
+        first = due[i]
+        if first == NO_FINISH:
             return None
-        ties = np.flatnonzero(due == due[i])
+        ties = (due == first).nonzero()[0]
         if ties.size > 1:
-            i = int(ties[self.stamp[ties].argmin()])
-        return i
+            i = ties[self.stamp[ties].argmin()]
+        return int(i)
 
     def arm(self) -> None:
         """Keep the one event at the earliest projection (re-pushed only
@@ -222,3 +261,7 @@ class ProgressTable:
         assert i is not None, f"{self.label} fired with no projection"
         self.due[i] = NO_FINISH
         self.on_due(i)
+
+
+# a subclass is packed when it is defined; the base class is packed here
+ProgressTable._pack()

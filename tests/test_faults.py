@@ -287,6 +287,15 @@ class TestSchedulerRequeue:
         tm = metrics.get("t0")
         assert tm.failed and "retries exhausted" in tm.failure_reason
 
+    def test_exhausted_retries_count_as_finished(self, engine, metrics, checked):
+        scheduler, _, _ = make_cluster(engine, metrics, max_retries=0)
+        job = scheduler.submit(task_with_image("t0"))
+        scheduler.submit(task_with_image("t1", base_time=30.0))
+        engine.schedule(2.0, lambda: scheduler.node_failed(job.node_index), "chaos")
+        scheduler.run_to_completion(max_time=1e5)
+        assert job.state is JobState.FAILED
+        assert scheduler.finished_jobs == len(scheduler.jobs) == 2 and scheduler.all_done
+
     def test_oom_kill_is_not_requeued(self, engine, metrics):
         from repro.policies.linux import LinuxSwapPolicy
 

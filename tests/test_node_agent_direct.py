@@ -17,14 +17,16 @@ from repro.policies.linux import LinuxSwapPolicy
 from repro.resilience import InvariantViolation
 from repro.runtime.execution import TaskExecution, TaskState
 from repro.runtime.node_agent import NodeAgent, RateTable
-from repro.runtime.rates import RateModelConfig, access_profiles
+from repro.runtime.rates import RateModelConfig, access_profiles, row_pass
 from repro.service import ServiceSpec, serve
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import NO_FINISH
 from repro.util.rng import RngFactory
 from repro.util.units import GBps, KiB, MiB
 from repro.workflows.ensembles import paper_batch
+from repro.workflows.patterns import HotColdPattern
 from repro.workflows.profiles import describe, expected_touched_bytes
+from repro.workflows.task import TaskPhase, TaskSpec, WorkloadClass
 
 from conftest import CHUNK, ScalarProgress, simple_task, small_specs
 
@@ -83,10 +85,12 @@ class TestRecomputeRates:
         agent.trace("task", "x", event="whatever")  # no session: a no-op
 
 
-def rebin_every_row(self):
-    """``RateTable.rebin`` that re-bins every row, changed or not."""
+def rebin_every_row(self, latency):
+    """``RateTable.rebin`` that re-derives every row, changed or not, with
+    the kernel's numpy forms."""
     if self.pagesets:
         self.profile[:] = access_profiles(self.pagesets)
+        self.demand[:], self.base[:] = row_pass(self.terms, self.profile, np.asarray(latency))
         self.version[:] = [ps.version for ps in self.pagesets]
 
 
@@ -225,6 +229,54 @@ class TestRateTableArithmetic:
             assert table.rate.tolist() == rates
             assert table.left.tolist() == [t.remaining for t in trackers]
             assert table.due.tolist() == [NO_FINISH if d is None else d for d in due]
+
+    def test_gather_carries_every_column(self, engine):
+        """Every column is a view of its dtype's block, so a write through
+        it lands in the block, and a gather moves every column's rows."""
+        table = RateTable(engine)
+        table.gather([0, 0, 0])  # three new, empty rows
+        assert [block.dtype for block in table._blocks] == [np.float64, np.int64]
+        rng = np.random.default_rng(5)
+        for name in RateTable.EMPTY_ROW:
+            column = getattr(table, name)
+            assert sum(np.shares_memory(column, block) for block in table._blocks) == 1
+            column[...] = rng.integers(1, 1_000_000, column.shape)
+        before = {name: getattr(table, name).copy() for name in RateTable.EMPTY_ROW}
+        table.gather([0, 1, 2])  # copies the blocks alone
+        for name, column in before.items():
+            assert getattr(table, name).tolist() == column.tolist(), name
+        table.gather([2, 0, 3])  # reorder, drop row 1, append an empty row
+        for name, empty in RateTable.EMPTY_ROW.items():
+            column = getattr(table, name)
+            assert column.dtype == empty.dtype and column.shape == (3, *empty.shape[1:])
+            np.testing.assert_array_equal(column[:2], before[name][[2, 0]], err_msg=name)
+            np.testing.assert_array_equal(column[2], empty[0], err_msg=name)
+
+    def test_a_rerating_derives_only_changed_rows(self, engine, metrics, monkeypatch):
+        import repro.runtime.node_agent as node_agent
+
+        derived = []
+        derive = node_agent.derive_row
+
+        def counted(ps, *args):
+            derived.append(ps.owner)
+            return derive(ps, *args)
+
+        monkeypatch.setattr(node_agent, "derive_row", counted)
+        agent = make_agent(engine, metrics)
+        tasks = [
+            agent.start_task(simple_task(f"t{i}", footprint=MiB(1), base_time=50.0))
+            for i in range(3)
+        ]
+        derived.clear()
+        agent.recompute_rates()
+        assert derived == []  # no version moved, no phase began
+        ps = tasks[1].pageset
+        agent.memory.set_access_weights(ps, ps.access_weight.copy())
+        agent.recompute_rates()
+        assert derived == ["t1"]
+        agent.begin_phase(tasks[2])
+        assert derived == ["t1", "t2"]
 
 
 class TestOneCompletionEvent:
@@ -570,3 +622,57 @@ class TestProfiles:
         text = describe(spec)
         assert "memory.max" in text
         assert "data" in text
+
+
+def two_phase_task(name):
+    """A task whose phases differ in every term, bandwidth-heavy first."""
+    pattern = HotColdPattern(hot_fraction=0.25, hot_share=0.9)
+    phases = (
+        TaskPhase("stream", base_time=2.0, compute_frac=0.2, lat_frac=0.5, bw_frac=0.3,
+                  demand_bandwidth=GBps(80), pattern=pattern),
+        TaskPhase("solve", base_time=2.0, compute_frac=0.5, lat_frac=0.4, bw_frac=0.1,
+                  demand_bandwidth=GBps(30), pattern=pattern),
+    )
+    return TaskSpec(name=name, wclass=WorkloadClass.GENERIC, footprint=MiB(2), wss=MiB(1),
+                    phases=phases)
+
+
+@pytest.mark.usefixtures("checked")
+class TestLoadedLatency:
+    """Under loaded latency the node pass re-derives every row's latency
+    term at the tiers' utilisation, against the unloaded DRAM latency."""
+
+    def test_rates_are_the_closed_form_through_a_phase_change_and_a_migration(
+        self, engine, metrics, monkeypatch
+    ):
+        from test_rates import closed_form_slowdowns
+
+        cfg = RateModelConfig(loaded_latency=True, loaded_latency_max_factor=3.0)
+        agent = make_agent(engine, metrics, rate_config=cfg)
+        seen = []
+        recompute = NodeAgent.recompute_rates
+
+        def compared(self):
+            recompute(self)
+            tasks = self.table.tasks
+            if tasks:
+                slowdowns = closed_form_slowdowns(
+                    [te.phase for te in tasks], [te.pageset for te in tasks],
+                    self.memory.specs, self._capacities(), self._rated_penalty, cfg,
+                )
+                want = [(1.0 / s) * te.rate_scale for s, te in zip(slowdowns, tasks)]
+                assert self.table.rate.tolist() == pytest.approx(want, rel=1e-12)
+                seen.append((engine.now, {te.phase.name for te in tasks}, len(tasks)))
+
+        monkeypatch.setattr(NodeAgent, "recompute_rates", compared)
+        tasks = [agent.start_task(two_phase_task(f"t{i}")) for i in range(3)]
+        ps = tasks[0].pageset
+        moved = []
+        engine.schedule_at(1.0, lambda: moved.append(
+            agent.memory.migrate(ps, np.flatnonzero(ps.tier == int(DRAM))[:4], CXL)
+        ))
+        engine.run()
+        assert moved[0] > 0 and all(te.state is TaskState.DONE for te in tasks)
+        # DRAM is saturated (three 80 GB/s streams), so loaded latency bites
+        assert any(t > 1.0 and "stream" in names and n == 3 for t, names, n in seen)
+        assert any("solve" in names for _, names, _ in seen)

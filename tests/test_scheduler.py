@@ -6,6 +6,7 @@ from repro.containers.image import ContainerImage, ImageRegistry
 from repro.containers.runtime import ContainerRuntime, NetworkFabric
 from repro.memory.system import NodeMemorySystem
 from repro.policies.linux import LinuxSwapPolicy
+from repro.resilience import InvariantViolation
 from repro.runtime.node_agent import NodeAgent
 from repro.scheduler.job import JobState
 from repro.scheduler.slurm import SlurmScheduler
@@ -112,6 +113,17 @@ class TestFailureHandling:
         sched.run_to_completion()
         assert job.state is JobState.FAILED
         assert metrics.get("doomed").failed
+
+    def test_all_done_reads_the_finished_count(self, engine, metrics, checked):
+        sched, _ = make_sched(engine, metrics)
+        for i in range(3):
+            sched.submit(simple_task(f"t{i}", base_time=1.0 + i))
+        sched.run_to_completion()  # the checker recounts at every job's end
+        assert sched.finished_jobs == 3 and sched.all_done
+        sched.finished_jobs -= 1
+        assert not sched.all_done
+        with pytest.raises(InvariantViolation, match="finished-job drift"):
+            checked.scheduler(sched)
 
     def test_all_done_property(self, engine, metrics):
         sched, _ = make_sched(engine, metrics)

@@ -537,9 +537,10 @@ class TestServiceRun:
         env.scheduler.submit(simple_task("huge", cores=100_000))  # never fits
         with pytest.raises(SchedulingError, match="service deadlock"):
             run._drive()
-        # once the stream is exhausted, a drained engine ends the run
+        # an exhausted stream does not end it either: the job never runs
         run._generated_all = True
-        run._drive()
+        with pytest.raises(SchedulingError, match="service deadlock: job 'huge' needs"):
+            run._drive()
         assert not env.scheduler.all_done
 
     def test_background_task_no_node_can_hold_ends_a_live_run(self):

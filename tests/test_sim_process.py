@@ -218,6 +218,17 @@ class TestRateTracker:
             table.advance(np.array([2.0]))
         assert table.rate[0] == 1.0 and table.left[0] == 10.0
 
+    def test_a_new_rows_unset_clock_hides_no_rewind(self, engine):
+        table = one_row(engine, 10.0)
+        engine.run(until=5.0)
+        table.advance(np.array([1.0]))
+        table.gather([0, 1])  # row 1: a new row, no update yet (NaN ``last``)
+        table.begin(1, 3.0)
+        engine.now = 4.0
+        with pytest.raises(SimulationError, match="backwards"):
+            table.advance(np.array([2.0, 1.0]))
+        assert table.rate.tolist() == [1.0, 0.0]
+
     def test_negative_rate_rejected(self, engine):
         table = one_row(engine, 1.0)
         for bad in (-1.0, np.nan):
