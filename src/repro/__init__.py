@@ -24,7 +24,7 @@ simulation of tiered-memory HPC clusters.  Public entry points:
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 _EXPORTS = {
     # environments

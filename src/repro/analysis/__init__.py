@@ -1,7 +1,6 @@
-"""Analysis helpers: replication statistics and generic parameter sweeps."""
+"""Analysis helpers: replication statistics."""
 
 from .stats import Comparison, ReplicationResult, compare, relative_improvement, replicate
-from .sweeps import makespan_metric, mean_exec_metric, sweep
 
 __all__ = [
     "Comparison",
@@ -9,7 +8,4 @@ __all__ = [
     "compare",
     "relative_improvement",
     "replicate",
-    "makespan_metric",
-    "mean_exec_metric",
-    "sweep",
 ]

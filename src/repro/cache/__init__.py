@@ -1,13 +1,13 @@
 """Content-addressed result cache for sweep cells.
 
-PR 2 made every sweep cell hermetic and seed-deterministic, so a cell's
-result is a pure function of (code, kwargs, seed).  This package turns
+Every sweep cell is hermetic and seed-deterministic, so a cell's result
+is a pure function of (code, kwargs, seed).  This package turns
 that into incremental recompute: results persist on disk keyed by a
 digest of exactly those inputs, re-runs serve hits without dispatching
-workers, and editing a source module invalidates only the cells whose
-import closure contains it.
+workers, and editing any module of the package's source invalidates
+every cell computed before the edit.
 
-* :mod:`~repro.cache.fingerprint` — static import-closure code digests.
+* :mod:`~repro.cache.fingerprint` — one digest of the package's source.
 * :mod:`~repro.cache.keys` — cell-id / content-key derivation.
 * :mod:`~repro.cache.codec` — exact, versioned result serialization.
 * :mod:`~repro.cache.store` — atomic disk store with hit/miss stats.
@@ -33,31 +33,18 @@ __all__ = [
     "canonicalize",
     "cell_keys",
     "clear_fingerprint_caches",
-    "closure_fingerprint",
+    "code_fingerprint",
     "decode",
     "default_cache_dir",
     "encode",
-    "import_closure",
-    "module_fingerprint",
 ]
 
 
 def __getattr__(name: str):
-    # PEP 562.  One literal import per group, so the static import closure
-    # (repro.cache.fingerprint) still sees every submodule.  Submodule names
-    # are not mapped: ``from . import store`` would land back here.
-    if name in (
-        "clear_fingerprint_caches",
-        "closure_fingerprint",
-        "import_closure",
-        "module_fingerprint",
-    ):
-        from .fingerprint import (
-            clear_fingerprint_caches,
-            closure_fingerprint,
-            import_closure,
-            module_fingerprint,
-        )
+    # PEP 562.  Submodule names are not mapped: ``from . import store``
+    # would land back here.
+    if name in ("clear_fingerprint_caches", "code_fingerprint"):
+        from .fingerprint import clear_fingerprint_caches, code_fingerprint
     elif name in ("CacheKey", "CacheKeyError", "canonicalize", "cell_keys"):
         from .keys import CacheKey, CacheKeyError, canonicalize, cell_keys
     elif name in ("CacheStats", "ResultCache", "default_cache_dir"):

@@ -8,15 +8,18 @@ Two digests identify a cached result:
   so one logical cell occupies one slot and recomputes overwrite their
   stale predecessor instead of accumulating garbage.
 * the **content key** — *what the answer depends on*: the cell id plus
-  the code fingerprint of the cell module's import closure
-  (:func:`~repro.cache.fingerprint.closure_fingerprint`) and the repro
-  version.  It is stored inside the file and compared on read; a mismatch
-  is an *invalidation* (the code moved underneath the result), served as
-  a miss.
+  the code fingerprint (:func:`~repro.cache.fingerprint.code_fingerprint`:
+  the digest of the whole repro package's source, and of the cell's own
+  module when it lies outside the package), the repro version, the numpy
+  version and the interpreter's major.minor, and the scenario digest when
+  there is one.  It is stored inside the file and compared on read; a
+  mismatch is an *invalidation* (the code moved underneath the result),
+  served as a miss.
 
 Canonicalization is deliberately strict: values without an obviously
-stable textual form raise :class:`CacheKeyError`, and the sweep simply
-runs that cell uncached rather than risk a false hit.
+stable textual form raise :class:`CacheKeyError`, as does a package with
+no readable source, and the sweep simply runs that cell uncached rather
+than risk a false hit.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from .fingerprint import ROOT_PACKAGE, closure_fingerprint
+from .fingerprint import ROOT_PACKAGE, code_fingerprint
 
 __all__ = ["CacheKey", "CacheKeyError", "canonicalize", "cell_keys"]
 
@@ -124,7 +128,7 @@ def cell_keys(
     :class:`~repro.scenarios.ScenarioSpec`); its digest is folded into the
     *content* key, so editing any scenario field invalidates exactly the
     cells that scenario describes.  Raises :class:`CacheKeyError` when any
-    input has no stable form.
+    input has no stable form or ``root`` has no readable source.
     """
     cell_id = _digest(
         "cell-id",
@@ -133,13 +137,18 @@ def cell_keys(
         canonicalize(seed),
         canonicalize(extra),
     )
+    code = code_fingerprint(fn.__module__, root=root)
+    if code is None:
+        raise CacheKeyError(f"package {root!r} has no readable source to fingerprint")
     from .. import __version__
 
     content_parts = [
         "content",
         cell_id,
-        closure_fingerprint(fn.__module__, root=root),
+        code,
         __version__,
+        f"numpy:{np.__version__}",
+        f"python:{sys.version_info[0]}.{sys.version_info[1]}",
     ]
     if scenario is not None:
         content_parts.append(f"scenario:{scenario.digest()}")

@@ -11,11 +11,10 @@ Hermeticity also makes results cacheable: by default every run consults
 the content-addressed result cache (:mod:`repro.cache`), at two levels —
 whole experiments here, and individual sweep cells inside the harnesses
 that accept ``cache=``.  A warm re-run serves everything from disk with
-byte-identical tables; editing any module in an experiment's import
-closure (or bumping the repro version) invalidates exactly the entries
-that depend on it.  ``--no-cache`` restores pure live execution,
-``--cache-dir`` relocates the store, ``--cache-stats`` prints the
-per-experiment hit/miss/invalidation counts.
+byte-identical tables; editing any repro module (or changing the repro,
+numpy or Python version) invalidates every entry.  ``--no-cache``
+restores pure live execution, ``--cache-dir`` relocates the store,
+``--cache-stats`` prints the per-experiment hit/miss/invalidation counts.
 
 Execution is supervised (:mod:`repro.resilience`): failing experiments
 are retried with deterministic backoff (``--retries``), optionally

@@ -49,9 +49,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # PEP 562.  One literal import per group, so the static import closure
-    # (repro.cache.fingerprint) still sees every submodule.  Submodule names
-    # are not mapped: ``from . import journal`` would land back here.
+    # PEP 562.  Submodule names are not mapped: ``from . import journal``
+    # would land back here.
     if name in ("JournalState", "RunJournal", "journal_path"):
         from .journal import JournalState, RunJournal, journal_path
     elif name in ("CellFailure", "RetryPolicy", "SweepFailure", "failure_table"):

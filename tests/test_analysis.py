@@ -1,14 +1,11 @@
-"""Analysis-subpackage tests: replication stats and sweeps."""
+"""Analysis-subpackage tests: replication stats."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.stats import ReplicationResult, relative_improvement, replicate
-from repro.analysis.sweeps import makespan_metric, mean_exec_metric, sweep
-from repro.envs.environments import EnvKind, make_environment
-from repro.util.units import KiB, MiB
-
-from conftest import simple_task
+from repro.envs.environments import EnvKind
+from repro.util.units import KiB
 
 CHUNK = KiB(64)
 
@@ -51,73 +48,6 @@ class TestReplicationResult:
     def test_needs_a_seed(self):
         with pytest.raises(Exception):
             replicate(lambda s: 1.0, seeds=())
-
-
-class TestSweep:
-    def _build(self, kind, dram_mib):
-        return make_environment(kind, dram_capacity=MiB(dram_mib), chunk_size=CHUNK)
-
-    def test_grid_shape_and_values(self):
-        specs = [simple_task("t0", footprint=MiB(1), base_time=1.0)]
-        calls = []
-
-        def run(env, value):
-            calls.append((env.name, value))
-            return env.run_batch([simple_task(f"t-{env.name}-{value}", footprint=MiB(1), base_time=1.0)])
-
-        result = sweep(
-            name="demo",
-            description="demo sweep",
-            values=[8, 16],
-            kinds=[EnvKind.IE, EnvKind.IMME],
-            build=self._build,
-            run=run,
-        )
-        assert set(result.series) == {"IE", "IMME"}
-        assert result.xlabels == ["8", "16"]
-        assert len(calls) == 4
-        assert all(v > 0 for vals in result.series.values() for v in vals)
-
-    def test_mean_exec_metric_filters_class(self):
-        def run(env, value):
-            return env.run_batch(
-                [simple_task(f"m-{env.name}-{value}", footprint=MiB(1), base_time=2.0)]
-            )
-
-        result = sweep(
-            name="demo",
-            description="d",
-            values=[16],
-            kinds=[EnvKind.IE],
-            build=self._build,
-            run=run,
-            metric=mean_exec_metric("GENERIC"),
-        )
-        assert result.series["IE"][0] == pytest.approx(2.0, rel=0.1)
-
-    def test_custom_xlabel(self):
-        def run(env, value):
-            return env.run_batch(
-                [simple_task(f"x-{value}", footprint=MiB(1), base_time=1.0)]
-            )
-
-        result = sweep(
-            name="demo",
-            description="d",
-            values=[0.5],
-            kinds=[EnvKind.IE],
-            build=lambda k, v: self._build(k, 16),
-            run=run,
-            xlabel=lambda v: f"{int(v * 100)}%",
-        )
-        assert result.xlabels == ["50%"]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(Exception):
-            sweep(
-                name="x", description="d", values=[], kinds=[EnvKind.IE],
-                build=self._build, run=lambda e, v: None,
-            )
 
 
 class TestPaperVarianceClaim:

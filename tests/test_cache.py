@@ -2,6 +2,8 @@
 store robustness, and end-to-end warm-run equivalence."""
 
 import os
+import shutil
+import subprocess
 import sys
 import textwrap
 
@@ -16,8 +18,7 @@ from repro.cache import (
     canonicalize,
     cell_keys,
     clear_fingerprint_caches,
-    closure_fingerprint,
-    import_closure,
+    code_fingerprint,
 )
 from repro.experiments.common import SweepSpec, cell_cache_key, sweep
 from repro.experiments.runner import run_all
@@ -99,6 +100,18 @@ class TestKeySensitivity:
         assert a.cell_id == b.cell_id
         assert a.content_key != b.content_key
 
+    @pytest.mark.parametrize(
+        "module, name, value",
+        [(np, "__version__", "0.0.1"), (sys, "version_info", (2, 7, 18, "final", 0))],
+        ids=["numpy", "python"],
+    )
+    def test_dependency_versions_change_content_key_only(self, monkeypatch, module, name, value):
+        a = cell_keys(seeded_cell, self.KW, seed=7)
+        monkeypatch.setattr(module, name, value)
+        b = cell_keys(seeded_cell, self.KW, seed=7)
+        assert a.cell_id == b.cell_id
+        assert a.content_key != b.content_key
+
 
 @pytest.fixture
 def fake_pkg(tmp_path, monkeypatch):
@@ -126,237 +139,119 @@ def fake_pkg(tmp_path, monkeypatch):
         del sys.modules[mod]
 
 
+#: the throwaway package's name, and the module its cell lives in
+FAKE_PKG = "fakepkg_cache_test"
+ALPHA = f"{FAKE_PKG}.alpha"
+
+
+def fresh_fingerprint(modname: str = ALPHA, root: str = FAKE_PKG):
+    clear_fingerprint_caches()
+    return code_fingerprint(modname, root=root)
+
+
+#: one Fig. 10 sweep cell's key, as the harness derives it
+FIG10_CELL_KEY = """
+from repro.experiments.common import SweepSpec, cell_cache_key
+from repro.experiments.fig10_scalability import _fig10_cell
+from repro.scenarios.paper import fig10_family
+
+spec = SweepSpec("fig10", base_seed=0)
+spec.add_scenario(_fig10_cell, fig10_family(total_instances=16, node_counts=(1,)).scenarios[0])
+key = cell_cache_key(spec, spec.cells[0])
+"""
+
+
 class TestFingerprint:
-    def test_closure_contains_transitive_imports_only(self, fake_pkg):
-        closure = import_closure("fakepkg_cache_test.alpha", root="fakepkg_cache_test")
-        assert "fakepkg_cache_test.alpha" in closure
-        assert "fakepkg_cache_test.beta" in closure
-        assert "fakepkg_cache_test.gamma" not in closure
-
     def test_editing_imported_module_changes_fingerprint(self, fake_pkg):
-        before = closure_fingerprint("fakepkg_cache_test.alpha", root="fakepkg_cache_test")
+        before = fresh_fingerprint()
         (fake_pkg / "beta.py").write_text("def helper(x):\n    return x + 2\n")
-        clear_fingerprint_caches()
-        after = closure_fingerprint("fakepkg_cache_test.alpha", root="fakepkg_cache_test")
-        assert before != after
+        assert fresh_fingerprint() != before
 
-    def test_editing_unrelated_module_keeps_fingerprint(self, fake_pkg):
-        before = closure_fingerprint("fakepkg_cache_test.alpha", root="fakepkg_cache_test")
+    def test_editing_an_unimported_module_changes_fingerprint(self, fake_pkg):
+        before = fresh_fingerprint()
         (fake_pkg / "gamma.py").write_text("UNRELATED = False\n")
+        assert fresh_fingerprint() != before
+
+    def test_editing_the_package_init_changes_fingerprint(self, fake_pkg):
+        before = fresh_fingerprint()
+        (fake_pkg / "__init__.py").write_text("LOADED = True\n")
+        assert fresh_fingerprint() != before
+
+    def test_only_package_source_files_count(self, fake_pkg):
+        before = fresh_fingerprint()
+        (fake_pkg / "__pycache__").mkdir()
+        (fake_pkg / "__pycache__" / "alpha.cpython-311.pyc").write_bytes(b"\0" * 16)
+        (fake_pkg / "__pycache__" / "stale.py").write_text("STALE = True\n")
+        (fake_pkg / "notes.txt").write_text("not source\n")
+        assert fresh_fingerprint() == before
+        (fake_pkg / "delta.py").write_text("ADDED = True\n")
+        assert fresh_fingerprint() != before
+
+    def test_a_moved_tree_keeps_its_fingerprint(self, fake_pkg, tmp_path, monkeypatch):
+        from importlib.util import find_spec
+
+        before = fresh_fingerprint()
+        moved = tmp_path / "elsewhere" / FAKE_PKG
+        shutil.copytree(fake_pkg, moved)
+        for path in moved.iterdir():
+            os.utime(path, (0, 0))  # mtimes are no part of the digest
+        for mod in [m for m in sys.modules if m.startswith(FAKE_PKG)]:
+            del sys.modules[mod]
+        monkeypatch.syspath_prepend(str(moved.parent))
+        assert find_spec(FAKE_PKG).submodule_search_locations == [str(moved)]
+        assert fresh_fingerprint() == before
+
+    @pytest.mark.parametrize("layout", ["no-source", "missing"])
+    def test_a_package_without_source_cannot_be_keyed(self, tmp_path, monkeypatch, layout):
+        if layout == "no-source":
+            (tmp_path / "fakepkg_nosource_test").mkdir()
+            (tmp_path / "fakepkg_nosource_test" / "notes.txt").write_text("no code\n")
+            monkeypatch.syspath_prepend(str(tmp_path))
+        assert fresh_fingerprint("x", root="fakepkg_nosource_test") is None
+        with pytest.raises(CacheKeyError, match="no readable source"):
+            cell_keys(seeded_cell, {}, seed=0, root="fakepkg_nosource_test")
         clear_fingerprint_caches()
-        after = closure_fingerprint("fakepkg_cache_test.alpha", root="fakepkg_cache_test")
-        assert before == after
 
-    def test_repro_experiment_closure_reaches_policies(self):
-        closure = import_closure("repro.experiments.fig05_exec_time")
-        assert "repro.experiments.common" in closure
-        assert "repro.policies.linux" in closure
-        assert "repro.memory.pageset" in closure
+    def test_a_cell_outside_the_package_adds_its_own_source(self, fake_pkg):
+        before = fresh_fingerprint(ALPHA, root="repro")
+        assert before != fresh_fingerprint("repro.experiments.runner", root="repro")
+        (fake_pkg / "gamma.py").write_text("UNRELATED = False\n")
+        assert fresh_fingerprint(ALPHA, root="repro") == before
+        (fake_pkg / "alpha.py").write_text("def cell(x):\n    return x\n")
+        assert fresh_fingerprint(ALPHA, root="repro") != before
+        assert fresh_fingerprint("__main__", root="repro") is not None  # no source: its name
 
-    def test_statement_walk_finds_every_import_ast_walk_finds(self, monkeypatch):
-        """Imports are statements, so scanning statement bodies alone gives
-        every repro module the same direct imports and closure as a full
-        ``ast.walk``."""
-        import ast
-        import pkgutil
-
-        from repro.cache import fingerprint
-
-        modules = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
-
-        def closures():
-            clear_fingerprint_caches()
-            direct = {m: fingerprint._direct_imports(m, "repro") for m in modules}
-            out = {}
-            for m in modules:
-                seen, frontier = set(), [m]
-                while frontier:
-                    mod = frontier.pop()
-                    if mod not in seen:
-                        seen.add(mod)
-                        frontier.extend(direct[mod])
-                out[m] = seen
-            return direct, out
-
-        statements = closures()
-        monkeypatch.setattr(
-            fingerprint, "_statements", lambda body: ast.walk(ast.Module(body, []))
+    def test_a_fresh_process_derives_the_same_keys(self, tmp_path):
+        here: dict = {}
+        exec(FIG10_CELL_KEY, here)
+        path = os.pathsep.join(os.path.abspath(p) for p in sys.path if p)
+        out = subprocess.run(
+            [sys.executable, "-c", FIG10_CELL_KEY + "print(key.cell_id, key.content_key)"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
         )
-        assert statements == closures()
-        clear_fingerprint_caches()
-        assert import_closure("repro.experiments.fig10_scalability") == frozenset(
-            statements[1]["repro.experiments.fig10_scalability"]
-        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [here["key"].cell_id, here["key"].content_key]
 
     def test_source_edit_invalidates_only_dependent_cells(self, fake_pkg, tmp_path):
-        """The acceptance shape: editing one module misses exactly the
-        cells whose import closure contains it."""
+        """The acceptance shape: editing one package's source misses
+        exactly the cells keyed on that package."""
         import fakepkg_cache_test.alpha as alpha
 
-        dependent = cell_keys(alpha.cell, {"x": 1}, seed=0, root="fakepkg_cache_test")
-        unrelated = cell_keys(seeded_cell, {}, seed=0)  # closure is repro's
+        dependent = cell_keys(alpha.cell, {"x": 1}, seed=0, root=FAKE_PKG)
+        unrelated = cell_keys(seeded_cell, {}, seed=0)  # keyed on repro
         cache = ResultCache(tmp_path / "store")
         cache.put(dependent, 2)
         cache.put(unrelated, 0.5)
         (fake_pkg / "beta.py").write_text("def helper(x):\n    return x + 10\n")
         clear_fingerprint_caches()
-        dependent2 = cell_keys(alpha.cell, {"x": 1}, seed=0, root="fakepkg_cache_test")
+        dependent2 = cell_keys(alpha.cell, {"x": 1}, seed=0, root=FAKE_PKG)
         assert dependent2.cell_id == dependent.cell_id
         assert dependent2.content_key != dependent.content_key
         hit, _ = cache.get(dependent2)
         assert not hit and cache.stats.invalidations == 1
         hit, value = cache.get(unrelated)
         assert hit and value == 0.5
-
-
-#: modules of a throwaway package, each holding one form of import text;
-#: ``ghost*`` modules exist, but only strings and comments name them
-SCAN_MODULES = {
-    "docs": '''
-        """Module docstring: import fakepkg_scan_test.ghost1
-        from fakepkg_scan_test import ghost2
-        """
-        TEXT = 'import fakepkg_scan_test.ghost3'
-        OTHER = "from fakepkg_scan_test import ghost4"  # import fakepkg_scan_test.ghost5
-        RAW = r"""
-        import fakepkg_scan_test.ghost6 \\
-        """
-        # from fakepkg_scan_test import ghost7
-        from . import real_a
-    ''',
-    "typing_only": """
-        from typing import TYPE_CHECKING
-        if TYPE_CHECKING: import fakepkg_scan_test.real_a
-        if TYPE_CHECKING:
-            from . import real_b
-    """,
-    "semicolon": "x = 1; import fakepkg_scan_test.real_a\n",
-    "parenthesized": """
-        from . import (
-            real_a,  # the first (of two)
-            real_b,
-        )
-        from .real_c import (thing,
-                             other)
-    """,
-    "local": """
-        def f():
-            from .real_a import thing
-            return thing
-
-
-        class C:
-            def g(self):
-                import fakepkg_scan_test.real_b
-    """,
-    "try_one_line": """
-        try: import fakepkg_scan_test.real_a
-        except ImportError: real_a = None
-    """,
-    "string_after_import": (
-        'import fakepkg_scan_test.real_a; TEXT = """\n'
-        "import fakepkg_scan_test.ghost1\n"
-        '"""\n'
-        'import fakepkg_scan_test.real_b; MORE = """\n"""\n'
-    ),
-    "continued_head": "from fakepkg_scan_test \\\n    import real_a\n",
-    "continued_tail": "from .real_c import \\\n    thing\n",
-}
-#: the modules whose import statements do not stand alone: parsed whole
-SCAN_FALLBACK = {"try_one_line", "string_after_import", "continued_head", "continued_tail"}
-
-
-@pytest.fixture
-def scan_pkg(tmp_path, monkeypatch):
-    root = tmp_path / "fakepkg_scan_test"
-    root.mkdir()
-    (root / "__init__.py").write_text("")
-    for name in ("real_a", "real_b", *(f"ghost{i}" for i in range(1, 8))):
-        (root / f"{name}.py").write_text("VALUE = 1\n")
-    (root / "real_c.py").write_text("thing = other = 1\n")
-    for name, source in SCAN_MODULES.items():
-        (root / f"{name}.py").write_text(textwrap.dedent(source))
-    monkeypatch.syspath_prepend(str(tmp_path))
-    clear_fingerprint_caches()
-    yield "fakepkg_scan_test"
-    clear_fingerprint_caches()
-    for mod in [m for m in sys.modules if m.startswith("fakepkg_scan_test")]:
-        del sys.modules[mod]
-
-
-def parsed_whole(monkeypatch, modules, root):
-    """Each module's direct imports from a full ``ast.parse`` + ``ast.walk``."""
-    import ast
-
-    from repro.cache import fingerprint
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fingerprint, "_import_statements", lambda source: None)
-        patch.setattr(fingerprint, "_statements", lambda body: ast.walk(ast.Module(body, [])))
-        clear_fingerprint_caches()
-        return {m: fingerprint._direct_imports(m, root) for m in modules}
-
-
-class TestImportScan:
-    """The lexer parses only the statements holding an ``import``, and
-    finds exactly the imports a full parse does."""
-
-    def test_every_repro_module_matches_a_full_parse(self, monkeypatch):
-        import pkgutil
-
-        from repro.cache import fingerprint
-
-        modules = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
-        clear_fingerprint_caches()
-        scanned = {m: fingerprint._direct_imports(m, "repro") for m in modules}
-        assert scanned == parsed_whole(monkeypatch, modules, "repro")
-        assert sum(map(len, scanned.values())) > 300
-
-    def test_fixtures_match_a_full_parse(self, monkeypatch, scan_pkg):
-        from repro.cache import fingerprint
-
-        modules = [f"{scan_pkg}.{name}" for name in SCAN_MODULES]
-        scanned = {m: fingerprint._direct_imports(m, scan_pkg) for m in modules}
-        want = parsed_whole(monkeypatch, modules, scan_pkg)
-        assert scanned == want
-        assert not any(".ghost" in m for found in scanned.values() for m in found)
-        pkg = lambda *names: {scan_pkg} | {f"{scan_pkg}.{m}" for m in names}  # noqa: E731
-        assert want[f"{scan_pkg}.docs"] == pkg("real_a")
-        assert want[f"{scan_pkg}.parenthesized"] == pkg("real_a", "real_b", "real_c")
-        assert want[f"{scan_pkg}.local"] == pkg("real_a", "real_b") - {scan_pkg}
-        assert want[f"{scan_pkg}.try_one_line"] == pkg("real_a") - {scan_pkg}
-        assert want[f"{scan_pkg}.string_after_import"] == pkg("real_a", "real_b") - {scan_pkg}
-
-    def test_statements_that_do_not_stand_alone_parse_the_module(self, scan_pkg):
-        import ast
-
-        from repro.cache import fingerprint
-
-        for name in SCAN_MODULES:
-            source = fingerprint._source_entry(f"{scan_pkg}.{name}")[2]
-            lexed = fingerprint._import_statements(source)
-            try:
-                alone = lexed is not None and ast.parse(lexed) is not None
-            except SyntaxError:
-                alone = False
-            assert alone == (name not in SCAN_FALLBACK), name
-            assert lexed is None or b"ghost" not in lexed
-
-    def test_a_plain_module_is_not_probed_for_submodules(self, monkeypatch, scan_pkg):
-        from repro.cache import fingerprint
-
-        probed = []
-        find_source = fingerprint._find_source
-
-        def recording(modname):
-            probed.append(modname)
-            return find_source(modname)
-
-        monkeypatch.setattr(fingerprint, "_find_source", recording)
-        found = fingerprint._direct_imports(f"{scan_pkg}.parenthesized", scan_pkg)
-        assert f"{scan_pkg}.real_c" in found
-        assert f"{scan_pkg}.real_a" in probed  # a package's names are probed
-        assert not any(m.startswith(f"{scan_pkg}.real_c.") for m in probed)
 
 
 class TestStore:

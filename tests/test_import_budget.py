@@ -4,9 +4,7 @@ Every CLI run, benchmark run and multirun cell starts a fresh interpreter
 and pays for each module it imports.  The sweep machinery (the supervisor
 and its :mod:`multiprocessing` pool, the result cache's fingerprints and
 store) loads on first use, and workflow DAGs need no networkx, so a plain
-batch or service run imports none of them.  The result cache keys a cell
-by its static import closure, which must still reach the modules a sweep
-loads lazily.
+batch or service run imports none of them.
 """
 
 import importlib
@@ -16,8 +14,6 @@ import subprocess
 import sys
 
 import pytest
-
-from repro.cache.fingerprint import import_closure
 
 #: modules only a sweep (or nothing at all) uses
 SWEEP_ONLY = (
@@ -57,11 +53,6 @@ def test_run_imports_no_sweep_module(run):
     modules = loaded_modules(RUN_IMPORTS[run])
     assert "repro.envs.environments" in modules
     assert sorted(modules & set(SWEEP_ONLY)) == []
-
-
-def test_lazy_modules_stay_in_the_cache_closure():
-    assert "repro.resilience.supervisor" in import_closure("repro.experiments.runner")
-    assert "repro.cache.store" in import_closure("repro.experiments.fig10_scalability")
 
 
 @pytest.mark.parametrize("package", ["repro.cache", "repro.resilience"])
